@@ -1316,36 +1316,6 @@ let emp_agg () =
   record "agg_ops_ratio" (Json.Float full_ratio);
   record "tight_agg_ops_ratio" (Json.Float tight_ratio)
 
-let abl_join () =
-  section "abl-join"
-    "Ablation — hash join vs sort-merge join backends (same results)";
-  let edges = Graphs.zipf_both ~seed:301 ~vertices:500 ~edges:10_000 ~s:1.1 in
-  let mk schema =
-    Relation.of_list
-      (Schema.of_list schema)
-      (List.map (fun (a, b) -> [| a; b |]) edges)
-  in
-  let r1 = mk [ 0; 1 ] and r2 = mk [ 1; 2 ] in
-  let time name f =
-    let (out, snap), wall = timed (fun () -> Cost.scoped f) in
-    Printf.printf "  %-12s %8d tuples  %8d counted ops  %6.2fs wall\n" name
-      (Relation.cardinal out) (Cost.total snap) wall;
-    record ("join " ^ name)
-      (Json.Obj
-         [
-           ("tuples", Json.Int (Relation.cardinal out));
-           ("cost", json_snapshot snap);
-           ("wall_s", Json.Float wall);
-         ]);
-    out
-  in
-  let h = time "hash" (fun () -> Relation.natural_join r1 r2) in
-  let m = time "sort-merge" (fun () -> Mergejoin.join r1 r2) in
-  Printf.printf "  identical results: %b\n" (Relation.equal h m);
-  record "identical_results" (Json.Bool (Relation.equal h m));
-  ignore (time "hash ⋉" (fun () -> Relation.semijoin r1 r2));
-  ignore (time "merge ⋉" (fun () -> Mergejoin.semijoin r1 r2))
-
 let exact_curves () =
   section "curves"
     "Exact piecewise-linear combined curves (no grid artifacts)";
@@ -1668,7 +1638,6 @@ let experiments =
     ("emp-churn", emp_churn);
     ("emp-agg", emp_agg);
     ("emp-factor", emp_factor);
-    ("abl-join", abl_join);
     ("curves", exact_curves);
     ("proofs", proofs);
     ("micro", micro);

@@ -747,7 +747,7 @@ let serve_net_cmd =
     let workers = Stt_relation.Pool.jobs () in
     let server =
       Server.start ~port ~workers ~queue_capacity:queue
-        ~space:(Engine.space idx)
+        ~space:(fun () -> Engine.space idx)
         ~agg_space:(fun () -> Engine.agg_table_size idx)
         ~cache_info:(Server.engine_cache_info idx)
         ?update_handler:
@@ -1183,19 +1183,35 @@ let bench_net_cmd =
       end
     in
     let verify_fn =
-      if not verify then None
-      else begin
-        (* answers are invariant under the space budget — only the serving
-           cost moves along the tradeoff curve — so in sharded mode the
-           reference index gets a generous budget: verification then runs
-           near lookup speed in this process instead of competing with
-           the fleet for the same cores at the benched (tight) budget *)
-        let vb = if sharded then max budget 8000 else budget in
-        let h = Server.engine_handler (build_index vb) in
-        Some
-          (fun ~arity tuples ->
-            List.map (fun (rows, _, _) -> rows) (h ~arity tuples))
-      end
+      match agg with
+      | Some k ->
+          (* aggregate runs always check, against a direct local
+             answer_agg read back as its one scalar row.  Aggregates are
+             invariant under the table budget as answers are under the
+             space budget, so the reference gets complete tables of its
+             own: a check is a table lookup, which keeps it from
+             competing with the load for the same cores *)
+          let db = Scenario.synthetic_db ~seed ~vertices ~edges:nedges in
+          let reference = Engine.build_auto ~max_pmtds:128 q ~db ~budget in
+          Engine.enable_agg ~kinds:[ k ] reference ~db ~budget:max_int;
+          let schema = Engine.access_schema reference in
+          Some
+            (fun ~arity:_ tuples ->
+              let q_a = Stt_relation.Relation.of_list schema tuples in
+              [ [ [| fst (Engine.answer_agg reference k ~q_a) |] ] ])
+      | None when not verify -> None
+      | None ->
+          (* answers are invariant under the space budget — only the
+             serving cost moves along the tradeoff curve — so in sharded
+             mode the reference index gets a generous budget:
+             verification then runs near lookup speed in this process
+             instead of competing with the fleet for the same cores at
+             the benched (tight) budget *)
+          let vb = if sharded then max budget 8000 else budget in
+          let h = Server.engine_handler (build_index vb) in
+          Some
+            (fun ~arity tuples ->
+              List.map (fun (rows, _, _) -> rows) (h ~arity tuples))
     in
     (* sharded mode self-hosts the serving side: snapshot -> ship to N
        replica processes -> route through an in-process router, and the
@@ -1217,7 +1233,7 @@ let bench_net_cmd =
          with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         let snap = Filename.concat dir "bench.snap" in
         (match Engine.save idx snap with
-        | Ok n -> Format.printf "snapshot: %s (%d stored tuples)@." snap n
+        | Ok n -> Format.printf "snapshot: %s (%d bytes)@." snap n
         | Error e ->
             Format.eprintf "stt bench-net: saving snapshot: %s@."
               (Stt_store.Store.error_to_string e);
@@ -1300,210 +1316,6 @@ let bench_net_cmd =
       Atomic.set run_over true;
       Option.iter Domain.join drain_domain
     in
-    match agg with
-    | Some k ->
-        (* ------------------------------------------------------------ *)
-        (* aggregate mode: Frame.Agg frames, every reply checked against *)
-        (* a direct local answer_agg over the same synthetic data        *)
-        (* ------------------------------------------------------------ *)
-        let kind_name = Stt_semiring.Semiring.name k in
-        let kind = Stt_semiring.Semiring.to_tag k in
-        let ref_idx = build_index budget in
-        ensure_agg ref_idx;
-        let schema = Engine.access_schema ref_idx in
-        let frames =
-          let rec chunk = function
-            | [] -> []
-            | l ->
-                let rec take n acc rest =
-                  match (n, rest) with
-                  | 0, rest | _, ([] as rest) -> (List.rev acc, rest)
-                  | n, x :: rest -> take (n - 1) (x :: acc) rest
-                in
-                let frame, rest = take batch [] l in
-                frame :: chunk rest
-          in
-          chunk
-            (Scenario.zipf_requests ~seed:(seed + 1) ~n:vertices ~requests
-               ~skew ~arity)
-        in
-        let frame_arr = Array.of_list frames in
-        let nframes = Array.length frame_arr in
-        let pool = max 1 (min (min drivers connections) nframes) in
-        Format.printf
-          "%d %s-aggregate frames (%d tuples each) over %d connections@."
-          nframes kind_name batch pool;
-        Format.print_flush ();
-        let next = Atomic.make 0 in
-        let t0 = Unix.gettimeofday () in
-        let worker () =
-          match Client.connect ~host ~port () with
-          | Error e -> Error (Frame.error_to_string e)
-          | Ok c ->
-              let out = ref [] in
-              let rec loop () =
-                let i = Atomic.fetch_and_add next 1 in
-                if i < nframes then begin
-                  let tuples = frame_arr.(i) in
-                  let s0 = Unix.gettimeofday () in
-                  let res =
-                    match
-                      Client.rpc c
-                        (Frame.Agg
-                           {
-                             id = i;
-                             deadline_us = deadline_ms * 1000;
-                             kind;
-                             arity;
-                             tuples;
-                           })
-                    with
-                    | Ok (Frame.Agg_reply { id; value; _ }) when id = i ->
-                        Ok value
-                    | Ok (Frame.Rejected { reject; _ }) ->
-                        Error
-                          (match reject with
-                          | Frame.Overloaded -> "overloaded"
-                          | Frame.Deadline_exceeded -> "deadline exceeded"
-                          | Frame.Bad_request m -> "bad request: " ^ m)
-                    | Ok _ -> Error "unexpected reply frame"
-                    | Error e -> Error (Frame.error_to_string e)
-                  in
-                  let rtt_us = (Unix.gettimeofday () -. s0) *. 1e6 in
-                  out := (tuples, res, rtt_us) :: !out;
-                  loop ()
-                end
-              in
-              loop ();
-              Client.close c;
-              Ok !out
-        in
-        let joined =
-          List.map Domain.join (List.init pool (fun _ -> Domain.spawn worker))
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        join_drain ();
-        let conn_errors =
-          List.filter_map (function Error m -> Some m | Ok _ -> None) joined
-        in
-        List.iter
-          (fun m -> Format.eprintf "stt bench-net: connect: %s@." m)
-          conn_errors;
-        let replies =
-          List.concat_map (function Ok l -> l | Error _ -> []) joined
-        in
-        (* verification runs sequentially after the load: the engine's op
-           counters are not domain-safe, and this keeps the timed window
-           free of local evaluation work *)
-        let mismatched = ref 0 and answered = ref 0 and errors = ref 0 in
-        let sent = ref 0 in
-        List.iter
-          (fun (tuples, res, _) ->
-            sent := !sent + List.length tuples;
-            match res with
-            | Error _ -> incr errors
-            | Ok value ->
-                incr answered;
-                let q_a = Stt_relation.Relation.of_list schema tuples in
-                let expected, _ = Engine.answer_agg ref_idx k ~q_a in
-                if expected <> value then begin
-                  incr mismatched;
-                  if !mismatched <= 3 then
-                    Format.eprintf
-                      "stt bench-net: %s aggregate mismatch: served %d, \
-                       direct %d@."
-                      kind_name value expected
-                end)
-          replies;
-        let rtts =
-          List.filter_map
-            (fun (_, res, rtt) ->
-              match res with Ok _ -> Some rtt | Error _ -> None)
-            replies
-          |> Array.of_list
-        in
-        Array.sort compare rtts;
-        let pct p =
-          if Array.length rtts = 0 then 0.0
-          else
-            rtts.(min
-                    (Array.length rtts - 1)
-                    (int_of_float (p *. float_of_int (Array.length rtts))))
-        in
-        let identical =
-          !answered > 0 && !mismatched = 0 && !errors = 0 && conn_errors = []
-        in
-        let shard_fields =
-          match fleet_ctx with
-          | None -> []
-          | Some (router, _, _) ->
-              [
-                ("shards", Json.Int shards);
-                ("shard_jobs", Json.Int shard_jobs);
-                ("router_jobs", Json.Int router_jobs);
-                ( "shard_errors",
-                  Json.Int (Stt_shard.Router.shard_errors router) );
-                ( "retried_tuples",
-                  Json.Int (Stt_shard.Router.retried_tuples router) );
-              ]
-        in
-        teardown ();
-        Format.printf
-          "%d tuples in %d frames: %d answered, %d errors, %d mismatched \
-           (identical_answers=%b)@."
-          !sent nframes !answered !errors !mismatched identical;
-        Format.printf
-          "%.0f aggregates/sec   rtt p50 %.0fus  p95 %.0fus  p99 %.0fus@."
-          (float_of_int !answered /. wall)
-          (pct 0.50) (pct 0.95) (pct 0.99);
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.String "stt-bench/1");
-              ("experiment", Json.String "agg-net");
-              ("wall_s", Json.Float wall);
-              ( "data",
-                Json.Obj
-                  ([
-                     ("host", Json.String host);
-                     ("port", Json.Int port);
-                     ("agg", Json.String kind_name);
-                     ("budget", Json.Int budget);
-                     ("edges", Json.Int nedges);
-                     ("connections", Json.Int pool);
-                     ("requests", Json.Int requests);
-                     ("batch", Json.Int batch);
-                     ("skew", Json.Float skew);
-                     ("frames", Json.Int nframes);
-                     ("sent", Json.Int !sent);
-                     ("answered_frames", Json.Int !answered);
-                     ("errors", Json.Int !errors);
-                     ("mismatched", Json.Int !mismatched);
-                     ("identical_answers", Json.Bool identical);
-                     ("elapsed_s", Json.Float wall);
-                     ( "aggs_per_sec",
-                       Json.Float (float_of_int !answered /. wall) );
-                     ("p50_us", Json.Float (pct 0.50));
-                     ("p95_us", Json.Float (pct 0.95));
-                     ("p99_us", Json.Float (pct 0.99));
-                     ( "agg_table_size",
-                       Json.Int (Engine.agg_table_size ref_idx) );
-                     ( "host_cpus",
-                       Json.Int (Domain.recommended_domain_count ()) );
-                   ]
-                  @ shard_fields) );
-            ]
-        in
-        Json.to_file artifact doc;
-        Format.printf "artifact: %s@." artifact;
-        if not identical then begin
-          Format.eprintf
-            "stt bench-net: aggregate run not clean (answered %d, errors %d, \
-             mismatched %d)@."
-            !answered !errors !mismatched;
-          exit 1
-        end
-    | None ->
     Obs.set_enabled true;
     Obs.reset ();
     let cfg =
@@ -1520,15 +1332,22 @@ let bench_net_cmd =
         deadline_ms;
         drivers;
         active;
+        kind =
+          (match agg with Some k -> Stt_semiring.Semiring.to_tag k | None -> 0);
       }
     in
     let driven = if active = 0 then connections else active in
     Format.printf
       "%d connections (%d driven, %d parked) x closed loop (%d drivers), %d \
-       requests in %d-batches@."
+       requests in %d-batches%s@."
       connections driven
       (connections - driven)
-      (min drivers driven) requests batch;
+      (min drivers driven) requests batch
+      (match agg with
+      | Some k ->
+          Printf.sprintf ", one %s aggregate per batch"
+            (Stt_semiring.Semiring.name k)
+      | None -> "");
     let t0 = Unix.gettimeofday () in
     match Loadgen.run ?verify:verify_fn cfg with
     | Error msg ->
@@ -1602,36 +1421,123 @@ let bench_net_cmd =
               ]
         in
         teardown ();
-        let json_server_cache =
-          match server_cache with
-          | None -> Json.Null
-          | Some ch ->
-              let lookups = ch.Frame.cache_hits + ch.Frame.cache_misses in
-              Json.Obj
+        let clean, experiment, data =
+          match agg with
+          | Some k ->
+              (* one request per Agg frame: [sent] counts frames and
+                 [tuples] the access tuples they carried *)
+              let errors = r.Loadgen.sent - r.Loadgen.answered in
+              let benched = build_index budget in
+              ensure_agg benched;
+              let identical =
+                r.Loadgen.answered > 0 && errors = 0
+                && r.Loadgen.duplicated = 0 && r.Loadgen.mismatched = 0
+              in
+              Format.printf
+                "%d tuples in %d frames: %d answered, %d errors, %d \
+                 mismatched (identical_answers=%b)@."
+                r.Loadgen.tuples r.Loadgen.sent r.Loadgen.answered errors
+                r.Loadgen.mismatched identical;
+              Format.printf
+                "%.0f aggregates/sec   rtt p50 %.0fus  p95 %.0fus  p99 \
+                 %.0fus@."
+                r.Loadgen.throughput r.Loadgen.p50_us r.Loadgen.p95_us
+                r.Loadgen.p99_us;
+              ( identical,
+                "agg-net",
                 [
-                  ("budget", Json.Int ch.Frame.cache_budget);
-                  ("used", Json.Int ch.Frame.cache_used);
-                  ("entries", Json.Int ch.Frame.cache_entries);
-                  ("hits", Json.Int ch.Frame.cache_hits);
-                  ("misses", Json.Int ch.Frame.cache_misses);
-                  ( "hit_rate",
-                    Json.Float
-                      (if lookups = 0 then 0.0
-                       else float_of_int ch.Frame.cache_hits
-                            /. float_of_int lookups) );
-                ]
+                  ("host", Json.String host);
+                  ("port", Json.Int port);
+                  ("agg", Json.String (Stt_semiring.Semiring.name k));
+                  ("budget", Json.Int budget);
+                  ("edges", Json.Int nedges);
+                  ("connections", Json.Int connections);
+                  ("requests", Json.Int requests);
+                  ("batch", Json.Int batch);
+                  ("skew", Json.Float skew);
+                  ("frames", Json.Int r.Loadgen.sent);
+                  ("sent", Json.Int r.Loadgen.tuples);
+                  ("answered_frames", Json.Int r.Loadgen.answered);
+                  ("errors", Json.Int errors);
+                  ("mismatched", Json.Int r.Loadgen.mismatched);
+                  ("identical_answers", Json.Bool identical);
+                  ("elapsed_s", Json.Float r.Loadgen.elapsed_s);
+                  ("aggs_per_sec", Json.Float r.Loadgen.throughput);
+                  ("p50_us", Json.Float r.Loadgen.p50_us);
+                  ("p95_us", Json.Float r.Loadgen.p95_us);
+                  ("p99_us", Json.Float r.Loadgen.p99_us);
+                  ("agg_table_size", Json.Int (Engine.agg_table_size benched));
+                  ("host_cpus", Json.Int (Domain.recommended_domain_count ()));
+                ] )
+          | None ->
+              let json_server_cache =
+                match server_cache with
+                | None -> Json.Null
+                | Some ch ->
+                    let lookups = ch.Frame.cache_hits + ch.Frame.cache_misses in
+                    Json.Obj
+                      [
+                        ("budget", Json.Int ch.Frame.cache_budget);
+                        ("used", Json.Int ch.Frame.cache_used);
+                        ("entries", Json.Int ch.Frame.cache_entries);
+                        ("hits", Json.Int ch.Frame.cache_hits);
+                        ("misses", Json.Int ch.Frame.cache_misses);
+                        ( "hit_rate",
+                          Json.Float
+                            (if lookups = 0 then 0.0
+                             else
+                               float_of_int ch.Frame.cache_hits
+                               /. float_of_int lookups) );
+                      ]
+              in
+              Format.printf
+                "%d sent: %d answered (%d rows), %d shed, %d past deadline, \
+                 %d lost, %d duplicated, %d mismatched, %d errors@."
+                r.Loadgen.sent r.Loadgen.answered r.Loadgen.rows
+                r.Loadgen.rejected_overload r.Loadgen.rejected_deadline
+                r.Loadgen.lost r.Loadgen.duplicated r.Loadgen.mismatched
+                r.Loadgen.errors;
+              Format.printf
+                "%.0f answers/sec   rtt p50 %.0fus  p95 %.0fus  p99 %.0fus@."
+                r.Loadgen.throughput r.Loadgen.p50_us r.Loadgen.p95_us
+                r.Loadgen.p99_us;
+              ( r.Loadgen.answered > 0 && r.Loadgen.lost = 0
+                && r.Loadgen.duplicated = 0 && r.Loadgen.mismatched = 0
+                && r.Loadgen.errors = 0,
+                (if sharded then "emp-shard" else "emp-net"),
+                [
+                  ("host", Json.String host);
+                  ("port", Json.Int port);
+                  ("connections", Json.Int connections);
+                  ("active", Json.Int driven);
+                  ("drivers", Json.Int (min drivers driven));
+                  ("io_backend", Json.String server_io_backend);
+                  ("requests", Json.Int requests);
+                  ("batch", Json.Int batch);
+                  ("skew", Json.Float skew);
+                  ("deadline_ms", Json.Int deadline_ms);
+                  ("sent", Json.Int r.Loadgen.sent);
+                  ("answered", Json.Int r.Loadgen.answered);
+                  ("rows", Json.Int r.Loadgen.rows);
+                  ("rejected_overload", Json.Int r.Loadgen.rejected_overload);
+                  ("rejected_deadline", Json.Int r.Loadgen.rejected_deadline);
+                  ("lost", Json.Int r.Loadgen.lost);
+                  ("duplicated", Json.Int r.Loadgen.duplicated);
+                  ("mismatched", Json.Int r.Loadgen.mismatched);
+                  ("errors", Json.Int r.Loadgen.errors);
+                  ("verified", Json.Bool (verify && r.Loadgen.mismatched = 0));
+                  ("elapsed_s", Json.Float r.Loadgen.elapsed_s);
+                  ("answers_per_sec", Json.Float r.Loadgen.throughput);
+                  ("p50_us", Json.Float r.Loadgen.p50_us);
+                  ("p95_us", Json.Float r.Loadgen.p95_us);
+                  ("p99_us", Json.Float r.Loadgen.p99_us);
+                  ("cache_budget", Json.Int cache_budget);
+                  ("server_cache", json_server_cache);
+                  (* shard-scaling ratios only mean something relative
+                     to the cores the fleet could actually use *)
+                  ("host_cpus", Json.Int (Domain.recommended_domain_count ()));
+                ] )
         in
-        Format.printf
-          "%d sent: %d answered (%d rows), %d shed, %d past deadline, %d \
-           lost, %d duplicated, %d mismatched, %d errors@."
-          r.Loadgen.sent r.Loadgen.answered r.Loadgen.rows
-          r.Loadgen.rejected_overload r.Loadgen.rejected_deadline
-          r.Loadgen.lost r.Loadgen.duplicated r.Loadgen.mismatched
-          r.Loadgen.errors;
-        Format.printf
-          "%.0f answers/sec   rtt p50 %.0fus  p95 %.0fus  p99 %.0fus@."
-          r.Loadgen.throughput r.Loadgen.p50_us r.Loadgen.p95_us
-          r.Loadgen.p99_us;
         let speedup_fields =
           match baseline with
           | None -> []
@@ -1647,53 +1553,13 @@ let bench_net_cmd =
                 ("backend_speedup", Json.Float ratio);
               ]
         in
-        let clean =
-          r.Loadgen.answered > 0 && r.Loadgen.lost = 0
-          && r.Loadgen.duplicated = 0 && r.Loadgen.mismatched = 0
-          && r.Loadgen.errors = 0
-        in
         let doc =
           Json.Obj
             [
               ("schema", Json.String "stt-bench/1");
-              ( "experiment",
-                Json.String (if sharded then "emp-shard" else "emp-net") );
+              ("experiment", Json.String experiment);
               ("wall_s", Json.Float wall);
-              ( "data",
-                Json.Obj
-                  ([
-                    ("host", Json.String host);
-                    ("port", Json.Int port);
-                    ("connections", Json.Int connections);
-                    ("active", Json.Int driven);
-                    ("drivers", Json.Int (min drivers driven));
-                    ("io_backend", Json.String server_io_backend);
-                    ("requests", Json.Int requests);
-                    ("batch", Json.Int batch);
-                    ("skew", Json.Float skew);
-                    ("deadline_ms", Json.Int deadline_ms);
-                    ("sent", Json.Int r.Loadgen.sent);
-                    ("answered", Json.Int r.Loadgen.answered);
-                    ("rows", Json.Int r.Loadgen.rows);
-                    ("rejected_overload", Json.Int r.Loadgen.rejected_overload);
-                    ("rejected_deadline", Json.Int r.Loadgen.rejected_deadline);
-                    ("lost", Json.Int r.Loadgen.lost);
-                    ("duplicated", Json.Int r.Loadgen.duplicated);
-                    ("mismatched", Json.Int r.Loadgen.mismatched);
-                    ("errors", Json.Int r.Loadgen.errors);
-                    ("verified", Json.Bool (verify && r.Loadgen.mismatched = 0));
-                    ("elapsed_s", Json.Float r.Loadgen.elapsed_s);
-                    ("answers_per_sec", Json.Float r.Loadgen.throughput);
-                    ("p50_us", Json.Float r.Loadgen.p50_us);
-                    ("p95_us", Json.Float r.Loadgen.p95_us);
-                    ("p99_us", Json.Float r.Loadgen.p99_us);
-                    ("cache_budget", Json.Int cache_budget);
-                    ("server_cache", json_server_cache);
-                    (* shard-scaling ratios only mean something relative
-                       to the cores the fleet could actually use *)
-                    ("host_cpus", Json.Int (Domain.recommended_domain_count ()));
-                  ]
-                  @ shard_fields @ speedup_fields) );
+              ("data", Json.Obj (data @ shard_fields @ speedup_fields));
               ("trace", Obs.trace ());
             ]
         in
@@ -1702,9 +1568,11 @@ let bench_net_cmd =
         Obs.set_enabled false;
         if not clean then begin
           Format.eprintf
-            "stt bench-net: run not clean (answered %d, lost %d, duplicated \
-             %d, mismatched %d, errors %d)@."
-            r.Loadgen.answered r.Loadgen.lost r.Loadgen.duplicated
+            "stt bench-net: run not clean (%d sent: %d answered, %d shed, %d \
+             past deadline, %d lost, %d duplicated, %d mismatched, %d \
+             errors)@."
+            r.Loadgen.sent r.Loadgen.answered r.Loadgen.rejected_overload
+            r.Loadgen.rejected_deadline r.Loadgen.lost r.Loadgen.duplicated
             r.Loadgen.mismatched r.Loadgen.errors;
           exit 1
         end

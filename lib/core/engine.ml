@@ -575,15 +575,6 @@ let answer_agg t k ~q_a =
   end;
   (value, cost)
 
-let answer_batch_agg t k reqs =
-  Obs.span "engine.answer_batch_agg"
-    ~attrs:
-      [
-        ("kind", Json.String (Semiring.name k));
-        ("requests", Json.Int (List.length reqs));
-      ]
-  @@ fun () -> List.map (fun q_a -> answer_agg t k ~q_a) reqs
-
 (* ------------------------------------------------------------------ *)
 (* incremental maintenance                                              *)
 (* ------------------------------------------------------------------ *)

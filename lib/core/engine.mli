@@ -108,13 +108,6 @@ val answer_agg :
     [Failure] when {!enable_agg} was never called (and the snapshot had
     no agg section). *)
 
-val answer_batch_agg :
-  t ->
-  Stt_semiring.Semiring.kind ->
-  Relation.t list ->
-  (int * Cost.snapshot) list
-(** {!answer_agg} over each request, in input order. *)
-
 val agg_baseline :
   t -> Stt_semiring.Semiring.kind -> q_a:Relation.t -> int * Cost.snapshot
 (** Materialize-then-fold reference: flat join of the annotated factors

@@ -156,31 +156,27 @@ let measured_dc rels =
       card :: per_var)
     rels
 
+(* the T-target with the smallest polymatroid size bound; the first one
+   when no bound is finite or the bound LP overflows *)
 let pick_target n ~dc targets =
   match targets with
   | [ b ] -> b
-  | _ ->
-      let scored =
-        List.map
-          (fun b ->
-            ( b,
-              Polymatroid.log_size_bound ~n ~dc ~targets:[ b ] ~logd:Rat.one
-                ~logq:Rat.zero ))
-          targets
+  | _ -> (
+      let bound b =
+        Polymatroid.log_size_bound ~n ~dc ~targets:[ b ] ~logd:Rat.one
+          ~logq:Rat.zero
       in
-      let best =
+      match
         List.fold_left
-          (fun acc (b, bound) ->
-            match (acc, bound) with
+          (fun acc b ->
+            match (acc, bound b) with
             | None, Some v -> Some (b, v)
             | Some (_, v0), Some v when Rat.compare v v0 < 0 -> Some (b, v)
             | acc, _ -> acc)
-          None scored
-      in
-      (match best with Some (b, _) -> b | None -> List.hd targets)
-
-let pick_target n ~dc targets =
-  try pick_target n ~dc targets with Rat.Overflow -> List.hd targets
+          None targets
+      with
+      | Some (b, _) -> b
+      | None | (exception Rat.Overflow) -> List.hd targets)
 
 (* The atoms joined for a local T-target: every atom contained in the
    target bag (required for the Yannakakis soundness argument), extended

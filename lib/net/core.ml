@@ -9,12 +9,15 @@ module Json = Stt_obs.Json
    the Evloop readiness loop on its IO domain, per-connection pooled
    read/pending-write buffers, the bounded job queue and worker-domain
    pool, worker->IO signalling (write interest, condemned connections),
-   the wake pipe, graceful drain, and the protocol-level counters.  What
-   it does NOT know is what a request *means*: every decoded request is
-   handed to the role's [handle] callback (on the IO domain), which
-   replies inline via [reply] or defers work to the pool via [enqueue].
-   Role state — an engine and its RW lock, or a shard ring and upstream
-   connections — lives in the closures the role passes in. *)
+   the wake pipe, graceful drain, and the protocol-level counters — and
+   the one job runner ([submit]) every queued request of either role
+   goes through, so shedding, deadlines, per-job Obs, the reply and the
+   counters exist once.  What it does NOT know is what a request
+   *means*: every decoded request is handed to the role's [handle]
+   callback (on the IO domain), which replies inline via [reply] or
+   hands [submit] the work that answers it.  Role state — an engine and
+   its RW lock, or a shard ring and upstream connections — lives in the
+   closures the role passes in. *)
 
 type stats = {
   connections : int;
@@ -139,7 +142,7 @@ type t = {
   workers : int;
   queue_capacity : int;
   queue : (unit -> unit) Bq.t;
-  handle : t -> conn -> now:float -> Frame.request -> unit;
+  handle : t -> conn -> now_ns:int -> Frame.request -> unit;
   evloop : Evloop.t;
   io_backend_name : string;
   started_ns : int;
@@ -254,7 +257,7 @@ let rec drain_flush conn deadline =
   match Netbuf.flush conn.fd conn.pending with
   | Netbuf.Flushed | Netbuf.Gone -> ()
   | Netbuf.Again ->
-      if Unix.gettimeofday () < deadline then begin
+      if Mono.now_ns () < deadline then begin
         (try ignore (Unix.select [] [ conn.fd ] [] 0.05)
          with Unix.Unix_error _ -> ());
         drain_flush conn deadline
@@ -281,7 +284,7 @@ let reply t conn resp =
           | Netbuf.Flushed -> `Done
           | Netbuf.Again ->
               if Atomic.get t.stop_flag then begin
-                drain_flush conn (Unix.gettimeofday () +. 5.0);
+                drain_flush conn (Mono.now_ns () + 5_000_000_000);
                 `Done
               end
               else `Want_write
@@ -295,6 +298,86 @@ let reply t conn resp =
   | `Dead -> push_dead t conn
 
 let enqueue t job = Bq.try_push t.queue job
+
+(* ------------------------------------------------------------------ *)
+(* the job runner: every queued request of either role                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A request's budget runs from decode on the monotonic clock; [max_int]
+   is none — also for a budget too large to add to the clock *)
+let deadline_of ~now_ns = function
+  | Frame.Answer { deadline_us; _ } | Frame.Agg { deadline_us; _ }
+    when deadline_us > 0 && deadline_us < (max_int - now_ns) / 1000 ->
+      now_ns + (deadline_us * 1000)
+  | _ -> max_int
+
+let request_id = function
+  | Frame.Answer { id; _ }
+  | Frame.Agg { id; _ }
+  | Frame.Update { id; _ }
+  | Frame.Stats { id }
+  | Frame.Health { id } ->
+      id
+
+let span_attrs = function
+  | Frame.Answer { id; tuples; _ } ->
+      [ ("id", Json.Int id); ("tuples", Json.Int (List.length tuples)) ]
+  | Frame.Agg { id; kind; tuples; _ } ->
+      [
+        ("id", Json.Int id);
+        ("kind", Json.Int kind);
+        ("tuples", Json.Int (List.length tuples));
+      ]
+  | Frame.Update { id; deltas } ->
+      [ ("id", Json.Int id); ("deltas", Json.Int (List.length deltas)) ]
+  | Frame.Stats { id } | Frame.Health { id } -> [ ("id", Json.Int id) ]
+
+(* the one reply a request gets, counted by what it amounts to *)
+let finish t conn ~id = function
+  | Ok resp ->
+      (match resp with
+      | Frame.Updated _ -> note_updated t
+      | _ -> note_answered t);
+      reply t conn resp
+  | Error reject ->
+      (match reject with
+      | Frame.Overloaded -> note_overload t
+      | Frame.Deadline_exceeded -> note_deadline t
+      | Frame.Bad_request _ -> note_bad t);
+      reply t conn (Frame.Rejected { id; reject })
+
+let submit t conn ~now_ns req ~span ~counter ~hist work =
+  let id = request_id req and deadline = deadline_of ~now_ns req in
+  let job () =
+    let started = Mono.now_ns () in
+    if started > deadline then finish t conn ~id (Error Frame.Deadline_exceeded)
+    else begin
+      let remaining_us =
+        if deadline = max_int then 0 else max 1 ((deadline - started) / 1000)
+      in
+      (* each job runs under its own context so worker traces never race;
+         the finished context is adopted into the core's under a lock *)
+      let jctx = Obs.create_context () in
+      let outcome =
+        Obs.with_context jctx (fun () ->
+            Obs.span ~attrs:(span_attrs req) span (fun () ->
+                try work ~remaining_us with
+                | Failure msg -> Error (Frame.Bad_request msg)
+                | e -> Error (Frame.Bad_request (Printexc.to_string e))))
+      in
+      let finished = Mono.now_ns () in
+      finish t conn ~id
+        (match outcome with
+        | Ok _ when finished > deadline -> Error Frame.Deadline_exceeded
+        | outcome -> outcome);
+      with_obs t (fun () ->
+          Obs.adopt jctx;
+          Obs.incr counter;
+          Obs.observe hist (float_of_int (finished - started) /. 1e3))
+    end
+  in
+  note_received t;
+  if not (enqueue t job) then finish t conn ~id (Error Frame.Overloaded)
 
 (* full teardown: close the fd and recycle the connection's buffers.
    Only the IO domain (or [wait], after it exited) may call this. *)
@@ -370,7 +453,7 @@ let rec drain_buffer t conn =
       Rbuf.consume buf (4 + len);
       match decoded with
       | Ok req ->
-          t.handle t conn ~now:(Unix.gettimeofday ()) req;
+          t.handle t conn ~now_ns:(Mono.now_ns ()) req;
           drain_buffer t conn
       | Error e ->
           (* the stream may be out of sync past a bad frame: answer with

@@ -5,9 +5,10 @@
     The core moves frames; a {e role} decides what they mean.  On every
     decoded request the core calls the role's [handle] callback (on the
     IO domain, so it must not block); the role replies inline with
-    {!reply} or defers work to the worker-domain pool with {!enqueue}.
-    Role state lives in the closures the role passes to {!start} — the
-    core holds none of it.
+    {!reply} or hands the request's work to {!submit}, the one job
+    runner both roles queue their requests through.  Role state lives
+    in the closures the role passes to {!start} — the core holds none
+    of it.
 
     Threading contract (inherited by both roles):
     - the IO domain owns the event loop, read buffers, and fd teardown;
@@ -27,7 +28,7 @@ type conn
 
 type stats = {
   connections : int;  (** accepted over the lifetime *)
-  received : int;  (** Answer/Update requests seen (role-counted) *)
+  received : int;  (** Answer/Agg/Update requests seen (role-counted) *)
   answered : int;
   updated : int;
   rejected_overload : int;
@@ -41,13 +42,14 @@ val start :
   workers:int ->
   queue_capacity:int ->
   ?io_backend:Evloop.backend ->
-  (t -> conn -> now:float -> Frame.request -> unit) ->
+  (t -> conn -> now_ns:int -> Frame.request -> unit) ->
   t
 (** [start ~port ~workers ~queue_capacity handle] binds (port [0] picks
     an ephemeral port — read it back with {!port}), spawns the worker
-    pool and the IO domain, and calls [handle core conn ~now req] on the
-    IO domain for every request decoded off a connection.  [now] is the
-    [Unix.gettimeofday] at decode time (for deadline arithmetic).
+    pool and the IO domain, and calls [handle core conn ~now_ns req] on
+    the IO domain for every request decoded off a connection.  [now_ns]
+    is {!Mono.now_ns} at decode time, where a request's deadline budget
+    starts.
 
     Raises [Invalid_argument] on a non-positive [workers] or
     [queue_capacity]; [Unix.Unix_error] if the bind fails. *)
@@ -74,10 +76,36 @@ val reply : t -> conn -> Frame.response -> unit
 (** Encode into the calling domain's scratch buffer and write (or stash)
     the frame.  Callable from any domain; serialized per connection. *)
 
+val submit :
+  t ->
+  conn ->
+  now_ns:int ->
+  Frame.request ->
+  span:string ->
+  counter:string ->
+  hist:string ->
+  (remaining_us:int -> (Frame.response, Frame.reject) result) ->
+  unit
+(** [submit core conn ~now_ns req ~span ~counter ~hist work] is the job
+    runner behind every queued request of either role.  It counts [req]
+    received and queues a job, or sheds the request with
+    [Rejected Overloaded] when the bounded queue is full.  The job
+    rejects with [Deadline_exceeded] when the request's [deadline_us]
+    budget (from [now_ns]; an [Update] has none) is gone before [work]
+    starts or after it returns [Ok].  [work] runs under a fresh Obs
+    context inside the span [span]; [Failure] or any other exception
+    becomes [Bad_request].  The job replies with the [Ok] response, or
+    [Rejected] with the error, and counts the reply ([answered],
+    [updated] for [Updated], or the rejection's counter).  Last it
+    merges its context into the core's, bumping [counter] and observing
+    the service time in µs under [hist].  [remaining_us] is the budget
+    left when [work] starts ([0] = none), for a role that forwards it. *)
+
 val enqueue : t -> (unit -> unit) -> bool
-(** Push a job for the worker pool; [false] means the bounded queue is
-    full and the role should shed ([Rejected Overloaded]).  A job that
-    raises kills its worker domain — roles catch their own errors. *)
+(** Push a job for the worker pool outside {!submit}'s accounting (the
+    router polls fleet Health this way); [false] means the bounded queue
+    is full.  A job that raises kills its worker domain — catch inside
+    the job. *)
 
 val with_obs : t -> (unit -> 'a) -> 'a
 (** Run under the core's shared Obs context (serialized) — roles adopt
@@ -88,14 +116,11 @@ val trace_json : t -> string
 
 (** {1 Role counters}
 
-    The core counts connections and undecodable frames itself; what a
-    {e valid} request amounts to is role logic, so roles bump these. *)
+    The core counts connections, undecodable frames and every request
+    that goes through {!submit}; a role that rejects a request inline
+    counts it with these. *)
 
 val note_received : t -> unit
-val note_answered : t -> unit
-val note_updated : t -> unit
-val note_overload : t -> unit
-val note_deadline : t -> unit
 val note_bad : t -> unit
 
 (** {1 Lifecycle} *)

@@ -14,10 +14,12 @@ type config = {
   deadline_ms : int;
   drivers : int;
   active : int;
+  kind : int;
 }
 
 type report = {
   sent : int;
+  tuples : int;
   answered : int;
   rows : int;
   rejected_overload : int;
@@ -36,6 +38,7 @@ type report = {
 (* per-connection tallies, merged in connection order at the end *)
 type tally = {
   mutable t_sent : int;
+  mutable t_tuples : int;
   mutable t_answered : int;
   mutable t_rows : int;
   mutable t_overload : int;
@@ -48,8 +51,9 @@ type tally = {
 }
 
 let new_tally () =
-  { t_sent = 0; t_answered = 0; t_rows = 0; t_overload = 0; t_deadline = 0;
-    t_lost = 0; t_dup = 0; t_mismatched = 0; t_errors = 0; t_connected = false }
+  { t_sent = 0; t_tuples = 0; t_answered = 0; t_rows = 0; t_overload = 0;
+    t_deadline = 0; t_lost = 0; t_dup = 0; t_mismatched = 0; t_errors = 0;
+    t_connected = false }
 
 let rec chunks k = function
   | [] -> []
@@ -62,15 +66,33 @@ let rec chunks k = function
       let c, rest = take k [] l in
       c :: chunks k rest
 
-let check_answers tally ?verify ~batch answers =
-  let n_batch = List.length batch and n_ans = List.length answers in
-  tally.t_answered <- tally.t_answered + Stdlib.min n_batch n_ans;
-  (* a short reply loses the tail of the batch; a long one duplicated *)
-  if n_ans < n_batch then tally.t_lost <- tally.t_lost + (n_batch - n_ans);
-  if n_ans > n_batch then tally.t_dup <- tally.t_dup + (n_ans - n_batch);
-  List.iter
-    (fun (a : Frame.answer) -> tally.t_rows <- tally.t_rows + List.length a.rows)
-    answers;
+(* A frame asks for tuple answers ([kind = 0], one request per tuple)
+   or for one aggregate of its whole tuple set (one request).  Replies
+   are read back as answer rows per request; an aggregate's scalar is
+   the single row [| value |]. *)
+let frame cfg ~id ~deadline_us batch =
+  if cfg.kind = 0 then
+    Frame.Answer { id; deadline_us; arity = cfg.arity; tuples = batch }
+  else
+    Frame.Agg
+      { id; deadline_us; kind = cfg.kind; arity = cfg.arity; tuples = batch }
+
+let requests_in cfg batch = if cfg.kind = 0 then List.length batch else 1
+
+let answer_rows cfg ~id = function
+  | Frame.Answers { id = rid; answers } when rid = id && cfg.kind = 0 ->
+      Some (List.map (fun (a : Frame.answer) -> a.rows) answers)
+  | Frame.Agg_reply { id = rid; value; _ } when rid = id && cfg.kind > 0 ->
+      Some [ [ [| value |] ] ]
+  | _ -> None
+
+let check_answers tally ?verify ~batch ~n rows =
+  let n_ans = List.length rows in
+  tally.t_answered <- tally.t_answered + Stdlib.min n n_ans;
+  (* a short reply loses the tail of the frame; a long one duplicated *)
+  if n_ans < n then tally.t_lost <- tally.t_lost + (n - n_ans);
+  if n_ans > n then tally.t_dup <- tally.t_dup + (n_ans - n);
+  List.iter (fun r -> tally.t_rows <- tally.t_rows + List.length r) rows;
   match verify with
   | None -> ()
   | Some f ->
@@ -79,11 +101,11 @@ let check_answers tally ?verify ~batch answers =
         | [] -> 0) batch
       in
       List.iteri
-        (fun i (a : Frame.answer) ->
+        (fun i r ->
           match List.nth_opt expected i with
-          | Some rows when List.equal (fun x y -> Stt_relation.Tuple.compare x y = 0) a.rows rows -> ()
+          | Some e when List.equal (fun x y -> Stt_relation.Tuple.compare x y = 0) r e -> ()
           | _ -> tally.t_mismatched <- tally.t_mismatched + 1)
-        answers
+        rows
 
 (* One driver domain multiplexes many connections.  OCaml 5 caps live
    domains at a few dozen, so a domain per connection tops out long
@@ -99,7 +121,7 @@ type conn_state = {
   mutable cs_client : Client.t option;
   mutable cs_batches : int array list list;
   mutable cs_seq : int;
-  mutable cs_inflight : (int * int array list * float) option;
+  mutable cs_inflight : (int * int array list * int) option;
 }
 
 let drive_slice ?verify cfg states =
@@ -137,21 +159,18 @@ let drive_slice ?verify cfg states =
             cs.cs_batches <- rest;
             let id = (cs.cs_index * 1_000_000) + cs.cs_seq in
             cs.cs_seq <- cs.cs_seq + 1;
-            let n = List.length batch in
-            let req =
-              Frame.Answer { id; deadline_us; arity = cfg.arity;
-                             tuples = batch }
-            in
-            let t0 = Unix.gettimeofday () in
+            let n = requests_in cfg batch in
+            let tally = cs.cs_tally in
+            tally.t_sent <- tally.t_sent + n;
+            tally.t_tuples <- tally.t_tuples + List.length batch;
+            let req = frame cfg ~id ~deadline_us batch in
+            let t0 = Mono.now_ns () in
             (match Client.send c req with
-            | Ok () ->
-                cs.cs_tally.t_sent <- cs.cs_tally.t_sent + n;
-                cs.cs_inflight <- Some (id, batch, t0)
+            | Ok () -> cs.cs_inflight <- Some (id, batch, t0)
             | Error _ ->
                 (* the frame may or may not have left; either way these
-                   tuples got no answer *)
-                cs.cs_tally.t_sent <- cs.cs_tally.t_sent + n;
-                cs.cs_tally.t_errors <- cs.cs_tally.t_errors + n;
+                   requests got no answer *)
+                tally.t_errors <- tally.t_errors + n;
                 abandon cs)
         | _ -> ())
       states;
@@ -161,7 +180,7 @@ let drive_slice ?verify cfg states =
         match (cs.cs_client, cs.cs_inflight) with
         | Some c, Some (id, batch, t0) -> (
             cs.cs_inflight <- None;
-            let n = List.length batch in
+            let n = requests_in cfg batch in
             let tally = cs.cs_tally in
             match Client.recv c with
             | Error _ ->
@@ -169,22 +188,23 @@ let drive_slice ?verify cfg states =
                 abandon cs
             | Ok resp -> (
                 Obs.observe "net.rtt_us"
-                  ((Unix.gettimeofday () -. t0) *. 1e6);
-                match resp with
-                | Frame.Answers { id = rid; answers } when rid = id ->
-                    check_answers tally ?verify ~batch answers
-                | Frame.Rejected { id = rid; reject } when rid = id -> (
-                    match reject with
-                    | Frame.Overloaded ->
-                        tally.t_overload <- tally.t_overload + n
-                    | Frame.Deadline_exceeded ->
-                        tally.t_deadline <- tally.t_deadline + n
-                    | Frame.Bad_request _ ->
-                        tally.t_errors <- tally.t_errors + n)
-                | _ ->
-                    (* a reply for a request we are not waiting on *)
-                    tally.t_dup <- tally.t_dup + 1;
-                    tally.t_lost <- tally.t_lost + n))
+                  (float_of_int (Mono.now_ns () - t0) /. 1e3);
+                match answer_rows cfg ~id resp with
+                | Some rows -> check_answers tally ?verify ~batch ~n rows
+                | None -> (
+                    match resp with
+                    | Frame.Rejected { id = rid; reject } when rid = id -> (
+                        match reject with
+                        | Frame.Overloaded ->
+                            tally.t_overload <- tally.t_overload + n
+                        | Frame.Deadline_exceeded ->
+                            tally.t_deadline <- tally.t_deadline + n
+                        | Frame.Bad_request _ ->
+                            tally.t_errors <- tally.t_errors + n)
+                    | _ ->
+                        (* a reply for a request we are not waiting on *)
+                        tally.t_dup <- tally.t_dup + 1;
+                        tally.t_lost <- tally.t_lost + n)))
         | _ -> ())
       states
   done;
@@ -197,6 +217,8 @@ let run ?verify cfg =
   else if cfg.drivers < 1 then Error "drivers must be >= 1"
   else if cfg.active < 0 || cfg.active > cfg.connections then
     Error "active must be in [0, connections]"
+  else if cfg.kind <> 0 && Stt_semiring.Semiring.of_tag cfg.kind = None then
+    Error (Printf.sprintf "unknown aggregate kind %d" cfg.kind)
   else begin
     let was_enabled = Obs.enabled () in
     Obs.set_enabled true;
@@ -232,7 +254,7 @@ let run ?verify cfg =
       List.init drivers (fun d ->
           List.filter (fun cs -> cs.cs_index mod drivers = d) states)
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now_ns () in
     let domains =
       List.map
         (fun slice ->
@@ -246,7 +268,7 @@ let run ?verify cfg =
         slices
     in
     List.iter (fun (d, _) -> Domain.join d) domains;
-    let elapsed_s = Unix.gettimeofday () -. t0 in
+    let elapsed_s = float_of_int (Mono.now_ns () - t0) /. 1e9 in
     let tallies = List.map (fun cs -> cs.cs_tally) states in
     if not (List.exists (fun t -> t.t_connected) tallies) then
       Error
@@ -261,6 +283,7 @@ let run ?verify cfg =
       Ok
         {
           sent = sum (fun t -> t.t_sent);
+          tuples = sum (fun t -> t.t_tuples);
           answered;
           rows = sum (fun t -> t.t_rows);
           rejected_overload = sum (fun t -> t.t_overload);

@@ -1,13 +1,12 @@
 open Stt_relation
 module Obs = Stt_obs.Obs
-module Json = Stt_obs.Json
 
 (* The replica role: engine-backed request handling layered on the
-   role-agnostic Core (accept/IO-loop/drain, worker pool, byte path).
-   Everything engine-specific lives here — the RW lock that serializes
-   updates against answers, deadline arithmetic, and the Health block —
-   and everything about moving frames lives in Core, shared with the
-   sharded tier's router. *)
+   role-agnostic Core (accept/IO-loop/drain, worker pool, byte path, and
+   the job runner every queued request goes through, shared with the
+   sharded tier's router).  What lives here is what only a replica
+   does: the engine handlers, the RW lock that serializes updates
+   against answers, and the Health block. *)
 
 type handler =
   arity:int -> int array list -> (int array list * int * Cost.snapshot) list
@@ -131,190 +130,47 @@ end
 type t = Core.t
 
 (* ------------------------------------------------------------------ *)
-(* worker jobs                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let serve_answer core ~rw ~handler ~jconn ~jid ~jarity ~jtuples ~jdeadline =
-  let started = Unix.gettimeofday () in
-  if started > jdeadline then begin
-    Core.note_deadline core;
-    Core.reply core jconn
-      (Frame.Rejected { id = jid; reject = Frame.Deadline_exceeded })
-  end
-  else begin
-    (* each job runs under its own context so worker traces never race;
-       the finished context is adopted into the server's under a lock *)
-    let jctx = Obs.create_context () in
-    let result =
-      Obs.with_context jctx (fun () ->
-          Obs.span "net.request"
-            ~attrs:
-              [
-                ("id", Json.Int jid);
-                ("tuples", Json.Int (List.length jtuples));
-              ]
-            (fun () ->
-              try
-                Rw.read rw (fun () ->
-                    Ok
-                      (Obs.with_alloc "net.answer.alloc_bytes" (fun () ->
-                           handler ~arity:jarity jtuples)))
-              with
-              | Failure msg -> Error msg
-              | e -> Error (Printexc.to_string e)))
-    in
-    let finished = Unix.gettimeofday () in
-    (match result with
-    | Error msg ->
-        Core.note_bad core;
-        Core.reply core jconn
-          (Frame.Rejected { id = jid; reject = Frame.Bad_request msg })
-    | Ok _ when finished > jdeadline ->
-        Core.note_deadline core;
-        Core.reply core jconn
-          (Frame.Rejected { id = jid; reject = Frame.Deadline_exceeded })
-    | Ok answers ->
-        Core.note_answered core;
-        let answers =
-          List.map
-            (fun (rows, row_arity, cost) -> { Frame.rows; row_arity; cost })
-            answers
-        in
-        Core.reply core jconn (Frame.Answers { id = jid; answers }));
-    Core.with_obs core (fun () ->
-        Obs.adopt jctx;
-        Obs.incr "net.requests";
-        Obs.observe "net.serve_us" ((finished -. started) *. 1e6))
-  end
-
-let serve_agg core ~rw ~agg_handler ~jconn ~jid ~jkind ~jarity ~jtuples
-    ~jdeadline =
-  let started = Unix.gettimeofday () in
-  if started > jdeadline then begin
-    Core.note_deadline core;
-    Core.reply core jconn
-      (Frame.Rejected { id = jid; reject = Frame.Deadline_exceeded })
-  end
-  else begin
-    let jctx = Obs.create_context () in
-    let result =
-      Obs.with_context jctx (fun () ->
-          Obs.span "net.agg"
-            ~attrs:
-              [
-                ("id", Json.Int jid);
-                ("kind", Json.Int jkind);
-                ("tuples", Json.Int (List.length jtuples));
-              ]
-            (fun () ->
-              match agg_handler with
-              | None -> Error "this server does not serve aggregates"
-              | Some ah -> (
-                  try
-                    Rw.read rw (fun () ->
-                        Ok (ah ~kind:jkind ~arity:jarity jtuples))
-                  with
-                  | Failure msg -> Error msg
-                  | e -> Error (Printexc.to_string e))))
-    in
-    let finished = Unix.gettimeofday () in
-    (match result with
-    | Error msg ->
-        Core.note_bad core;
-        Core.reply core jconn
-          (Frame.Rejected { id = jid; reject = Frame.Bad_request msg })
-    | Ok _ when finished > jdeadline ->
-        Core.note_deadline core;
-        Core.reply core jconn
-          (Frame.Rejected { id = jid; reject = Frame.Deadline_exceeded })
-    | Ok (value, cost) ->
-        Core.note_answered core;
-        Core.reply core jconn (Frame.Agg_reply { id = jid; value; cost }));
-    Core.with_obs core (fun () ->
-        Obs.adopt jctx;
-        Obs.incr "net.aggs";
-        Obs.observe "net.agg_us" ((finished -. started) *. 1e6))
-  end
-
-let serve_update core ~rw ~update_handler ~jconn ~jid ~jdeltas =
-  let started = Unix.gettimeofday () in
-  let jctx = Obs.create_context () in
-  let result =
-    Obs.with_context jctx (fun () ->
-        Obs.span "net.update"
-          ~attrs:
-            [
-              ("id", Json.Int jid);
-              ("deltas", Json.Int (List.length jdeltas));
-            ]
-          (fun () ->
-            match update_handler with
-            | None -> Error "this server does not accept updates"
-            | Some uh -> (
-                try Rw.write rw (fun () -> uh jdeltas) with
-                | Failure msg -> Error msg
-                | e -> Error (Printexc.to_string e))))
-  in
-  let finished = Unix.gettimeofday () in
-  (match result with
-  | Error msg ->
-      Core.note_bad core;
-      Core.reply core jconn
-        (Frame.Rejected { id = jid; reject = Frame.Bad_request msg })
-  | Ok (epoch, applied, cost) ->
-      Core.note_updated core;
-      Core.reply core jconn
-        (Frame.Updated { id = jid; epoch; applied; cost }));
-  Core.with_obs core (fun () ->
-      Obs.adopt jctx;
-      Obs.incr "net.updates";
-      Obs.observe "net.update_us" ((finished -. started) *. 1e6))
-
-(* ------------------------------------------------------------------ *)
-(* the role callback (runs on the IO domain)                            *)
+(* the role callback (runs on the IO domain); each queued request's     *)
+(* work runs on a worker through Core.submit                            *)
 (* ------------------------------------------------------------------ *)
 
 let handle_request ~rw ~handler ~update_handler ~agg_handler ~space ~agg_space
-    ~cache_info core conn ~now req =
+    ~cache_info core conn ~now_ns req =
   match req with
-  | Frame.Answer { id; deadline_us; arity; tuples } ->
-      Core.note_received core;
-      let jdeadline =
-        if deadline_us = 0 then infinity
-        else now +. (float_of_int deadline_us /. 1e6)
-      in
-      let job () =
-        serve_answer core ~rw ~handler ~jconn:conn ~jid:id ~jarity:arity
-          ~jtuples:tuples ~jdeadline
-      in
-      if not (Core.enqueue core job) then begin
-        Core.note_overload core;
-        Core.reply core conn (Frame.Rejected { id; reject = Frame.Overloaded })
-      end
-  | Frame.Agg { id; deadline_us; kind; arity; tuples } ->
-      Core.note_received core;
-      let jdeadline =
-        if deadline_us = 0 then infinity
-        else now +. (float_of_int deadline_us /. 1e6)
-      in
-      let job () =
-        serve_agg core ~rw ~agg_handler ~jconn:conn ~jid:id ~jkind:kind
-          ~jarity:arity ~jtuples:tuples ~jdeadline
-      in
-      if not (Core.enqueue core job) then begin
-        Core.note_overload core;
-        Core.reply core conn (Frame.Rejected { id; reject = Frame.Overloaded })
-      end
+  | Frame.Answer { id; arity; tuples; _ } ->
+      Core.submit core conn ~now_ns req ~span:"net.request"
+        ~counter:"net.requests" ~hist:"net.serve_us" (fun ~remaining_us:_ ->
+          let answers =
+            Rw.read rw (fun () ->
+                Obs.with_alloc "net.answer.alloc_bytes" (fun () ->
+                    handler ~arity tuples))
+          in
+          let answers =
+            List.map
+              (fun (rows, row_arity, cost) -> { Frame.rows; row_arity; cost })
+              answers
+          in
+          Ok (Frame.Answers { id; answers }))
+  | Frame.Agg { id; kind; arity; tuples; _ } ->
+      Core.submit core conn ~now_ns req ~span:"net.agg" ~counter:"net.aggs"
+        ~hist:"net.agg_us" (fun ~remaining_us:_ ->
+          match agg_handler with
+          | None ->
+              Error (Frame.Bad_request "this server does not serve aggregates")
+          | Some ah ->
+              let value, cost = Rw.read rw (fun () -> ah ~kind ~arity tuples) in
+              Ok (Frame.Agg_reply { id; value; cost }))
   | Frame.Update { id; deltas } ->
-      Core.note_received core;
-      let job () =
-        serve_update core ~rw ~update_handler ~jconn:conn ~jid:id
-          ~jdeltas:deltas
-      in
-      if not (Core.enqueue core job) then begin
-        Core.note_overload core;
-        Core.reply core conn (Frame.Rejected { id; reject = Frame.Overloaded })
-      end
+      Core.submit core conn ~now_ns req ~span:"net.update"
+        ~counter:"net.updates" ~hist:"net.update_us" (fun ~remaining_us:_ ->
+          match update_handler with
+          | None ->
+              Error (Frame.Bad_request "this server does not accept updates")
+          | Some uh -> (
+              match Rw.write rw (fun () -> uh deltas) with
+              | Ok (epoch, applied, cost) ->
+                  Ok (Frame.Updated { id; epoch; applied; cost })
+              | Error msg -> Error (Frame.Bad_request msg)))
   | Frame.Stats { id } ->
       Core.reply core conn
         (Frame.Stats_reply { id; json = Core.trace_json core })
@@ -326,7 +182,7 @@ let handle_request ~rw ~handler ~update_handler ~agg_handler ~space ~agg_space
              health =
                {
                  Frame.ready = true;
-                 space;
+                 space = space ();
                  agg_space = agg_space ();
                  workers = Core.workers core;
                  queue_capacity = Core.queue_capacity core;
@@ -342,7 +198,7 @@ let handle_request ~rw ~handler ~update_handler ~agg_handler ~space ~agg_space
 (* lifecycle (delegated)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let start ?host ~port ~workers ~queue_capacity ?(space = 0)
+let start ?host ~port ~workers ~queue_capacity ?(space = fun () -> 0)
     ?(agg_space = fun () -> 0) ?(cache_info = fun () -> Frame.no_cache)
     ?update_handler ?agg_handler ?io_backend handler =
   let rw = Rw.create () in

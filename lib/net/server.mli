@@ -1,14 +1,16 @@
-(** Concurrent TCP server for online CQAP answering.
+(** Concurrent TCP server for online CQAP answering: the replica role
+    over {!Core}.
 
     Threading model: one IO domain runs a readiness loop over
     {!Evloop} — edge-triggered epoll where available, select otherwise —
     that accepts connections, buffers bytes and cuts them into frames
-    (decoded in place, no per-frame copy); decoded [Answer] requests go
-    into a {b bounded} job queue drained by a fixed pool of worker
-    domains, each answering through the shared handler (the engine's
-    online path only touches per-call state, so a single built index
-    serves all workers without locks).  [Stats] and [Health] frames are
-    answered inline by the IO domain.
+    (decoded in place, no per-frame copy).  Decoded [Answer], [Agg] and
+    [Update] requests go through {!Core.submit}, the job runner the
+    router shares, into a {b bounded} job queue drained by a fixed pool
+    of worker domains, each answering through the shared handler (the
+    engine's online path only touches per-call state, so a single built
+    index serves all workers without locks).  [Stats] and [Health]
+    frames are answered inline by the IO domain.
 
     Byte path: sockets are nonblocking end to end.  Each domain encodes
     responses into its own reusable scratch buffer and writes the socket
@@ -29,9 +31,10 @@
 
     Backpressure: when the job queue is full the request is {e shed}
     with an explicit [Overloaded] rejection instead of queueing
-    unboundedly.  Deadlines: a request's [deadline_us] budget starts at
-    receipt and is checked both before the handler runs and after it
-    returns — either check failing yields [Deadline_exceeded].
+    unboundedly.  Deadlines: a request's [deadline_us] budget starts
+    when its frame is decoded, runs on the monotonic clock, and is
+    checked both before the handler runs and after it returns — either
+    check failing yields [Deadline_exceeded].
 
     Shutdown: {!stop} stops accepting and reading, lets the workers
     drain every already-queued job (each gets its reply), then {!wait}
@@ -101,7 +104,7 @@ val start :
   port:int ->
   workers:int ->
   queue_capacity:int ->
-  ?space:int ->
+  ?space:(unit -> int) ->
   ?agg_space:(unit -> int) ->
   ?cache_info:(unit -> Frame.cache_health) ->
   ?update_handler:update_handler ->
@@ -111,13 +114,12 @@ val start :
   t
 (** Bind [host:port] (default host [127.0.0.1]; port [0] picks an
     ephemeral port, see {!port}), then spawn the IO domain and [workers]
-    worker domains.  [space] is reported in [Health] replies;
-    [agg_space] (default: constantly 0) is polled per [Health] request
-    for the aggregate-table row count, same cheapness contract as
-    [cache_info];
-    [cache_info] (default: always {!Frame.no_cache}) is polled by the
-    IO domain on each [Health] request, so it must be cheap and safe to
-    call concurrently with the workers.  [update_handler] (default:
+    worker domains.  [space] and [agg_space] (the engine's stored
+    singletons and aggregate-table rows; default: constantly 0) and
+    [cache_info] (default: always {!Frame.no_cache}) are polled by the
+    IO domain on each [Health] request — an engine's space moves with
+    every effective delta — so they must be cheap and safe to call
+    concurrently with the workers.  [update_handler] (default:
     none — updates rejected) applies delta batches under the write lock.
     [io_backend] picks the readiness backend explicitly (default
     {!Evloop.default_backend}); raises [Failure] when it is unavailable

@@ -1,12 +1,13 @@
 module Obs = Stt_obs.Obs
-module Json = Stt_obs.Json
 module Frame = Stt_net.Frame
 module Client = Stt_net.Client
 module Core = Stt_net.Core
+module Semiring = Stt_semiring.Semiring
+module Cost = Stt_relation.Cost
 
 (* The router role: speaks the same frame protocol to clients as a
-   replica, but answers by scattering each batch across the shard ring
-   and gathering the per-tuple answers back into request order.
+   replica, but answers by scattering each request across the shard
+   ring and merging what the shards reply.
 
    Placement: every access tuple is keyed by its canonical bytes
    (Stt_cache.Key.of_tuple) and owned by Ring.owner of that key — the
@@ -19,9 +20,11 @@ module Core = Stt_net.Core
    distinct owner on the ring and no answer is lost or duplicated —
    answering is read-only, hence idempotent under retry.
 
-   Gather preserves per-request accounting: each tuple's answer carries
-   the op-count snapshot its shard measured; the router forwards the
-   slices verbatim, only reassembling order. *)
+   Tuple answers and aggregates share one scatter-gather and differ
+   only in the merge: a tuple's answer goes back to its request index
+   with the op-count snapshot its shard measured, verbatim; an
+   aggregate ⊕-folds the shards' partial scalars and sums their
+   costs. *)
 
 type endpoint = { name : string; host : string; port : int }
 
@@ -95,8 +98,8 @@ let close_pool up =
 (* ------------------------------------------------------------------ *)
 
 (* group (index, tuple) pairs by owning shard, preserving first-seen
-   shard order; [excluded] shards (failed this batch) are skipped in the
-   preference walk *)
+   shard order; [excluded] shards (failed this request) are skipped in
+   the preference walk *)
 let group_items ring ~arity ~excluded items =
   let nshards = List.length (Ring.shards ring) in
   let tbl = Hashtbl.create 8 in
@@ -123,22 +126,20 @@ let group_items ring ~arity ~excluded items =
   in
   (groups, !orphans)
 
-(* one scatter round: send every group's sub-batch before receiving any
-   reply, so the shards answer in parallel even though this worker is a
-   single domain.  Returns completed groups (answers or a rejection) and
-   failed ones (transport error — candidates for re-routing). *)
-let forward_round t ~id ~deadline_us ~arity groups =
+(* one scatter round: send every group's sub-request ([sub] of its
+   tuples) before receiving any reply, so the shards answer in parallel
+   even though this worker is a single domain.  [partial] accepts the
+   reply that completes a group; any other reply is a transport failure.
+   Returns completed groups (a partial or a rejection) and failed ones
+   (candidates for re-routing). *)
+let scatter_round t ~sub ~partial groups =
   let sent = ref [] and failed = ref [] in
   List.iter
     (fun (shard, items) ->
       match acquire_conn t shard with
       | Error e -> failed := (shard, items, e) :: !failed
       | Ok c -> (
-          let req =
-            Frame.Answer
-              { id; deadline_us; arity; tuples = List.map snd items }
-          in
-          match Client.send c req with
+          match Client.send c (sub (List.map snd items)) with
           | Ok () -> sent := (shard, items, c) :: !sent
           | Error e ->
               Client.close c;
@@ -148,320 +149,124 @@ let forward_round t ~id ~deadline_us ~arity groups =
   List.iter
     (fun (shard, items, c) ->
       match Client.recv c with
-      | Ok (Frame.Answers { answers; _ })
-        when List.length answers = List.length items ->
-          release_conn t shard c;
-          completed := (shard, items, `Answers answers) :: !completed
       | Ok (Frame.Rejected { reject; _ }) ->
           release_conn t shard c;
-          completed := (shard, items, `Rejected reject) :: !completed
-      | Ok _ ->
-          Client.close c;
-          failed :=
-            (shard, items, Frame.Malformed "unexpected shard response")
-            :: !failed
+          completed := (items, Error reject) :: !completed
+      | Ok resp -> (
+          match partial items resp with
+          | Some p ->
+              release_conn t shard c;
+              completed := (items, Ok p) :: !completed
+          | None ->
+              Client.close c;
+              failed :=
+                (shard, items, Frame.Malformed "unexpected shard response")
+                :: !failed)
       | Error e ->
           Client.close c;
           failed := (shard, items, e) :: !failed)
     (List.rev !sent);
   (List.rev !completed, List.rev !failed)
 
-(* scatter [tuples], re-routing transport failures to the next distinct
-   owner until answers are complete, a shard rejects, or every shard has
-   failed.  A shard rejection (overload/deadline) rejects the whole
-   client batch — per-tuple partial answers would corrupt the zero-loss
-   accounting contract. *)
-let scatter_gather t ~id ~deadline_us ~arity tuples =
-  let n = List.length tuples in
-  let results = Array.make n None in
-  let items = List.mapi (fun i tup -> (i, tup)) tuples in
+(* Scatter [tuples] and [merge] each completed group's partial,
+   re-routing transport failures to the next distinct owner until every
+   tuple is merged, a shard rejects, or every shard has failed.  A
+   failed group produced no partial and only its tuples are re-sent, so
+   every tuple is merged exactly once.  A shard rejection
+   (overload/deadline) rejects the whole client request: partial
+   answers would corrupt the zero-loss accounting contract. *)
+let scatter_gather t ~arity ~sub ~partial ~merge tuples =
   let rec rounds ~excluded ~round items =
-    let rg = ring t in
-    if Ring.is_empty rg then `Error "shard ring is empty"
-    else begin
-      let groups, orphans = group_items rg ~arity ~excluded items in
-      if orphans > 0 then
-        `Error
-          (Printf.sprintf "no reachable shard for %d tuples (%d shards failed)"
-             orphans (List.length excluded))
-      else begin
-        let completed, failed =
-          forward_round t ~id ~deadline_us ~arity groups
-        in
-        let rejection = ref None in
-        List.iter
-          (fun (_, items, outcome) ->
-            match outcome with
-            | `Answers answers ->
-                List.iter2
-                  (fun (i, _) ans -> results.(i) <- Some ans)
-                  items answers
-            | `Rejected reject ->
-                if !rejection = None then rejection := Some reject)
-          completed;
-        match !rejection with
-        | Some reject -> `Rejected reject
-        | None ->
-            if failed = [] then `Done
-            else begin
+    if items = [] then Ok ()
+    else
+      let rg = ring t in
+      if Ring.is_empty rg then Error (Frame.Bad_request "shard ring is empty")
+      else
+        let groups, orphans = group_items rg ~arity ~excluded items in
+        if orphans > 0 then
+          Error
+            (Frame.Bad_request
+               (Printf.sprintf
+                  "no reachable shard for %d tuples (%d shards failed)" orphans
+                  (List.length excluded)))
+        else
+          let completed, failed = scatter_round t ~sub ~partial groups in
+          let rejection =
+            List.fold_left
+              (fun rejection (items, outcome) ->
+                match outcome with
+                | Ok p ->
+                    merge items p;
+                    rejection
+                | Error reject when Option.is_none rejection -> Some reject
+                | Error _ -> rejection)
+              None completed
+          in
+          match rejection with
+          | Some reject -> Error reject
+          | None when failed = [] -> Ok ()
+          | None ->
               let failed_shards =
                 List.sort_uniq String.compare
                   (List.map (fun (s, _, _) -> s) failed)
               in
-              let retry_items =
-                List.concat_map (fun (_, items, _) -> items) failed
-              in
+              let retry = List.concat_map (fun (_, items, _) -> items) failed in
               Atomic.fetch_and_add t.shard_errors (List.length failed_shards)
               |> ignore;
-              Atomic.fetch_and_add t.retried_tuples (List.length retry_items)
+              Atomic.fetch_and_add t.retried_tuples (List.length retry)
               |> ignore;
               if round > List.length (Ring.shards rg) then
-                `Error "shard retry limit exceeded"
+                Error (Frame.Bad_request "shard retry limit exceeded")
               else
                 rounds
                   ~excluded:(failed_shards @ excluded)
-                  ~round:(round + 1) retry_items
-            end
-      end
-    end
+                  ~round:(round + 1) retry
   in
-  match rounds ~excluded:[] ~round:0 items with
-  | `Error msg -> `Error msg
-  | `Rejected r -> `Rejected r
-  | `Done -> (
-      (* every index filled exactly once: each tuple lives in exactly one
-         group per round, and failed groups never produced answers *)
-      match Array.to_list results |> List.map Option.get with
-      | answers -> `Answers answers
-      | exception Invalid_argument _ -> `Error "gather left a hole")
+  rounds ~excluded:[] ~round:0 (List.mapi (fun i tup -> (i, tup)) tuples)
 
-(* ------------------------------------------------------------------ *)
-(* aggregate scatter/gather                                             *)
-(* ------------------------------------------------------------------ *)
+(* tuple answers: each group's answers go back to their request
+   indices; every index is filled exactly once *)
+let gather_answers t ~id ~deadline_us ~arity tuples =
+  let results = Array.make (List.length tuples) None in
+  scatter_gather t ~arity tuples
+    ~sub:(fun tuples -> Frame.Answer { id; deadline_us; arity; tuples })
+    ~partial:(fun items -> function
+      | Frame.Answers { answers; _ }
+        when List.length answers = List.length items ->
+          Some answers
+      | _ -> None)
+    ~merge:(fun items answers ->
+      List.iter2 (fun (i, _) a -> results.(i) <- Some a) items answers)
+  |> Result.map (fun () ->
+         let answers =
+           Array.to_list results
+           |> List.map (function
+                | Some a -> a
+                | None -> failwith "gather left a hole")
+         in
+         Frame.Answers { id; answers })
 
-module Semiring = Stt_semiring.Semiring
-
-(* One aggregate round: per-shard partial Agg requests (each shard folds
-   its owned tuples to a scalar), sent before any receive.  Mirrors
-   [forward_round]. *)
-let agg_round t ~id ~deadline_us ~kind ~arity groups =
-  let sent = ref [] and failed = ref [] in
-  List.iter
-    (fun (shard, items) ->
-      match acquire_conn t shard with
-      | Error e -> failed := (shard, items, e) :: !failed
-      | Ok c -> (
-          let req =
-            Frame.Agg
-              { id; deadline_us; kind; arity; tuples = List.map snd items }
-          in
-          match Client.send c req with
-          | Ok () -> sent := (shard, items, c) :: !sent
-          | Error e ->
-              Client.close c;
-              failed := (shard, items, e) :: !failed))
-    groups;
-  let completed = ref [] in
-  List.iter
-    (fun (shard, items, c) ->
-      match Client.recv c with
-      | Ok (Frame.Agg_reply { value; cost; _ }) ->
-          release_conn t shard c;
-          completed := (shard, items, `Partial (value, cost)) :: !completed
-      | Ok (Frame.Rejected { reject; _ }) ->
-          release_conn t shard c;
-          completed := (shard, items, `Rejected reject) :: !completed
-      | Ok _ ->
-          Client.close c;
-          failed :=
-            (shard, items, Frame.Malformed "unexpected shard response")
-            :: !failed
-      | Error e ->
-          Client.close c;
-          failed := (shard, items, e) :: !failed)
-    (List.rev !sent);
-  (List.rev !completed, List.rev !failed)
-
-(* Scatter one multi-tuple aggregate request and ⊕-merge the per-shard
-   partial scalars with the semiring's combine operator (costs sum).
-   Soundness of the merge: the request's tuple set is partitioned across
-   shards, every shard holds a full snapshot, and the aggregate is a
-   semiring sum over derivations grouped by access tuple — so partials
-   over disjoint tuple sets combine exactly.  On a transport failure
-   only the {e failed} groups' tuples are re-routed to the next distinct
-   owner; completed partials are already merged and are never re-sent,
-   so no derivation is double-counted under failover. *)
-let scatter_gather_agg t ~id ~deadline_us ~kind ~arity tuples =
+(* aggregates: the shards' partial scalars ⊕-fold with the semiring's
+   combine operator (costs sum).  Sound because the request's tuples are
+   partitioned across shards, every shard holds a full snapshot, and the
+   aggregate is a semiring sum over derivations grouped by access tuple
+   — partials over disjoint tuple sets combine exactly. *)
+let gather_agg t ~id ~deadline_us ~kind ~arity tuples =
   match Semiring.of_tag kind with
-  | None -> `Error (Printf.sprintf "unknown aggregate kind %d" kind)
+  | None ->
+      Error (Frame.Bad_request (Printf.sprintf "unknown aggregate kind %d" kind))
   | Some k ->
-      let acc_value = ref (Semiring.zero k) in
-      let acc_cost = ref Stt_relation.Cost.zero in
-      let items = List.mapi (fun i tup -> (i, tup)) tuples in
-      let rec rounds ~excluded ~round items =
-        if items = [] then `Done
-        else
-          let rg = ring t in
-          if Ring.is_empty rg then `Error "shard ring is empty"
-          else begin
-            let groups, orphans = group_items rg ~arity ~excluded items in
-            if orphans > 0 then
-              `Error
-                (Printf.sprintf
-                   "no reachable shard for %d tuples (%d shards failed)"
-                   orphans (List.length excluded))
-            else begin
-              let completed, failed =
-                agg_round t ~id ~deadline_us ~kind ~arity groups
-              in
-              let rejection = ref None in
-              List.iter
-                (fun (_, _, outcome) ->
-                  match outcome with
-                  | `Partial (value, cost) ->
-                      acc_value := Semiring.add k !acc_value value;
-                      acc_cost := Stt_relation.Cost.add !acc_cost cost
-                  | `Rejected reject ->
-                      if !rejection = None then rejection := Some reject)
-                completed;
-              match !rejection with
-              | Some reject -> `Rejected reject
-              | None ->
-                  if failed = [] then `Done
-                  else begin
-                    let failed_shards =
-                      List.sort_uniq String.compare
-                        (List.map (fun (s, _, _) -> s) failed)
-                    in
-                    let retry_items =
-                      List.concat_map (fun (_, items, _) -> items) failed
-                    in
-                    Atomic.fetch_and_add t.shard_errors
-                      (List.length failed_shards)
-                    |> ignore;
-                    Atomic.fetch_and_add t.retried_tuples
-                      (List.length retry_items)
-                    |> ignore;
-                    if round > List.length (Ring.shards rg) then
-                      `Error "shard retry limit exceeded"
-                    else
-                      rounds
-                        ~excluded:(failed_shards @ excluded)
-                        ~round:(round + 1) retry_items
-                  end
-            end
-          end
-      in
-      (match rounds ~excluded:[] ~round:0 items with
-      | `Error _ as e -> e
-      | `Rejected _ as r -> r
-      | `Done -> `Value (!acc_value, !acc_cost))
-
-(* ------------------------------------------------------------------ *)
-(* worker jobs                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let serve_answer t ~conn ~id ~deadline_us ~arity ~tuples ~jdeadline =
-  let started = Unix.gettimeofday () in
-  if started > jdeadline then begin
-    Core.note_deadline t.core;
-    Core.reply t.core conn
-      (Frame.Rejected { id; reject = Frame.Deadline_exceeded })
-  end
-  else begin
-    let jctx = Obs.create_context () in
-    let remaining_us =
-      if deadline_us = 0 then 0
-      else max 1 (int_of_float ((jdeadline -. started) *. 1e6))
-    in
-    let outcome =
-      Obs.with_context jctx (fun () ->
-          Obs.span "route.request"
-            ~attrs:
-              [
-                ("id", Json.Int id);
-                ("tuples", Json.Int (List.length tuples));
-              ]
-            (fun () ->
-              try
-                scatter_gather t ~id ~deadline_us:remaining_us ~arity tuples
-              with e -> `Error (Printexc.to_string e)))
-    in
-    let finished = Unix.gettimeofday () in
-    (match outcome with
-    | `Answers answers ->
-        Core.note_answered t.core;
-        Core.reply t.core conn (Frame.Answers { id; answers })
-    | `Rejected (Frame.Overloaded as reject) ->
-        Core.note_overload t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Rejected (Frame.Deadline_exceeded as reject) ->
-        Core.note_deadline t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Rejected (Frame.Bad_request _ as reject) ->
-        Core.note_bad t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Error msg ->
-        Core.note_bad t.core;
-        Core.reply t.core conn
-          (Frame.Rejected { id; reject = Frame.Bad_request msg }));
-    Core.with_obs t.core (fun () ->
-        Obs.adopt jctx;
-        Obs.incr "route.requests";
-        Obs.observe "route.serve_us" ((finished -. started) *. 1e6))
-  end
-
-let serve_agg t ~conn ~id ~deadline_us ~kind ~arity ~tuples ~jdeadline =
-  let started = Unix.gettimeofday () in
-  if started > jdeadline then begin
-    Core.note_deadline t.core;
-    Core.reply t.core conn
-      (Frame.Rejected { id; reject = Frame.Deadline_exceeded })
-  end
-  else begin
-    let jctx = Obs.create_context () in
-    let remaining_us =
-      if deadline_us = 0 then 0
-      else max 1 (int_of_float ((jdeadline -. started) *. 1e6))
-    in
-    let outcome =
-      Obs.with_context jctx (fun () ->
-          Obs.span "route.agg"
-            ~attrs:
-              [
-                ("id", Json.Int id);
-                ("kind", Json.Int kind);
-                ("tuples", Json.Int (List.length tuples));
-              ]
-            (fun () ->
-              try
-                scatter_gather_agg t ~id ~deadline_us:remaining_us ~kind
-                  ~arity tuples
-              with e -> `Error (Printexc.to_string e)))
-    in
-    let finished = Unix.gettimeofday () in
-    (match outcome with
-    | `Value (value, cost) ->
-        Core.note_answered t.core;
-        Core.reply t.core conn (Frame.Agg_reply { id; value; cost })
-    | `Rejected (Frame.Overloaded as reject) ->
-        Core.note_overload t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Rejected (Frame.Deadline_exceeded as reject) ->
-        Core.note_deadline t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Rejected (Frame.Bad_request _ as reject) ->
-        Core.note_bad t.core;
-        Core.reply t.core conn (Frame.Rejected { id; reject })
-    | `Error msg ->
-        Core.note_bad t.core;
-        Core.reply t.core conn
-          (Frame.Rejected { id; reject = Frame.Bad_request msg }));
-    Core.with_obs t.core (fun () ->
-        Obs.adopt jctx;
-        Obs.incr "route.aggs";
-        Obs.observe "route.agg_us" ((finished -. started) *. 1e6))
-  end
+      let value = ref (Semiring.zero k) and cost = ref Cost.zero in
+      scatter_gather t ~arity tuples
+        ~sub:(fun tuples -> Frame.Agg { id; deadline_us; kind; arity; tuples })
+        ~partial:(fun _ -> function
+          | Frame.Agg_reply { value; cost; _ } -> Some (value, cost)
+          | _ -> None)
+        ~merge:(fun _ (v, c) ->
+          value := Semiring.add k !value v;
+          cost := Cost.add !cost c)
+      |> Result.map (fun () ->
+             Frame.Agg_reply { id; value = !value; cost = !cost })
 
 (* ------------------------------------------------------------------ *)
 (* fleet health                                                         *)
@@ -544,34 +349,16 @@ let fleet_health t =
 (* the role callback (runs on the IO domain — never blocks on shards)   *)
 (* ------------------------------------------------------------------ *)
 
-let handle_request t core conn ~now req =
+let handle_request t core conn ~now_ns req =
   match req with
-  | Frame.Answer { id; deadline_us; arity; tuples } ->
-      Core.note_received core;
-      let jdeadline =
-        if deadline_us = 0 then infinity
-        else now +. (float_of_int deadline_us /. 1e6)
-      in
-      let job () =
-        serve_answer t ~conn ~id ~deadline_us ~arity ~tuples ~jdeadline
-      in
-      if not (Core.enqueue core job) then begin
-        Core.note_overload core;
-        Core.reply core conn (Frame.Rejected { id; reject = Frame.Overloaded })
-      end
-  | Frame.Agg { id; deadline_us; kind; arity; tuples } ->
-      Core.note_received core;
-      let jdeadline =
-        if deadline_us = 0 then infinity
-        else now +. (float_of_int deadline_us /. 1e6)
-      in
-      let job () =
-        serve_agg t ~conn ~id ~deadline_us ~kind ~arity ~tuples ~jdeadline
-      in
-      if not (Core.enqueue core job) then begin
-        Core.note_overload core;
-        Core.reply core conn (Frame.Rejected { id; reject = Frame.Overloaded })
-      end
+  | Frame.Answer { id; arity; tuples; _ } ->
+      Core.submit core conn ~now_ns req ~span:"route.request"
+        ~counter:"route.requests" ~hist:"route.serve_us" (fun ~remaining_us ->
+          gather_answers t ~id ~deadline_us:remaining_us ~arity tuples)
+  | Frame.Agg { id; kind; arity; tuples; _ } ->
+      Core.submit core conn ~now_ns req ~span:"route.agg" ~counter:"route.aggs"
+        ~hist:"route.agg_us" (fun ~remaining_us ->
+          gather_agg t ~id ~deadline_us:remaining_us ~kind ~arity tuples)
   | Frame.Update { id; _ } ->
       (* replicas serve static snapshot loads; there is no coherent way
          to apply a delta fleet-wide through this tier yet *)
@@ -629,11 +416,10 @@ let start ?host ~port ~workers ~queue_capacity ?io_backend ?(vnodes = 128)
   let t_box = Atomic.make None in
   let core =
     Core.start ?host ~port ~workers ~queue_capacity ?io_backend
-      (fun core conn ~now req ->
+      (fun core conn ~now_ns req ->
         match Atomic.get t_box with
-        | Some t -> handle_request t core conn ~now req
+        | Some t -> handle_request t core conn ~now_ns req
         | None -> (
-            ignore now;
             match req with
             | Frame.Answer { id; _ }
             | Frame.Agg { id; _ }

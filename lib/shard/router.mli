@@ -17,6 +17,13 @@
     whole client batch instead: partial answers would corrupt the
     client's per-tuple accounting.
 
+    [Agg] requests take the same scatter-gather; only the merge
+    differs: the shards' partial aggregates are ⊕-folded, each exactly
+    once under failover.  Requests are queued through
+    [Stt_net.Core.submit] like a replica's, so shedding, the monotonic
+    deadline checks before and after the scatter-gather, Obs spans and
+    counters are the replica's too.
+
     [Health] requests aggregate every shard's protocol-v5 health block
     into a fleet block: summed capacity/cache fields, per-shard blocks
     under [shards], fleet [ready] = all shards ready.  The router tracks

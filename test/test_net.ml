@@ -499,10 +499,10 @@ let fixture_tuples n seed =
   List.init n (fun _ ->
       Array.init arity (fun _ -> Stt_workload.Rng.int rng 300))
 
-let with_server ?(workers = 2) ?(queue = 64) ?io_backend ?update_handler
-    ?agg_handler handler f =
+let with_server ?(workers = 2) ?(queue = 64) ?io_backend ?space
+    ?update_handler ?agg_handler handler f =
   let server =
-    Server.start ~port:0 ~workers ~queue_capacity:queue ?io_backend
+    Server.start ~port:0 ~workers ~queue_capacity:queue ?io_backend ?space
       ?update_handler ?agg_handler handler
   in
   Fun.protect
@@ -604,63 +604,83 @@ let slow_handler delay_s ~arity tuples =
   Unix.sleepf delay_s;
   List.map (fun t -> ([ t ], Array.length t, Cost.zero)) tuples
 
+(* the aggregate twin: folds the tuples' first values *)
+let slow_agg_handler delay_s ~kind ~arity tuples =
+  ignore (kind, arity);
+  Unix.sleepf delay_s;
+  (List.fold_left (fun acc t -> acc + t.(0)) 0 tuples, Cost.zero)
+
+(* one single-tuple request, as an Answer frame or as a COUNT Agg frame;
+   both slow handlers echo [v] back *)
+let one_tuple ~agg ~id ~deadline_us v =
+  if agg then
+    Frame.Agg { id; deadline_us; kind = 1; arity = 1; tuples = [ [| v |] ] }
+  else Frame.Answer { id; deadline_us; arity = 1; tuples = [ [| v |] ] }
+
+let echoed = function
+  | Frame.Answers { id; answers = [ { Frame.rows = [ [| v |] ]; _ } ] }
+  | Frame.Agg_reply { id; value = v; _ } ->
+      Some (id, v)
+  | _ -> None
+
 let deadline_enforced () =
-  with_server ~workers:1 (slow_handler 0.05) @@ fun server ->
+  with_server ~workers:1 ~agg_handler:(slow_agg_handler 0.05)
+    (slow_handler 0.05)
+  @@ fun server ->
   with_client server @@ fun client ->
-  (* 1 ms budget, 50 ms handler: the post-answer check must trip *)
-  (match
-     rpc_exn client
-       (Frame.Answer
-          { id = 1; deadline_us = 1_000; arity = 1; tuples = [ [| 5 |] ] })
-   with
-  | Frame.Rejected { id = 1; reject = Frame.Deadline_exceeded } -> ()
-  | _ -> Alcotest.fail "expected Deadline_exceeded");
-  (* a generous budget answers normally *)
-  match
-    rpc_exn client
-      (Frame.Answer
-         { id = 2; deadline_us = 5_000_000; arity = 1; tuples = [ [| 5 |] ] })
-  with
-  | Frame.Answers { id = 2; answers = [ a ] } ->
-      Alcotest.(check (list (array int))) "echoed" [ [| 5 |] ] a.Frame.rows
-  | _ -> Alcotest.fail "expected Answers"
+  List.iter
+    (fun agg ->
+      (* 1 ms budget, 50 ms handler: the post-answer check must trip *)
+      (match rpc_exn client (one_tuple ~agg ~id:1 ~deadline_us:1_000 5) with
+      | Frame.Rejected { id = 1; reject = Frame.Deadline_exceeded } -> ()
+      | _ -> Alcotest.fail "expected Deadline_exceeded");
+      (* a generous budget answers normally *)
+      Alcotest.(check (option (pair int int)))
+        "echoed" (Some (2, 5))
+        (echoed
+           (rpc_exn client (one_tuple ~agg ~id:2 ~deadline_us:5_000_000 5))))
+    [ false; true ]
 
 let overload_sheds () =
   (* one slow worker, queue of one: pipelining 10 frames must shed some
-     with OVERLOADED, answer the rest, and reply exactly once per id *)
-  with_server ~workers:1 ~queue:1 (slow_handler 0.05) @@ fun server ->
+     with OVERLOADED, answer the rest, and reply exactly once per id —
+     tuple answers and aggregates alike *)
+  with_server ~workers:1 ~queue:1 ~agg_handler:(slow_agg_handler 0.05)
+    (slow_handler 0.05)
+  @@ fun server ->
   with_client server @@ fun client ->
-  let n = 10 in
-  for id = 0 to n - 1 do
-    match
-      Client.send client
-        (Frame.Answer
-           { id; deadline_us = 0; arity = 1; tuples = [ [| id |] ] })
-    with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "send %d: %s" id (Frame.error_to_string e)
-  done;
-  let seen = Array.make n 0 in
-  let answered = ref 0 and shed = ref 0 in
-  for _ = 1 to n do
-    match Client.recv client with
-    | Ok (Frame.Answers { id; answers = [ a ] }) ->
-        seen.(id) <- seen.(id) + 1;
-        incr answered;
-        Alcotest.(check (list (array int)))
-          "answered id echoes its tuple" [ [| id |] ] a.Frame.rows
-    | Ok (Frame.Rejected { id; reject = Frame.Overloaded }) ->
-        seen.(id) <- seen.(id) + 1;
-        incr shed
-    | Ok _ -> Alcotest.fail "unexpected response kind"
-    | Error e -> Alcotest.failf "recv: %s" (Frame.error_to_string e)
-  done;
-  Array.iteri
-    (fun id c -> Alcotest.(check int) (Printf.sprintf "id %d replied once" id) 1 c)
-    seen;
-  Alcotest.(check int) "all accounted" n (!answered + !shed);
-  Alcotest.(check bool) "something was shed" true (!shed >= 1);
-  Alcotest.(check bool) "something was answered" true (!answered >= 1)
+  List.iter
+    (fun agg ->
+      let n = 10 in
+      for id = 0 to n - 1 do
+        match Client.send client (one_tuple ~agg ~id ~deadline_us:0 id) with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "send %d: %s" id (Frame.error_to_string e)
+      done;
+      let seen = Array.make n 0 in
+      let answered = ref 0 and shed = ref 0 in
+      for _ = 1 to n do
+        match Client.recv client with
+        | Ok (Frame.Rejected { id; reject = Frame.Overloaded }) ->
+            seen.(id) <- seen.(id) + 1;
+            incr shed
+        | Ok resp -> (
+            match echoed resp with
+            | Some (id, v) ->
+                seen.(id) <- seen.(id) + 1;
+                incr answered;
+                Alcotest.(check int) "answered id echoes its tuple" id v
+            | None -> Alcotest.fail "unexpected response kind")
+        | Error e -> Alcotest.failf "recv: %s" (Frame.error_to_string e)
+      done;
+      Array.iteri
+        (fun id c ->
+          Alcotest.(check int) (Printf.sprintf "id %d replied once" id) 1 c)
+        seen;
+      Alcotest.(check int) "all accounted" n (!answered + !shed);
+      Alcotest.(check bool) "something was shed" true (!shed >= 1);
+      Alcotest.(check bool) "something was answered" true (!answered >= 1))
+    [ false; true ]
 
 let drain_answers_in_flight () =
   let server =
@@ -706,7 +726,9 @@ let updates_interleave_with_answers () =
   let served = churn_fixture () and direct = churn_fixture () in
   let arity = Schema.arity (Engine.access_schema served) in
   let direct_handler = Server.engine_handler direct in
+  let space0 = Engine.space served in
   with_server
+    ~space:(fun () -> Engine.space served)
     ~update_handler:(Server.engine_update_handler served)
     (Server.engine_handler served)
   @@ fun server ->
@@ -789,6 +811,14 @@ let updates_interleave_with_answers () =
   | Frame.Rejected { id = 1003; reject = Frame.Bad_request _ } -> ()
   | _ -> Alcotest.fail "wrong arity must reject");
   check_answer 1004 (Array.make arity 3);
+  (* Health reads space per request, so it follows the deltas *)
+  (match rpc_exn client (Frame.Health { id = 1005 }) with
+  | Frame.Health_reply { id = 1005; health } ->
+      Alcotest.(check bool) "the deltas moved space" true
+        (Engine.space served <> space0);
+      Alcotest.(check int) "health space is the live engine's"
+        (Engine.space served) health.Frame.space
+  | _ -> Alcotest.fail "expected Health_reply");
   let st = Server.stats server in
   let n_updates =
     List.length
@@ -921,6 +951,7 @@ let loadgen_clean_run () =
       deadline_ms = 0;
       drivers = 2;
       active = 0;
+      kind = 0;
     }
   in
   let verify ~arity tuples =
@@ -941,13 +972,36 @@ let loadgen_clean_run () =
         && r.Loadgen.p95_us <= r.Loadgen.p99_us));
   (* parked connections (active < connections) keep idle fds registered
      at the server but must not disturb the accounting *)
-  match Loadgen.run ~verify { cfg with connections = 12; active = 3 } with
+  (match Loadgen.run ~verify { cfg with connections = 12; active = 3 } with
   | Error e -> Alcotest.failf "loadgen (parked): %s" e
   | Ok r ->
       Alcotest.(check int) "all answered with parked conns" 400
         r.Loadgen.answered;
       Alcotest.(check int) "no losses with parked conns" 0 r.Loadgen.lost;
-      Alcotest.(check int) "no errors with parked conns" 0 r.Loadgen.errors
+      Alcotest.(check int) "no errors with parked conns" 0 r.Loadgen.errors);
+  (* aggregate frames: one COUNT request per frame, each checked against
+     a direct answer_agg *)
+  let aidx = Lazy.force agg_fixture in
+  let schema = Engine.access_schema aidx in
+  let count = Stt_semiring.Semiring.Count in
+  with_server ~workers:2 ~queue:256
+    ~agg_handler:(Server.engine_agg_handler aidx)
+    (Server.engine_handler aidx)
+  @@ fun server ->
+  let verify ~arity:_ tuples =
+    let q_a = Relation.of_list schema tuples in
+    [ [ [| fst (Engine.answer_agg aidx count ~q_a) |] ] ]
+  in
+  let kind = Stt_semiring.Semiring.to_tag count in
+  match Loadgen.run ~verify { cfg with port = Server.port server; kind } with
+  | Error e -> Alcotest.failf "loadgen (agg): %s" e
+  | Ok r ->
+      (* 100 tuples per connection in frames of 8: 13 frames each *)
+      Alcotest.(check int) "one request per frame" 52 r.Loadgen.sent;
+      Alcotest.(check int) "every tuple sent" 400 r.Loadgen.tuples;
+      Alcotest.(check int) "every frame answered" 52 r.Loadgen.answered;
+      Alcotest.(check int) "no aggregate mismatches" 0 r.Loadgen.mismatched;
+      Alcotest.(check int) "no errors (agg)" 0 r.Loadgen.errors
 
 let () =
   Alcotest.run "net"

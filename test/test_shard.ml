@@ -18,6 +18,8 @@ module Client = Stt_net.Client
 module Ring = Stt_shard.Ring
 module Router = Stt_shard.Router
 module Key = Stt_cache.Key
+module Obs = Stt_obs.Obs
+module Json = Stt_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* ring: placement                                                      *)
@@ -284,14 +286,64 @@ let deadline_rejection_propagates () =
   with_client (Router.port router) @@ fun client ->
   (* 1us is gone before any shard worker picks the job up; the shard
      rejects and the router must reject the whole batch, never a
-     partial answer *)
+     partial answer — tuple answers and aggregates alike *)
   let tuples = fixture_tuples 6 44 in
-  match
-    rpc_exn client (Frame.Answer { id = 9; deadline_us = 1; arity; tuples })
-  with
-  | Frame.Rejected { id = 9; reject = Frame.Deadline_exceeded } -> ()
-  | Frame.Answers _ -> Alcotest.fail "a 1us deadline cannot be met"
-  | _ -> Alcotest.fail "expected Deadline_exceeded"
+  List.iter
+    (fun req ->
+      match rpc_exn client req with
+      | Frame.Rejected { id = 9; reject = Frame.Deadline_exceeded } -> ()
+      | Frame.Answers _ | Frame.Agg_reply _ ->
+          Alcotest.fail "a 1us deadline cannot be met"
+      | _ -> Alcotest.fail "expected Deadline_exceeded")
+    [
+      Frame.Answer { id = 9; deadline_us = 1; arity; tuples };
+      Frame.Agg { id = 9; deadline_us = 1; kind = 1; arity; tuples };
+    ]
+
+(* with Obs on, each role's Stats still carries the service-time
+   histograms the serving benchmark's traced run reads, one per request
+   kind *)
+let stats_keep_serve_histograms () =
+  let idx = Lazy.force fixture in
+  let arity = Schema.arity (Engine.access_schema idx) in
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+  with_fleet ~replicas:1 @@ fun router servers _ ->
+  let replica = Server.port (List.hd servers) in
+  let tuples = fixture_tuples 4 91 in
+  with_client (Router.port router) (fun client ->
+      ignore
+        (rpc_exn client (Frame.Answer { id = 1; deadline_us = 0; arity; tuples }));
+      ignore
+        (rpc_exn client
+           (Frame.Agg { id = 2; deadline_us = 0; kind = 1; arity; tuples })));
+  (* the router rejects updates inline; a replica queues one even
+     without an update handler *)
+  with_client replica (fun client ->
+      ignore (rpc_exn client (Frame.Update { id = 3; deltas = [] })));
+  let histograms port =
+    with_client port @@ fun client ->
+    match rpc_exn client (Frame.Stats { id = 4 }) with
+    | Frame.Stats_reply { json; _ } -> (
+        match Result.map (Json.member "histograms") (Json.of_string json) with
+        | Ok (Some (Json.Obj hs)) -> List.map fst hs
+        | _ -> [])
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  (* a job merges its trace just after it replies: poll briefly *)
+  let rec expect port names tries =
+    let have = histograms port in
+    match List.filter (fun n -> not (List.mem n have)) names with
+    | [] -> ()
+    | missing when tries = 0 ->
+        Alcotest.failf "Stats lacks %s" (String.concat ", " missing)
+    | _ ->
+        Unix.sleepf 0.01;
+        expect port names (tries - 1)
+  in
+  expect replica [ "net.serve_us"; "net.agg_us"; "net.update_us" ] 100;
+  expect (Router.port router) [ "route.serve_us"; "route.agg_us" ] 100
 
 (* a replica dies WITHOUT being drained from the ring: its tuples must
    fail over to the next owner, completing every batch with zero lost
@@ -543,6 +595,8 @@ let () =
             failover_reroutes;
           Alcotest.test_case "drained shard leaves quietly" `Quick
             drain_then_serve;
+          Alcotest.test_case "stats keep per-kind serve histograms" `Quick
+            stats_keep_serve_histograms;
         ] );
       ( "agg",
         [

@@ -41,7 +41,7 @@ let json_rat r = Json.String (Rat.to_string r)
 
 (* Monotonic wall clock, so every op-count snapshot in the artifacts has
    a wall-clock twin and future PRs inherit a perf trajectory. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let now_s = Mono.now_s
 
 let timed f =
   let t0 = now_s () in

@@ -114,9 +114,9 @@ let with_artifact cmd json_dir f =
         exit 1);
       Obs.set_enabled true;
       Obs.reset ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Mono.now_s () in
       let data = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Mono.now_s () -. t0 in
       let doc =
         Json.Obj
           [
@@ -493,10 +493,10 @@ let serve_cmd =
     let idx, build_wall, origin =
       match snapshot with
       | Some path -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Mono.now_s () in
           match Engine.load path with
           | Ok idx ->
-              let wall = Unix.gettimeofday () -. t0 in
+              let wall = Mono.now_s () -. t0 in
               Format.printf
                 "loaded snapshot %s: space %d stored tuples (in %.3fs)@." path
                 (Engine.space idx) wall;
@@ -519,9 +519,9 @@ let serve_cmd =
           let db = Scenario.synthetic_db ~seed ~vertices ~edges:nedges in
           Format.printf "building index (budget %d, jobs %d) over |E| = %d...@."
             budget (Pool.jobs ()) (Db.size db);
-          let tb0 = Unix.gettimeofday () in
+          let tb0 = Mono.now_s () in
           let idx = Engine.build_auto ~max_pmtds:128 q ~db ~budget in
-          let wall = Unix.gettimeofday () -. tb0 in
+          let wall = Mono.now_s () -. tb0 in
           Format.printf "space: %d stored tuples (built in %.3fs)@."
             (Engine.space idx) wall;
           (idx, wall, "build")
@@ -542,19 +542,19 @@ let serve_cmd =
     in
     let batch = max 1 batch in
     let walls = ref [] and total_ops = ref 0 and hits = ref 0 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now_s () in
     List.iter
       (fun group ->
-        let w0 = Unix.gettimeofday () in
+        let w0 = Mono.now_s () in
         let answers = Engine.answer_batch idx group in
-        walls := (Unix.gettimeofday () -. w0) :: !walls;
+        walls := (Mono.now_s () -. w0) :: !walls;
         List.iter
           (fun (r, c) ->
             if not (Relation.is_empty r) then incr hits;
             total_ops := !total_ops + Cost.total c)
           answers)
       (chunks batch reqs);
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Mono.now_s () -. t0 in
     let throughput = float_of_int requests /. wall in
     let sorted = Array.of_list !walls in
     Array.sort compare sorted;
@@ -609,23 +609,23 @@ let snapshot_cmd =
     let db = Scenario.synthetic_db ~seed ~vertices ~edges:nedges in
     Format.printf "building index (budget %d, jobs %d) over |E| = %d...@."
       budget (Pool.jobs ()) (Db.size db);
-    let tb0 = Unix.gettimeofday () in
+    let tb0 = Mono.now_s () in
     let idx = Engine.build_auto ~max_pmtds:128 q ~db ~budget in
-    let build_wall = Unix.gettimeofday () -. tb0 in
+    let build_wall = Mono.now_s () -. tb0 in
     Format.printf "space: %d stored tuples (built in %.3fs)@."
       (Engine.space idx) build_wall;
     (* an attached (empty) cache is persisted with the snapshot, so a
        server loading it starts caching without any flag of its own *)
     if cache_budget > 0 then
       Engine.attach_cache idx ~budget:cache_budget;
-    let ts0 = Unix.gettimeofday () in
+    let ts0 = Mono.now_s () in
     match Engine.save idx out with
     | Error e ->
         Format.eprintf "stt snapshot: %s: %s@." out
           (Stt_store.Store.error_to_string e);
         exit 1
     | Ok bytes ->
-        let save_wall = Unix.gettimeofday () -. ts0 in
+        let save_wall = Mono.now_s () -. ts0 in
         Format.printf "snapshot: %s, %d bytes (saved in %.3fs)@." out bytes
           save_wall;
         [
@@ -1298,10 +1298,10 @@ let bench_net_cmd =
             (Domain.spawn (fun () ->
                  (* sleep in slices so a --drain-after beyond the run's
                     length doesn't leave this domain blocking the join *)
-                 let deadline = Unix.gettimeofday () +. s in
+                 let deadline = Mono.now_s () +. s in
                  while
                    (not (Atomic.get run_over))
-                   && Unix.gettimeofday () < deadline
+                   && Mono.now_s () < deadline
                  do
                    Unix.sleepf 0.05
                  done;
@@ -1348,7 +1348,7 @@ let bench_net_cmd =
           Printf.sprintf ", one %s aggregate per batch"
             (Stt_semiring.Semiring.name k)
       | None -> "");
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now_s () in
     match Loadgen.run ?verify:verify_fn cfg with
     | Error msg ->
         join_drain ();
@@ -1356,7 +1356,7 @@ let bench_net_cmd =
         Format.eprintf "stt bench-net: %s@." msg;
         exit 1
     | Ok r ->
-        let wall = Unix.gettimeofday () -. t0 in
+        let wall = Mono.now_s () -. t0 in
         join_drain ();
         (* one extra connection after the run: the server's Health frame
            carries its cache occupancy and hit counts, so the artifact

@@ -178,44 +178,6 @@ let answer_scoped t ~q_a =
         t.preprocessed;
       !result)
 
-let answer t ~q_a =
-  Obs.span "engine.answer" @@ fun () ->
-  let result, cost, via =
-    match t.cache with
-    | None ->
-        let r, c = answer_scoped t ~q_a in
-        (r, c, "direct")
-    | Some cache -> (
-        let access = access_schema t in
-        let rows = Ckey.canon ~access q_a in
-        let key = Ckey.encode ~arity:(Schema.arity access) rows in
-        match Cost.scoped (fun () -> Cache.find cache key) with
-        | Some r, c -> (r, c, "hit")
-        | None, lookup ->
-            let r, c = answer_scoped t ~q_a in
-            Cache.add cache ~key ~key_tuples:(List.length rows) r;
-            (r, Cost.add lookup c, "miss"))
-  in
-  if Obs.enabled () then begin
-    Obs.set_attr "cache" (Json.String via);
-    Obs.set_attr "q_a" (Json.Int (Relation.cardinal q_a));
-    Obs.set_attr "result" (Json.Int (Relation.cardinal result));
-    Obs.set_attr "cost"
-      (Json.Obj
-         [
-           ("probes", Json.Int cost.Cost.probes);
-           ("tuples", Json.Int cost.Cost.tuples);
-           ("scans", Json.Int cost.Cost.scans);
-         ]);
-    Obs.observe "engine.answer.ops" (float_of_int (Cost.total cost))
-  end;
-  result
-
-let answer_tuple t tup =
-  let q_a = Relation.create (access_schema t) in
-  Relation.add q_a tup;
-  not (Relation.is_empty (answer t ~q_a))
-
 (* ------------------------------------------------------------------ *)
 (* batched answering                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -360,21 +322,36 @@ let answer_batch t reqs =
          even share of the batch-shared cost, the first occurrence of a
          request additionally carries its marginal evaluation cost (for
          a cache miss, including the failed cache probe) *)
-      List.mapi
-        (fun i (key, _, _) ->
-          let r, marginal = Hashtbl.find results key in
-          let c = share !shared n i in
-          let c =
-            if Hashtbl.find first_idx key = i then
-              let lookup =
-                Option.value ~default:Cost.zero
-                  (Hashtbl.find_opt miss_lookup key)
-              in
-              Cost.add (Cost.add c lookup) marginal
-            else c
-          in
-          (r, c))
-        keyed
+      let answers =
+        List.mapi
+          (fun i (key, _, _) ->
+            let r, marginal = Hashtbl.find results key in
+            let c = share !shared n i in
+            let c =
+              if Hashtbl.find first_idx key = i then
+                let lookup =
+                  Option.value ~default:Cost.zero
+                    (Hashtbl.find_opt miss_lookup key)
+                in
+                Cost.add (Cost.add c lookup) marginal
+              else c
+            in
+            (r, c))
+          keyed
+      in
+      if Obs.enabled () then
+        Obs.observe "engine.answer.ops"
+          (float_of_int
+             (List.fold_left (fun acc (_, c) -> acc + Cost.total c) 0 answers));
+      answers
+
+(* a single request is a batch of one: same cache path, same op counts *)
+let answer t ~q_a = fst (List.hd (answer_batch t [ q_a ]))
+
+let answer_tuple t tup =
+  let q_a = Relation.create (access_schema t) in
+  Relation.add q_a tup;
+  not (Relation.is_empty (answer t ~q_a))
 
 (* ------------------------------------------------------------------ *)
 (* semiring aggregates                                                  *)
@@ -848,24 +825,6 @@ let read_relation d =
   List.iter (fun r -> guard "relation row" (fun () -> Relation.add rel r)) rows;
   rel
 
-(* Semiring values: the zigzag varint cannot carry the tropical
-   ±infinity sentinels (MIN's [max_int], MAX's [min_int]) — [v lsl 1]
-   overflows — so they get their own tag bytes. *)
-let write_val e v =
-  if v = max_int then C.write_u8 e 1
-  else if v = min_int then C.write_u8 e 2
-  else begin
-    C.write_u8 e 0;
-    C.write_int e v
-  end
-
-let read_val d =
-  match C.read_u8 d with
-  | 0 -> C.read_int d
-  | 1 -> max_int
-  | 2 -> min_int
-  | n -> corrupt "semiring value: tag %d" n
-
 (* annotated relations: the plain tuple block, then one presence flag
    (and value) per row in the same sorted order write_relation used *)
 let write_annotated e rel =
@@ -875,14 +834,14 @@ let write_annotated e rel =
       match Relation.annotation_opt rel tup with
       | Some v ->
           C.write_bool e true;
-          write_val e v
+          C.write_value e v
       | None -> C.write_bool e false)
     (List.sort Tuple.compare (Relation.to_list rel))
 
 let read_annotated d =
   let rel = read_relation d in
   List.iter
-    (fun tup -> if C.read_bool d then Relation.annotate rel tup (read_val d))
+    (fun tup -> if C.read_bool d then Relation.annotate rel tup (C.read_value d))
     (List.sort Tuple.compare (Relation.to_list rel));
   rel
 
@@ -1128,7 +1087,7 @@ let save t path =
                     match Ckey.decode key with
                     | 0, _, _ -> write_relation e rel
                     | _ ->
-                        write_val e
+                        C.write_value e
                           (Relation.fold (fun tup _ -> tup.(0)) rel 0))
                   (Cache.export cache) );
           ]
@@ -1163,7 +1122,7 @@ let save t path =
                            entries [])
                     in
                     C.write_rows e ~arity:access_arity (List.map fst rows);
-                    List.iter (fun (_, v) -> write_val e v) rows)
+                    List.iter (fun (_, v) -> C.write_value e v) rows)
                   st.agg_tables );
           ]
   in
@@ -1327,7 +1286,7 @@ let load path =
                   end
                   else begin
                     (* aggregate answers are stored as a bare scalar *)
-                    let v = read_val d in
+                    let v = C.read_value d in
                     let rel = Relation.create scalar_schema in
                     Relation.add rel [| v |];
                     rel
@@ -1393,7 +1352,7 @@ let load path =
                 let entries = Tuple.Tbl.create (max 16 (List.length keys)) in
                 List.iter
                   (fun key ->
-                    let v = read_val d in
+                    let v = C.read_value d in
                     if Tuple.Tbl.mem entries key then
                       corrupt "agg table: duplicate access key";
                     Tuple.Tbl.replace entries key v)

@@ -40,11 +40,12 @@ val factorized_views : t -> int
 (** Number of S-views currently held as d-representations. *)
 
 val answer : t -> q_a:Relation.t -> Relation.t
-(** Result of the access CQ over the head variables.  Cost counters
-    observe only the online work.  With a cache attached the request is
-    canonicalized and looked up first: a hit costs one probe plus one
-    tuple per answer row and returns a bit-identical answer; a miss runs
-    the 2PP online pipeline and offers the result for admission. *)
+(** Result of the access CQ over the head variables: {!answer_batch} of
+    the one request.  Cost counters observe only the online work.  With
+    a cache attached the request is canonicalized and looked up first: a
+    hit costs one probe plus one tuple per answer row and returns a
+    bit-identical answer; a miss runs the 2PP online pipeline and offers
+    the result for admission. *)
 
 val answer_tuple : t -> Tuple.t -> bool
 (** Boolean single-tuple access: is the access request (values of the
@@ -64,7 +65,8 @@ val answer_batch : t -> Relation.t list -> (Relation.t * Cost.snapshot) list
     marginal cost; shares sum exactly to the batch total.  With a cache
     attached, unique requests are looked up first and only the misses
     are evaluated (and offered for admission); a hit's marginal is its
-    lookup-and-decode cost. *)
+    lookup-and-decode cost.  Observes the batch's total online ops in
+    the [engine.answer.ops] histogram. *)
 
 val cqap : t -> Cq.cqap
 val pmtds : t -> Pmtd.t list

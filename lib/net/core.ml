@@ -1,5 +1,6 @@
 module Obs = Stt_obs.Obs
 module Json = Stt_obs.Json
+module Codec = Stt_store.Codec
 
 (* Role-agnostic serving core, extracted from the original Server so the
    sharded tier's router (Stt_shard.Router) and the replica role share
@@ -128,7 +129,7 @@ end
 type conn = {
   fd : Unix.file_descr;
   rbuf : Rbuf.t; (* pooled; IO domain only *)
-  pending : Netbuf.t; (* pooled; queued response bytes, under wmutex *)
+  pending : Codec.encoder; (* pooled; queued response bytes, under wmutex *)
   wmutex : Mutex.t;
   mutable hello_done : bool;
   mutable open_ : bool; (* wmutex: writers may touch fd/pending *)
@@ -227,7 +228,8 @@ let release_rbuf t b =
 (* each domain encodes responses into its own reusable scratch buffer —
    zero allocation per response once the buffer has grown to the
    workload's frame size *)
-let scratch_key = Domain.DLS.new_key (fun () -> Netbuf.create 4096)
+let scratch_key =
+  Domain.DLS.new_key (fun () -> Codec.encoder ~capacity:4096 ())
 
 let wake t =
   (* a full pipe just means the IO domain is already due to wake *)
@@ -271,7 +273,7 @@ let rec drain_flush conn deadline =
    asked for write interest. *)
 let reply t conn resp =
   let scratch = Domain.DLS.get scratch_key in
-  Netbuf.clear scratch;
+  Codec.clear scratch;
   Frame.encode_response_into scratch resp;
   let status =
     Mutex.protect conn.wmutex (fun () ->
@@ -279,7 +281,7 @@ let reply t conn resp =
         else
           match
             Netbuf.write_or_stash conn.fd ~pending:conn.pending
-              (Netbuf.data scratch) ~pos:0 ~len:(Netbuf.length scratch)
+              (Codec.data scratch) ~pos:0 ~len:(Codec.length scratch)
           with
           | Netbuf.Flushed -> `Done
           | Netbuf.Again ->
@@ -583,7 +585,7 @@ let io_loop t () =
             Mutex.protect conn.wmutex (fun () ->
                 if
                   conn.open_ && (not conn.closed)
-                  && Netbuf.length conn.pending > 0
+                  && Codec.length conn.pending > 0
                 then Evloop.set_write loop conn.fd true)
         | _ -> ())
       want;
@@ -681,7 +683,7 @@ let start ?(host = "127.0.0.1") ~port ~workers ~queue_capacity ?io_backend
       sig_dead = [];
       rbuf_m = Mutex.create ();
       rbuf_free = [];
-      wbuf_pool = Netbuf.Pool.create ~capacity:4096 ();
+      wbuf_pool = Netbuf.Pool.create ~capacity:4096;
       c_conns = Atomic.make 0;
       c_received = Atomic.make 0;
       c_answered = Atomic.make 0;

@@ -21,20 +21,6 @@
 #include <caml/fail.h>
 #include <caml/threads.h>
 
-#include <time.h>
-
-/* Monotonic nanoseconds (Stt_net.Mono) — protocol v5 Health carries the
-   serving process's uptime so a router can detect restarted shards.
-   CLOCK_MONOTONIC never goes backwards across NTP steps, unlike
-   Unix.gettimeofday.  Fits an OCaml int for ~146 years of uptime. */
-CAMLprim value stt_monotonic_ns(value unit)
-{
-  struct timespec ts;
-  (void)unit;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return Val_long((intnat)ts.tv_sec * 1000000000 + ts.tv_nsec);
-}
-
 #ifdef __linux__
 
 #include <errno.h>

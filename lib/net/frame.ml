@@ -125,219 +125,137 @@ let tag_updated = 0x85
 let tag_agg_reply = 0x86
 
 (* ------------------------------------------------------------------ *)
-(* body layout, abstracted over the byte sink                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Frames are encoded through two sinks: the Codec encoder (blocking
-   client path, allocates per frame) and a reusable Netbuf (server's
-   zero-copy path).  One functor writes the body for both, so the
-   layouts cannot drift — the round-trip tests cross-decode them. *)
-
-module type SINK = sig
-  type t
-
-  val u8 : t -> int -> unit
-  val uint : t -> int -> unit
-  val bool : t -> bool -> unit
-  val string : t -> string -> unit
-  val list : t -> ('a -> unit) -> 'a list -> unit
-  val rows : t -> arity:int -> int array list -> unit
-end
-
-module Codec_sink = struct
-  type t = Codec.encoder
-
-  let u8 = Codec.write_u8
-  let uint = Codec.write_uint
-  let bool = Codec.write_bool
-  let string = Codec.write_string
-  let list = Codec.write_list
-  let int = Codec.write_int
-
-  (* arity-0 rows carry no bytes, which trips the codec's
-     count-vs-payload guard; a bare count is enough (boolean answers) *)
-  let rows e ~arity rs =
-    if arity = 0 then uint e (List.length rs) else Codec.write_rows e ~arity rs
-end
-
-module Netbuf_sink = struct
-  type t = Netbuf.t
-
-  let u8 = Netbuf.add_u8
-  let uint = Netbuf.add_uint
-  let bool = Netbuf.add_bool
-  let string = Netbuf.add_string
-  let list = Netbuf.add_list
-  let int = Netbuf.add_int
-
-  let rows b ~arity rs =
-    if arity = 0 then uint b (List.length rs) else Netbuf.add_rows b ~arity rs
-end
-
-module Body (S : sig
-  include SINK
-
-  val int : t -> int -> unit
-end) =
-struct
-  let cost e (c : Cost.snapshot) =
-    S.uint e c.Cost.probes;
-    S.uint e c.Cost.tuples;
-    S.uint e c.Cost.scans
-
-  (* semiring values: the zigzag varint cannot carry the tropical
-     ±infinity sentinels (MIN's "no path" is [max_int]), so they get
-     their own tag bytes *)
-  let value e v =
-    if v = max_int then S.u8 e 1
-    else if v = min_int then S.u8 e 2
-    else begin
-      S.u8 e 0;
-      S.int e v
-    end
-
-  let request e = function
-    | Answer { id; deadline_us; arity; tuples } ->
-        S.u8 e tag_answer;
-        S.uint e id;
-        S.uint e deadline_us;
-        S.uint e arity;
-        S.rows e ~arity tuples
-    | Agg { id; deadline_us; kind; arity; tuples } ->
-        S.u8 e tag_agg;
-        S.uint e id;
-        S.uint e deadline_us;
-        S.u8 e kind;
-        S.uint e arity;
-        S.rows e ~arity tuples
-    | Update { id; deltas } ->
-        S.u8 e tag_update;
-        S.uint e id;
-        S.list e
-          (fun { urel; utuple; uadd } ->
-            S.string e urel;
-            S.uint e (Array.length utuple);
-            Array.iter (S.int e) utuple;
-            S.bool e uadd)
-          deltas
-    | Stats { id } ->
-        S.u8 e tag_stats;
-        S.uint e id
-    | Health { id } ->
-        S.u8 e tag_health;
-        S.uint e id
-
-  let rec response e = function
-    | Answers { id; answers } ->
-        S.u8 e tag_answers;
-        S.uint e id;
-        S.list e
-          (fun { rows; row_arity; cost = c } ->
-            S.uint e row_arity;
-            S.rows e ~arity:row_arity rows;
-            cost e c)
-          answers
-    | Updated { id; epoch; applied; cost = c } ->
-        S.u8 e tag_updated;
-        S.uint e id;
-        S.uint e epoch;
-        S.uint e applied;
-        cost e c
-    | Rejected { id; reject } -> (
-        S.u8 e tag_rejected;
-        S.uint e id;
-        match reject with
-        | Overloaded -> S.u8 e 1
-        | Deadline_exceeded -> S.u8 e 2
-        | Bad_request msg ->
-            S.u8 e 3;
-            S.string e msg)
-    | Stats_reply { id; json } ->
-        S.u8 e tag_stats_reply;
-        S.uint e id;
-        S.string e json
-    | Health_reply { id; health } ->
-        S.u8 e tag_health_reply;
-        S.uint e id;
-        health_block e health
-    | Agg_reply { id; value = v; cost = c } ->
-        S.u8 e tag_agg_reply;
-        S.uint e id;
-        value e v;
-        cost e c
-
-  (* recursive: a router's block nests one sub-block per shard *)
-  and health_block e (h : health) =
-    S.bool e h.ready;
-    S.uint e h.space;
-    S.uint e h.agg_space;
-    S.uint e h.workers;
-    S.uint e h.queue_capacity;
-    S.uint e h.queue_depth;
-    S.uint e h.uptime_ns;
-    S.uint e h.cache.cache_budget;
-    S.uint e h.cache.cache_used;
-    S.uint e h.cache.cache_entries;
-    S.uint e h.cache.cache_hits;
-    S.uint e h.cache.cache_misses;
-    S.string e h.io_backend;
-    S.list e
-      (fun (name, sub) ->
-        S.string e name;
-        health_block e sub)
-      h.shards
-end
-
-module Codec_body = Body (Codec_sink)
-module Netbuf_body = Body (Netbuf_sink)
-
-(* ------------------------------------------------------------------ *)
 (* encoding                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* every frame blob is body ^ crc32(body), so a flipped byte anywhere in
-   a blob is caught before any field is trusted *)
-let seal body =
-  let e = Codec.encoder () in
-  Codec.write_u32 e (Crc32.string body);
-  body ^ Codec.contents e
+let write_cost e (c : Cost.snapshot) =
+  Codec.write_uint e c.Cost.probes;
+  Codec.write_uint e c.Cost.tuples;
+  Codec.write_uint e c.Cost.scans
 
-let encode_body f =
-  let e = Codec.encoder () in
-  f e;
-  seal (Codec.contents e)
+let write_request e = function
+  | Answer { id; deadline_us; arity; tuples } ->
+      Codec.write_u8 e tag_answer;
+      Codec.write_uint e id;
+      Codec.write_uint e deadline_us;
+      Codec.write_uint e arity;
+      Codec.write_rows e ~arity tuples
+  | Agg { id; deadline_us; kind; arity; tuples } ->
+      Codec.write_u8 e tag_agg;
+      Codec.write_uint e id;
+      Codec.write_uint e deadline_us;
+      Codec.write_u8 e kind;
+      Codec.write_uint e arity;
+      Codec.write_rows e ~arity tuples
+  | Update { id; deltas } ->
+      Codec.write_u8 e tag_update;
+      Codec.write_uint e id;
+      Codec.write_list e
+        (fun { urel; utuple; uadd } ->
+          Codec.write_string e urel;
+          Codec.write_uint e (Array.length utuple);
+          Array.iter (Codec.write_int e) utuple;
+          Codec.write_bool e uadd)
+        deltas
+  | Stats { id } ->
+      Codec.write_u8 e tag_stats;
+      Codec.write_uint e id
+  | Health { id } ->
+      Codec.write_u8 e tag_health;
+      Codec.write_uint e id
 
-let read_rows_any d ~arity =
-  if arity = 0 then begin
-    let n = Codec.read_uint d in
-    if n > 1 lsl 30 then raise (Codec.Corrupt "row count");
-    List.init n (fun _ -> [||])
-  end
-  else Codec.read_rows d ~arity
+let rec write_response e = function
+  | Answers { id; answers } ->
+      Codec.write_u8 e tag_answers;
+      Codec.write_uint e id;
+      Codec.write_list e
+        (fun { rows; row_arity; cost } ->
+          Codec.write_uint e row_arity;
+          Codec.write_rows e ~arity:row_arity rows;
+          write_cost e cost)
+        answers
+  | Updated { id; epoch; applied; cost } ->
+      Codec.write_u8 e tag_updated;
+      Codec.write_uint e id;
+      Codec.write_uint e epoch;
+      Codec.write_uint e applied;
+      write_cost e cost
+  | Rejected { id; reject } -> (
+      Codec.write_u8 e tag_rejected;
+      Codec.write_uint e id;
+      match reject with
+      | Overloaded -> Codec.write_u8 e 1
+      | Deadline_exceeded -> Codec.write_u8 e 2
+      | Bad_request msg ->
+          Codec.write_u8 e 3;
+          Codec.write_string e msg)
+  | Stats_reply { id; json } ->
+      Codec.write_u8 e tag_stats_reply;
+      Codec.write_uint e id;
+      Codec.write_string e json
+  | Health_reply { id; health } ->
+      Codec.write_u8 e tag_health_reply;
+      Codec.write_uint e id;
+      write_health e health
+  | Agg_reply { id; value; cost } ->
+      Codec.write_u8 e tag_agg_reply;
+      Codec.write_uint e id;
+      Codec.write_value e value;
+      write_cost e cost
 
-let encode_request req = encode_body @@ fun e -> Codec_body.request e req
-let encode_response resp = encode_body @@ fun e -> Codec_body.response e resp
+(* recursive: a router's block nests one sub-block per shard *)
+and write_health e (h : health) =
+  Codec.write_bool e h.ready;
+  Codec.write_uint e h.space;
+  Codec.write_uint e h.agg_space;
+  Codec.write_uint e h.workers;
+  Codec.write_uint e h.queue_capacity;
+  Codec.write_uint e h.queue_depth;
+  Codec.write_uint e h.uptime_ns;
+  Codec.write_uint e h.cache.cache_budget;
+  Codec.write_uint e h.cache.cache_used;
+  Codec.write_uint e h.cache.cache_entries;
+  Codec.write_uint e h.cache.cache_hits;
+  Codec.write_uint e h.cache.cache_misses;
+  Codec.write_string e h.io_backend;
+  Codec.write_list e
+    (fun (name, sub) ->
+      Codec.write_string e name;
+      write_health e sub)
+    h.shards
 
-(* Append a complete wire image — length prefix, body, CRC — to [b]
+(* Append a complete wire image — length prefix, body, CRC — to [e]
    without intermediate copies: the prefix is reserved up front and
    patched once the body length is known, and the CRC runs over the
-   buffer in place.  The caller owns [b] (typically a per-worker scratch
-   buffer) and writes the socket straight from [Netbuf.data]. *)
-let frame_into b f =
-  let start = Netbuf.length b in
-  Netbuf.add_u32 b 0;
-  f ();
+   buffer in place, so a flipped byte anywhere in a blob is caught
+   before any field is trusted.  The caller owns [e] (typically a
+   per-worker scratch encoder) and writes the socket straight from
+   [Codec.data]. *)
+let frame_into write e v =
+  let start = Codec.length e in
+  Codec.write_u32 e 0;
+  write e v;
   let body_pos = start + 4 in
-  let body_len = Netbuf.length b - body_pos in
-  let crc = Netbuf.crc32 b ~pos:body_pos ~len:body_len in
-  Netbuf.add_u32 b crc;
-  Netbuf.set_u32 b ~pos:start (body_len + 4)
+  let body_len = Codec.length e - body_pos in
+  let crc =
+    Crc32.update Crc32.init
+      (Bytes.unsafe_to_string (Codec.data e))
+      ~pos:body_pos ~len:body_len
+  in
+  Codec.write_u32 e (Crc32.finish crc);
+  Codec.set_u32 e ~pos:start (body_len + 4)
 
-let encode_request_into b req =
-  frame_into b (fun () -> Netbuf_body.request b req)
+let encode_request_into = frame_into write_request
+let encode_response_into = frame_into write_response
 
-let encode_response_into b resp =
-  frame_into b (fun () -> Netbuf_body.response b resp)
+(* the [body ^ crc] blob: the same wire image without its prefix *)
+let blob_of frame v =
+  let e = Codec.encoder () in
+  frame e v;
+  Bytes.sub_string (Codec.data e) 4 (Codec.length e - 4)
+
+let encode_request = blob_of encode_request_into
+let encode_response = blob_of encode_response_into
 
 (* ------------------------------------------------------------------ *)
 (* decoding                                                             *)
@@ -377,20 +295,13 @@ let read_arity what d =
     raise (Codec.Corrupt (Printf.sprintf "%s arity %d" what arity))
   else arity
 
-let read_value d =
-  match Codec.read_u8 d with
-  | 0 -> Codec.read_int d
-  | 1 -> max_int
-  | 2 -> min_int
-  | n -> raise (Codec.Corrupt (Printf.sprintf "semiring value tag %d" n))
-
 let request_of_decoder d =
   match Codec.read_u8 d with
   | t when t = tag_answer ->
       let id = Codec.read_uint d in
       let deadline_us = Codec.read_uint d in
       let arity = read_arity "access" d in
-      let tuples = read_rows_any d ~arity in
+      let tuples = Codec.read_rows d ~arity in
       Answer { id; deadline_us; arity; tuples }
   | t when t = tag_agg ->
       let id = Codec.read_uint d in
@@ -399,7 +310,7 @@ let request_of_decoder d =
       if kind < 1 || kind > 4 then
         raise (Codec.Corrupt (Printf.sprintf "aggregate kind %d" kind));
       let arity = read_arity "access" d in
-      let tuples = read_rows_any d ~arity in
+      let tuples = Codec.read_rows d ~arity in
       Agg { id; deadline_us; kind; arity; tuples }
   | t when t = tag_update ->
       let id = Codec.read_uint d in
@@ -432,7 +343,7 @@ let rec response_of_decoder d =
       let answers =
         Codec.read_list d (fun () ->
             let row_arity = read_arity "answer" d in
-            let rows = read_rows_any d ~arity:row_arity in
+            let rows = Codec.read_rows d ~arity:row_arity in
             let cost = read_cost d in
             { rows; row_arity; cost })
       in
@@ -461,9 +372,9 @@ let rec response_of_decoder d =
       Health_reply { id; health = read_health d ~depth:0 }
   | t when t = tag_agg_reply ->
       let id = Codec.read_uint d in
-      let value = read_value d in
+      let v = Codec.read_value d in
       let cost = read_cost d in
-      Agg_reply { id; value; cost }
+      Agg_reply { id; value = v; cost }
   | t -> raise (Codec.Corrupt (Printf.sprintf "unknown response tag 0x%02x" t))
 
 (* a fleet is one router over replicas, so legitimate nesting is depth 1;

@@ -18,7 +18,10 @@
     style of flip-sweep test.
 
     Decoding is total: every decoder returns a [result], never raises,
-    and validates strictly (full consumption, checksum, known tags). *)
+    and validates strictly (full consumption, checksum, known tags).
+    Counts are bounded by the payload that must back them (see
+    {!Stt_store.Codec.read_rows}), so a short hostile frame decodes to
+    [Malformed] without allocating for the rows it claims. *)
 
 open Stt_relation
 
@@ -167,13 +170,13 @@ val decode_response : string -> (response, error) result
 
     The server's hot path: encoders append a {e complete} wire image —
     length prefix, body, CRC — to a caller-owned (typically reused)
-    {!Netbuf.t}, so a steady-state response allocates nothing; decoders
-    read a frame blob in place out of a larger buffer (the connection's
-    read buffer) without slicing it.  Layouts are byte-identical to the
-    string encoders above — both are generated from one body writer. *)
+    {!Stt_store.Codec.encoder}, so a steady-state response allocates
+    nothing; decoders read a frame blob in place out of a larger buffer
+    (the connection's read buffer) without slicing it.  The string
+    encoders above are these wire images without their length prefix. *)
 
-val encode_request_into : Netbuf.t -> request -> unit
-val encode_response_into : Netbuf.t -> response -> unit
+val encode_request_into : Stt_store.Codec.encoder -> request -> unit
+val encode_response_into : Stt_store.Codec.encoder -> response -> unit
 
 val decode_request_sub :
   string -> pos:int -> len:int -> (request, error) result

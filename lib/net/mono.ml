@@ -1,5 +1,1 @@
-(* Monotonic clock for uptime and staleness detection (protocol v5).
-   [@@noalloc]: the stub returns an immediate, so calling it from the
-   hot path costs a C call and nothing else. *)
-
-external now_ns : unit -> int = "stt_monotonic_ns" [@@noalloc]
+include Stt_obs.Mono

@@ -1,137 +1,31 @@
-(* Growable byte buffer for the zero-copy frame path.
+(* A connection's pending-write queue and the buffer pool, over the one
+   encoder: frames are encoded in place into a [Codec.encoder] and
+   written straight out of its backing bytes.
 
-   [Buffer.t] cannot hand out its backing bytes, so every frame encoded
-   through it costs a [Buffer.contents] copy plus the string
-   concatenations of sealing and length-prefixing — four copies of every
-   response on the old path.  This module is the same growable sink but
-   with the backing [Bytes.t] exposed, so a worker encodes the complete
-   wire image (length prefix + body + CRC) into one reusable buffer and
-   the socket write reads straight out of it.
-
-   Buffers are pooled: connections borrow their read/write buffers from
-   a shared free list and return them on close, so steady-state
+   Buffers are pooled: connections borrow their pending-write buffers
+   from a shared free list and return them on close, so steady-state
    connection churn allocates nothing. *)
 
-module Crc32 = Stt_store.Crc32
-
-type t = { mutable data : Bytes.t; mutable len : int }
-
-let create capacity = { data = Bytes.create (max 16 capacity); len = 0 }
-let length b = b.len
-let clear b = b.len <- 0
-let data b = b.data
-
-let ensure b n =
-  let cap = Bytes.length b.data in
-  if cap - b.len < n then begin
-    let cap' = ref (2 * cap) in
-    while !cap' - b.len < n do
-      cap' := !cap' * 2
-    done;
-    let d = Bytes.create !cap' in
-    Bytes.blit b.data 0 d 0 b.len;
-    b.data <- d
-  end
-
-let add_u8 b v =
-  ensure b 1;
-  Bytes.unsafe_set b.data b.len (Char.unsafe_chr (v land 0xFF));
-  b.len <- b.len + 1
-
-let add_u32 b v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Netbuf.add_u32";
-  ensure b 4;
-  Bytes.unsafe_set b.data b.len (Char.unsafe_chr (v land 0xFF));
-  Bytes.unsafe_set b.data (b.len + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-  Bytes.unsafe_set b.data (b.len + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-  Bytes.unsafe_set b.data (b.len + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF));
-  b.len <- b.len + 4
-
-(* patch a u32 written earlier — the frame's length prefix is reserved
-   before the body length is known *)
-let set_u32 b ~pos v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Netbuf.set_u32";
-  if pos < 0 || pos + 4 > b.len then invalid_arg "Netbuf.set_u32: out of range";
-  Bytes.unsafe_set b.data pos (Char.unsafe_chr (v land 0xFF));
-  Bytes.unsafe_set b.data (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-  Bytes.unsafe_set b.data (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-  Bytes.unsafe_set b.data (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
-
-let rec add_uint b v =
-  if v < 0 then invalid_arg "Netbuf.add_uint: negative"
-  else if v < 0x80 then add_u8 b v
-  else begin
-    add_u8 b (0x80 lor (v land 0x7F));
-    add_uint b (v lsr 7)
-  end
-
-(* zigzag, same layout as Codec.write_int *)
-let add_int b v = add_uint b ((v lsl 1) lxor (v asr 62))
-let add_bool b v = add_u8 b (if v then 1 else 0)
-
-let add_string b s =
-  add_uint b (String.length s);
-  let n = String.length s in
-  ensure b n;
-  Bytes.blit_string s 0 b.data b.len n;
-  b.len <- b.len + n
-
-let add_list b f xs =
-  add_uint b (List.length xs);
-  List.iter f xs
-
-(* column-major delta rows, same layout as Codec.write_rows *)
-let add_rows b ~arity rows =
-  add_uint b (List.length rows);
-  for j = 0 to arity - 1 do
-    let prev = ref 0 in
-    List.iter
-      (fun row ->
-        if Array.length row <> arity then
-          invalid_arg "Netbuf.add_rows: arity mismatch";
-        add_int b (row.(j) - !prev);
-        prev := row.(j))
-      rows
-  done
-
-let crc32 b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > b.len then invalid_arg "Netbuf.crc32";
-  (* the buffer is not mutated while the checksum walks it *)
-  Crc32.finish (Crc32.update Crc32.init (Bytes.unsafe_to_string b.data) ~pos ~len)
-
-let contents b = Bytes.sub_string b.data 0 b.len
+module Codec = Stt_store.Codec
 
 (* ------------------------------------------------------------------ *)
 (* resumable nonblocking writes                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Pending bytes of a connection live in [data.(0 .. len)] with [pos]
-   bytes already on the wire; [flush] writes the rest without blocking
-   and compacts once drained, so a slow reader costs memory, not a
-   stalled worker. *)
+(* Pending bytes of a connection live in [0, length); [flush] writes
+   them without blocking and drops what reached the wire, so a slow
+   reader costs memory, not a stalled worker. *)
 
 type flush = Flushed | Again | Gone
 
-let consume_front b n =
-  if n < 0 || n > b.len then invalid_arg "Netbuf.consume_front";
-  if n > 0 then begin
-    Bytes.blit b.data n b.data 0 (b.len - n);
-    b.len <- b.len - n
-  end
-
-let append b src ~pos ~len =
-  ensure b len;
-  Bytes.blit src pos b.data b.len len;
-  b.len <- b.len + len
-
 let rec flush fd b =
-  if b.len = 0 then Flushed
+  if Codec.length b = 0 then Flushed
   else
-    match Unix.write fd b.data 0 b.len with
+    match Unix.write fd (Codec.data b) 0 (Codec.length b) with
     | 0 -> Gone
     | n ->
-        consume_front b n;
-        if b.len = 0 then Flushed else flush fd b
+        Codec.drop_front b n;
+        if Codec.length b = 0 then Flushed else flush fd b
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Again
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush fd b
@@ -140,9 +34,9 @@ let rec flush fd b =
 (* write [src.(pos .. pos+len)] directly; whatever does not fit in the
    socket buffer is stashed into [pending] for the IO loop to resume *)
 let write_or_stash fd ~pending src ~pos ~len =
-  if pending.len > 0 then begin
+  if Codec.length pending > 0 then begin
     (* keep responses ordered: once anything is queued, append *)
-    append pending src ~pos ~len;
+    Codec.write_bytes pending src ~pos ~len;
     Again
   end
   else
@@ -157,7 +51,7 @@ let write_or_stash fd ~pending src ~pos ~len =
             left := !left - n;
             go ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            append pending src ~pos:!off ~len:!left;
+            Codec.write_bytes pending src ~pos:!off ~len:!left;
             Again
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
         | exception Unix.Unix_error (_, _, _) -> Gone
@@ -168,31 +62,18 @@ let write_or_stash fd ~pending src ~pos ~len =
 (* buffer pool                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let make_buf = create
-
 module Pool = struct
-  type buf = t
+  let max_free = 64
 
   type t = {
     m : Mutex.t;
-    mutable free : buf list;
+    mutable free : Codec.encoder list;
     mutable free_n : int;
-    max_free : int;
     capacity : int;
-    mutable hits : int;
-    mutable misses : int;
   }
 
-  let create ?(max_free = 64) ~capacity () =
-    {
-      m = Mutex.create ();
-      free = [];
-      free_n = 0;
-      max_free;
-      capacity;
-      hits = 0;
-      misses = 0;
-    }
+  let create ~capacity =
+    { m = Mutex.create (); free = []; free_n = 0; capacity }
 
   let acquire p =
     Mutex.protect p.m (fun () ->
@@ -200,19 +81,14 @@ module Pool = struct
         | b :: rest ->
             p.free <- rest;
             p.free_n <- p.free_n - 1;
-            p.hits <- p.hits + 1;
             b
-        | [] ->
-            p.misses <- p.misses + 1;
-            make_buf p.capacity)
+        | [] -> Codec.encoder ~capacity:p.capacity ())
 
   let release p b =
-    clear b;
+    Codec.clear b;
     Mutex.protect p.m (fun () ->
-        if p.free_n < p.max_free then begin
+        if p.free_n < max_free then begin
           p.free <- b :: p.free;
           p.free_n <- p.free_n + 1
         end)
-
-  let stats p = Mutex.protect p.m (fun () -> (p.hits, p.misses))
 end

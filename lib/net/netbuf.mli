@@ -1,72 +1,29 @@
-(** Growable byte buffers with exposed backing bytes, the substrate of
-    the zero-copy frame path.
+(** A connection's pending-write queue and the buffer pool of the
+    zero-copy frame path.
 
-    [Buffer.t] cannot hand out its backing array, so encoding a frame
-    through it costs a contents copy plus the sealing and
-    length-prefixing concatenations.  A [Netbuf.t] is the same growable
-    sink, but the complete wire image (length prefix + body + CRC) is
-    built in place and written to the socket straight out of
-    {!data} — a worker with a reusable scratch [Netbuf] allocates
-    nothing per response in steady state.
-
-    The write primitives produce byte-identical layouts to their
-    {!Stt_store.Codec} counterparts ([add_uint] = LEB128, [add_int] =
-    zigzag, [add_rows] = column-major deltas), checked by round-trip
-    tests against the Codec decoders. *)
-
-type t
-
-val create : int -> t
-(** A fresh buffer with at least the given capacity. *)
-
-val length : t -> int
-val clear : t -> unit
-
-val data : t -> Bytes.t
-(** The backing bytes; valid in [[0, length)].  Invalidated by any
-    subsequent [add_*] (the buffer may grow and reallocate). *)
-
-val contents : t -> string
-(** Copy out [[0, length)] — test/debug convenience, not the hot path. *)
-
-(** {1 Codec-compatible writers} *)
-
-val add_u8 : t -> int -> unit
-val add_u32 : t -> int -> unit
-val set_u32 : t -> pos:int -> int -> unit
-(** Patch a u32 written earlier — the frame length prefix is reserved
-    before the body is encoded and patched afterwards. *)
-
-val add_uint : t -> int -> unit
-val add_int : t -> int -> unit
-val add_bool : t -> bool -> unit
-val add_string : t -> string -> unit
-val add_list : t -> ('a -> unit) -> 'a list -> unit
-val add_rows : t -> arity:int -> int array list -> unit
-
-val crc32 : t -> pos:int -> len:int -> int
-(** CRC-32 of the byte range, without copying it out. *)
-
-(** {1 Resumable nonblocking writes} *)
+    Frames are encoded in place — length prefix, body, CRC — into a
+    {!Stt_store.Codec.encoder}, and the socket write reads straight out
+    of its backing bytes; a worker with a reusable scratch encoder
+    allocates nothing per response in steady state.  This module holds
+    the socket side of that path: resumable nonblocking writes whose
+    leftover bytes queue on a per-connection encoder, and a pool of
+    such encoders. *)
 
 type flush =
   | Flushed  (** everything is on the wire *)
   | Again  (** the socket buffer filled; bytes remain queued *)
   | Gone  (** the peer is unreachable; drop the connection *)
 
-val consume_front : t -> int -> unit
-(** Drop the first [n] bytes (they reached the wire), compacting the
-    rest to the front. *)
-
-val append : t -> Bytes.t -> pos:int -> len:int -> unit
-(** Queue a byte range at the end (copies — the source is a reused
-    scratch buffer). *)
-
-val flush : Unix.file_descr -> t -> flush
+val flush : Unix.file_descr -> Stt_store.Codec.encoder -> flush
 (** Write as much queued data as the nonblocking socket accepts. *)
 
 val write_or_stash :
-  Unix.file_descr -> pending:t -> Bytes.t -> pos:int -> len:int -> flush
+  Unix.file_descr ->
+  pending:Stt_store.Codec.encoder ->
+  Bytes.t ->
+  pos:int ->
+  len:int ->
+  flush
 (** Write the range directly when nothing is queued on [pending]
     (common case: zero copies); stash whatever does not fit — or the
     whole range, if [pending] is non-empty, preserving response
@@ -75,17 +32,12 @@ val write_or_stash :
 (** {1 Buffer pool} *)
 
 module Pool : sig
-  type buf = t
   type t
 
-  val create : ?max_free:int -> capacity:int -> unit -> t
-  (** A thread-safe free list of buffers of the given initial
-      [capacity]; at most [max_free] (default 64) are retained. *)
+  val create : capacity:int -> t
+  (** A thread-safe free list of encoders of the given initial
+      [capacity]; at most 64 are retained. *)
 
-  val acquire : t -> buf
-  val release : t -> buf -> unit
-
-  val stats : t -> int * int
-  (** [(hits, misses)] — acquisitions served from the free list vs
-      fresh allocations. *)
+  val acquire : t -> Stt_store.Codec.encoder
+  val release : t -> Stt_store.Codec.encoder -> unit
 end

@@ -103,11 +103,11 @@ let span ?(attrs = []) name f =
   else begin
     let ctx = current () in
     let s = { sname = name; attrs; children = []; elapsed_s = 0.0 } in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now_ns () in
     ctx.stack <- s :: ctx.stack;
     Fun.protect
       ~finally:(fun () ->
-        s.elapsed_s <- Unix.gettimeofday () -. t0;
+        s.elapsed_s <- float_of_int (Mono.now_ns () - t0) *. 1e-9;
         (* pop [s]; tolerate unbalanced pops from nested with_context *)
         ctx.stack <-
           (match ctx.stack with

@@ -166,14 +166,14 @@ let debug = match Sys.getenv_opt "STT_LP_DEBUG" with Some _ -> true | None -> fa
    in both cases the result is a certified (and in practice tight)
    bound. *)
 let solve_cuts model hs objective =
-  let start = Unix.gettimeofday () in
+  let start = Stt_obs.Mono.now_s () in
   let time_budget = 30.0 in
   (* Phase 1 — float presolve: discover the cut set cheaply, then keep
      only the cuts binding at the (approximate) optimum *)
   let lazy_mode = List.exists (fun h -> h.lazy_cuts) hs in
   if lazy_mode then begin
     let rec float_loop i =
-      if i > 200 || Unix.gettimeofday () -. start > time_budget then ()
+      if i > 200 || Stt_obs.Mono.now_s () -. start > time_budget then ()
       else
         match Lp.maximize_float model objective with
         | None -> ()
@@ -200,7 +200,7 @@ let solve_cuts model hs objective =
   end;
   (* Phase 2 — exact loop over the working set *)
   let rec loop i prev_value prev_outcome =
-    let t0 = if debug then Unix.gettimeofday () else 0.0 in
+    let t0 = if debug then Stt_obs.Mono.now_s () else 0.0 in
     match
       (* on rational overflow deep in a pivot, fall back to the previous
          round's outcome — a valid (if looser) certificate *)
@@ -218,7 +218,7 @@ let solve_cuts model hs objective =
           | Some (v1, _) -> Rat.equal v1 sol.Lp.value
           | None -> false
         in
-        if stabilized || Unix.gettimeofday () -. start > time_budget then out
+        if stabilized || Stt_obs.Mono.now_s () -. start > time_budget then out
         else begin
           let added =
             List.fold_left
@@ -228,7 +228,7 @@ let solve_cuts model hs objective =
           if debug then
             Printf.eprintf
               "  [cuts] iter %d: %.2fs rows=%d added=%d value=%s\n%!" i
-              (Unix.gettimeofday () -. t0)
+              (Stt_obs.Mono.now_s () -. t0)
               (Lp.num_constraints model) added
               (Rat.to_string sol.Lp.value);
           if added = 0 then out

@@ -50,12 +50,12 @@ let scrape_port s =
 let read_port fd ~timeout_s =
   let buf = Buffer.create 256 in
   let scratch = Bytes.create 1024 in
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Stt_obs.Mono.now_s () +. timeout_s in
   let rec go () =
     match scrape_port (Buffer.contents buf) with
     | Some port -> Ok port
     | None -> (
-        let left = deadline -. Unix.gettimeofday () in
+        let left = deadline -. Stt_obs.Mono.now_s () in
         if left <= 0.0 then
           Error
             (Printf.sprintf "timed out waiting for replica to bind; output: %S"

@@ -18,6 +18,7 @@ module Client = Stt_net.Client
 module Loadgen = Stt_net.Loadgen
 module Netbuf = Stt_net.Netbuf
 module Evloop = Stt_net.Evloop
+module Codec = Stt_store.Codec
 
 (* ------------------------------------------------------------------ *)
 (* frame codec: round trips                                             *)
@@ -284,29 +285,184 @@ let hello_checks () =
   | Error (Frame.Truncated _) -> ()
   | _ -> Alcotest.fail "short hello not detected"
 
+(* [body ^ crc32(body)], the blob layout, for hand-made bodies *)
+let seal body =
+  let crc = Stt_store.Crc32.string body in
+  body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF))
+
+(* Answer requests (tag, id 1, no deadline, arity, row count) whose
+   counts claim far more rows than their bytes can carry *)
+let crafted_frames =
+  [
+    (* 17 bytes: a 9-byte varint with the sign bit set decodes to -1 *)
+    ( "negative row count",
+      seal "\x01\x01\x00\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f" );
+    ( "negative arity",
+      seal "\x01\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01" );
+    (* 12 bytes: 2^22 empty tuples cost no payload at all *)
+    ("2^22 rows of arity 0", seal "\x01\x01\x00\x00\x80\x80\x80\x02");
+    (* 64 KiB: 2^16 rows of arity 64 need 4 MiB of values *)
+    ( "2^16 rows of arity 64",
+      seal ("\x01\x01\x00\x40\x80\x80\x04" ^ String.make (65536 - 11) '\x00') );
+  ]
+
+(* one connection that ships a raw blob as a frame and reads the reply;
+   the receive timeout turns a dead IO loop into a failure, not a hang *)
+let raw_rpc ~port blob =
+  let ( let* ) = Result.bind in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let* () = Frame.write_hello fd in
+  let* () = Frame.read_hello fd in
+  let* () = Frame.write_frame fd blob in
+  let* reply = Frame.read_frame fd in
+  Frame.decode_response reply
+
+(* counts are bounded where they are read: each crafted frame is
+   [Malformed] without allocating for its rows, and a server that
+   receives one rejects it and keeps serving fresh connections *)
+let crafted_counts () =
+  List.iter
+    (fun (what, blob) ->
+      let a0 = Gc.allocated_bytes () in
+      let decoded = Frame.decode_request blob in
+      let allocated = Gc.allocated_bytes () -. a0 in
+      (match decoded with
+      | Error (Frame.Malformed _) -> ()
+      | Error e -> Alcotest.failf "%s: %s" what (Frame.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: decode unexpectedly succeeded" what);
+      if allocated >= 1e6 then
+        Alcotest.failf "%s: decoding allocated %.0f bytes" what allocated)
+    crafted_frames;
+  let echo ~arity:_ tuples =
+    List.map (fun t -> ([ t ], Array.length t, Cost.zero)) tuples
+  in
+  let server = Server.start ~port:0 ~workers:1 ~queue_capacity:4 echo in
+  Fun.protect ~finally:(fun () ->
+      Server.stop server;
+      ignore (Server.wait server))
+  @@ fun () ->
+  let port = Server.port server in
+  (match raw_rpc ~port (snd (List.hd crafted_frames)) with
+  | Ok (Frame.Rejected { reject = Frame.Bad_request _; _ }) -> ()
+  | Ok _ -> Alcotest.fail "crafted frame: expected Rejected"
+  | Error e -> Alcotest.failf "crafted frame: %s" (Frame.error_to_string e));
+  match raw_rpc ~port (Frame.encode_request (Frame.Health { id = 9 })) with
+  | Ok (Frame.Health_reply { id = 9; health }) ->
+      Alcotest.(check bool) "still ready" true health.Frame.ready
+  | Ok _ -> Alcotest.fail "fresh connection: expected Health_reply"
+  | Error e -> Alcotest.failf "fresh connection: %s" (Frame.error_to_string e)
+
+(* three frames pinned to their protocol-v7 bytes, through the string
+   encoders and the in-place ones: a codec change that moves a byte
+   fails here before any peer misparses it *)
+let golden_frames () =
+  let leaf =
+    {
+      Frame.ready = true;
+      space = 1234;
+      agg_space = 56;
+      workers = 2;
+      queue_capacity = 128;
+      queue_depth = 3;
+      uptime_ns = 987_654_321;
+      cache =
+        {
+          Frame.cache_budget = 5000;
+          cache_used = 42;
+          cache_entries = 7;
+          cache_hits = 100;
+          cache_misses = 9;
+        };
+      io_backend = "epoll";
+      shards = [];
+    }
+  in
+  let check what expected blob encode_into =
+    Alcotest.(check string) (what ^ ": blob") expected blob;
+    let e = Codec.encoder ~capacity:1 () in
+    encode_into e;
+    let prefix = Codec.encoder () in
+    Codec.write_u32 prefix (String.length expected);
+    Alcotest.(check string)
+      (what ^ ": wire image")
+      (Codec.contents prefix ^ expected)
+      (Codec.contents e)
+  in
+  let req =
+    Frame.Answer
+      {
+        id = 7;
+        deadline_us = 250_000;
+        arity = 2;
+        tuples = [ [| 1; 2 |]; [| 3; 4 |]; [| 3; 5 |] ];
+      }
+  in
+  check "Answer request"
+    "\x01\x07\x90\xa1\x0f\x02\x03\x02\x04\x00\x04\x04\x02\x3d\x3f\xa0\xa0"
+    (Frame.encode_request req)
+    (fun e -> Frame.encode_request_into e req);
+  let responses =
+    [
+      ( "Agg_reply max_int",
+        Frame.Agg_reply
+          {
+            id = 21;
+            value = max_int;
+            cost = { Cost.probes = 2; tuples = 2; scans = 0 };
+          },
+        "\x86\x15\x01\x02\x02\x00\x1d\x9f\x25\x58" );
+      ( "Health_reply with one shard",
+        Frame.Health_reply
+          {
+            id = 5;
+            health =
+              { leaf with Frame.space = 2468; shards = [ ("shard-0", leaf) ] };
+          },
+        (* tag, id, the fleet block, one named shard block, the CRC *)
+        "\x84\x05"
+        ^ "\x01\xa4\x13\x38\x02\x80\x01\x03\xb1\xd1\xf9\xd6\x03\x88\x27\x2a\x07\x64\x09\x05epoll"
+        ^ "\x01\x07shard-0"
+        ^ "\x01\xd2\x09\x38\x02\x80\x01\x03\xb1\xd1\xf9\xd6\x03\x88\x27\x2a\x07\x64\x09\x05epoll\x00"
+        ^ "\xc1\xae\x2b\x42" );
+    ]
+  in
+  List.iter
+    (fun (what, resp, expected) ->
+      check what expected (Frame.encode_response resp) (fun e ->
+          Frame.encode_response_into e resp))
+    responses
+
 (* ------------------------------------------------------------------ *)
-(* zero-copy path: Netbuf framing = Codec framing, in-place decoding    *)
+(* zero-copy path: in-place framing = string framing, in-place decoding *)
 (* ------------------------------------------------------------------ *)
 
-(* the Netbuf encoders and the Codec encoders are generated from the
-   same Body functor, so their wire images must be byte-identical:
-   [prefix ^ encode_request req] = what encode_request_into frames *)
-let netbuf_framing_equiv ~name gen encode encode_into =
+(* a frame encoded in place after bytes already in the encoder (a
+   worker's scratch buffer, a pending-write queue) must be the length
+   prefix followed by exactly the string encoder's blob, with the
+   earlier bytes untouched *)
+let framing_equiv ~name gen encode encode_into =
   QCheck.Test.make ~count:300 ~name (QCheck.make gen) (fun v ->
       let blob = encode v in
-      let b = Netbuf.create 8 in
-      encode_into b v;
-      let framed = Netbuf.contents b in
-      Frame.peek_len framed ~pos:0 = String.length blob
-      && String.length framed = 4 + String.length blob
-      && String.sub framed 4 (String.length blob) = blob)
+      let e = Codec.encoder ~capacity:8 () in
+      Codec.write_string e "earlier frame";
+      let earlier = Codec.contents e in
+      let start = String.length earlier in
+      encode_into e v;
+      let framed = Codec.contents e in
+      String.sub framed 0 start = earlier
+      && Frame.peek_len framed ~pos:start = String.length blob
+      && String.length framed = start + 4 + String.length blob
+      && String.sub framed (start + 4) (String.length blob) = blob)
 
-let netbuf_request_equiv =
-  netbuf_framing_equiv ~name:"Netbuf request framing = Codec framing"
+let request_framing_equiv =
+  framing_equiv ~name:"in-place request framing = string framing"
     gen_request Frame.encode_request Frame.encode_request_into
 
-let netbuf_response_equiv =
-  netbuf_framing_equiv ~name:"Netbuf response framing = Codec framing"
+let response_framing_equiv =
+  framing_equiv ~name:"in-place response framing = string framing"
     gen_response Frame.encode_response Frame.encode_response_into
 
 (* two frames encoded back to back into one buffer decode in place via
@@ -316,10 +472,10 @@ let decode_sub_roundtrip =
   QCheck.Test.make ~count:300 ~name:"in-place decode over a shared buffer"
     (QCheck.make QCheck.Gen.(pair gen_request gen_response))
     (fun (req, resp) ->
-      let b = Netbuf.create 8 in
-      Frame.encode_request_into b req;
-      Frame.encode_response_into b resp;
-      let s = Netbuf.contents b in
+      let e = Codec.encoder ~capacity:8 () in
+      Frame.encode_request_into e req;
+      Frame.encode_response_into e resp;
+      let s = Codec.contents e in
       let len1 = Frame.peek_len s ~pos:0 in
       let pos2 = 4 + len1 in
       let len2 = Frame.peek_len s ~pos:pos2 in
@@ -350,13 +506,13 @@ let eagain_resumption () =
   (try Unix.setsockopt_int a Unix.SO_SNDBUF 4096 with Unix.Unix_error _ -> ());
   let payload = String.init 4_000_000 (fun i -> Char.chr (i land 0xff)) in
   let src = Bytes.of_string payload in
-  let pending = Netbuf.create 64 in
+  let pending = Codec.encoder ~capacity:64 () in
   (match Netbuf.write_or_stash a ~pending src ~pos:0 ~len:(Bytes.length src) with
   | Netbuf.Again -> ()
   | Netbuf.Flushed -> Alcotest.fail "4 MB fit the socket buffer?"
   | Netbuf.Gone -> Alcotest.fail "peer gone");
   Alcotest.(check bool) "remainder queued on EAGAIN" true
-    (Netbuf.length pending > 0);
+    (Codec.length pending > 0);
   (* a second write while bytes are pending must queue *behind* them,
      never interleave *)
   let tail = Bytes.of_string "TAIL" in
@@ -376,7 +532,7 @@ let eagain_resumption () =
     | Netbuf.Gone -> Alcotest.fail "peer gone mid-flush"
   in
   pump 10_000;
-  Alcotest.(check int) "pending empty after Flushed" 0 (Netbuf.length pending);
+  Alcotest.(check int) "pending empty after Flushed" 0 (Codec.length pending);
   let total = String.length payload + 4 in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Buffer.length received < total && Unix.gettimeofday () < deadline do
@@ -1014,11 +1170,15 @@ let () =
             truncation_sweep;
           Alcotest.test_case "every bit flip is rejected" `Slow flip_sweep;
           Alcotest.test_case "hello validation" `Quick hello_checks;
+          Alcotest.test_case "crafted counts are rejected without allocating"
+            `Quick crafted_counts;
+          Alcotest.test_case "golden frames keep their v7 bytes" `Quick
+            golden_frames;
         ] );
       ( "netbuf",
         [
-          QCheck_alcotest.to_alcotest netbuf_request_equiv;
-          QCheck_alcotest.to_alcotest netbuf_response_equiv;
+          QCheck_alcotest.to_alcotest request_framing_equiv;
+          QCheck_alcotest.to_alcotest response_framing_equiv;
           QCheck_alcotest.to_alcotest decode_sub_roundtrip;
           Alcotest.test_case "EAGAIN stash, resume, ordered flush" `Quick
             eagain_resumption;

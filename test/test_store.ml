@@ -64,6 +64,42 @@ let decoder_rejects () =
   Alcotest.check_raises "trailing" (Codec.Corrupt "x: 1 trailing bytes")
     (fun () -> Codec.expect_end (Codec.decoder "!") "x")
 
+(* hostile counts are corruption, not allocation requests: a varint
+   past a non-negative int, a row count the remaining bytes cannot pay
+   for, or an arity-0 block past its fixed cap *)
+let counts_bounded () =
+  let corrupt what f =
+    match f () with
+    | exception Codec.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s: decoded" what
+  in
+  let sign_bit = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  corrupt "negative varint" (fun () -> Codec.read_uint (Codec.decoder sign_bit));
+  corrupt "negative row count" (fun () ->
+      Codec.read_rows (Codec.decoder sign_bit) ~arity:2);
+  let block n =
+    let e = Codec.encoder () in
+    Codec.write_uint e n;
+    Codec.write_string e (String.make 30 '\000');
+    Codec.decoder (Codec.contents e)
+  in
+  (* 31 bytes follow the count: 10 rows of arity 3 fit, 11 do not *)
+  Alcotest.(check int) "payload-backed count" 10
+    (List.length (Codec.read_rows (block 10) ~arity:3));
+  corrupt "count beyond payload" (fun () ->
+      Codec.read_rows (block 11) ~arity:3);
+  Alcotest.(check int) "arity-0 cap" 65_536
+    (List.length (Codec.read_rows (block 65_536) ~arity:0));
+  corrupt "arity-0 past cap" (fun () ->
+      Codec.read_rows (block 65_537) ~arity:0);
+  let e = Codec.encoder () in
+  List.iter (Codec.write_value e) [ max_int; min_int; -5; 0 ];
+  let d = Codec.decoder (Codec.contents e) in
+  List.iter
+    (fun v -> Alcotest.(check int) "value" v (Codec.read_value d))
+    [ max_int; min_int; -5; 0 ];
+  corrupt "value tag 3" (fun () -> Codec.read_value (Codec.decoder "\x03"))
+
 let crc_known_vector () =
   (* the standard CRC-32/ISO-HDLC check value *)
   Alcotest.(check int) "123456789" 0xCBF43926 (Crc32.string "123456789");
@@ -326,6 +362,8 @@ let () =
           Alcotest.test_case "int round trips" `Quick roundtrip_ints;
           Alcotest.test_case "row blocks round trip" `Quick roundtrip_rows;
           Alcotest.test_case "decoder rejects bad input" `Quick decoder_rejects;
+          Alcotest.test_case "counts are bounded where read" `Quick
+            counts_bounded;
           Alcotest.test_case "crc32 known vector" `Quick crc_known_vector;
         ] );
       ( "container",

@@ -59,31 +59,6 @@ module Bfs = struct
        done
      with Exit -> ());
     List.mem v !frontier
-
-  let query_at_most t ~k u v =
-    let rec loop i frontier seen =
-      if List.mem v frontier then true
-      else if i >= k then false
-      else begin
-        let next = Hashtbl.create 64 in
-        List.iter
-          (fun w ->
-            Cost.charge_scan ();
-            List.iter
-              (fun x ->
-                Cost.charge_scan ();
-                if not (Hashtbl.mem seen x) then begin
-                  Hashtbl.replace seen x ();
-                  Hashtbl.replace next x ()
-                end)
-              (successors t w))
-          frontier;
-        loop (i + 1) (Hashtbl.fold (fun x () acc -> x :: acc) next []) seen
-      end
-    in
-    let seen = Hashtbl.create 64 in
-    Hashtbl.replace seen u ();
-    loop 0 [ u ] seen
 end
 
 module Baseline = struct

@@ -20,8 +20,6 @@ module Bfs : sig
   val build : edges -> t
   val query : t -> k:int -> int -> int -> bool
   (** Path of length exactly [k]?  Cost-counted. *)
-
-  val query_at_most : t -> k:int -> int -> int -> bool
 end
 
 module Baseline : sig

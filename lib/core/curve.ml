@@ -121,9 +121,6 @@ let rule_logt r ~dc ~ac ~logq logs =
   | Some t -> clamp t
   | None -> Rat.zero
 
-let rule_curve r ~dc ~ac ~logq ~lo ~hi =
-  curve_of_fn (rule_logt r ~dc ~ac ~logq) ~lo ~hi
-
 let combined rules ~dc ~ac ~logq ~lo ~hi =
   let f logs =
     List.fold_left

@@ -20,18 +20,6 @@ type segment = {
 val slope : segment -> Rat.t option
 (** d(log T)/d(log S); [None] for a degenerate (single-point) segment. *)
 
-val rule_curve :
-  Rule.t ->
-  dc:Degree.t list ->
-  ac:Degree.t list ->
-  logq:Rat.t ->
-  lo:Rat.t ->
-  hi:Rat.t ->
-  segment list
-(** Exact segments of one rule's [OBJ(S)] over [log_D S ∈ [lo, hi]]
-    (values clamped below at 0; [Stored] maps to 0, [Impossible] is
-    treated as 0 — it cannot arise for rules with T-targets). *)
-
 val combined :
   Rule.t list ->
   dc:Degree.t list ->

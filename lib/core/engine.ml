@@ -6,7 +6,6 @@ open Stt_lp
 open Stt_obs
 module Cache = Stt_cache.Cache
 module Ckey = Stt_cache.Key
-module Frep = Stt_factorized.Frep
 module Semiring = Stt_semiring.Semiring
 module Agg_eval = Stt_semiring.Eval
 
@@ -787,48 +786,19 @@ let delete t rel tuple =
 module Store = Stt_store.Store
 module C = Stt_store.Codec
 
-let format_version = 1
+let format_version = 2
 
-(* Semantic violations raise [Codec.Corrupt] so the store layer surfaces
-   them as [Malformed] — a snapshot whose every CRC checks out can still
-   describe an impossible structure, and loading must reject it rather
-   than crash later during [answer]. *)
-let corrupt fmt = Printf.ksprintf (fun s -> raise (C.Corrupt s)) fmt
+(* A snapshot holds rows and build decisions only: each structure writes
+   its own bytes ([Relation], [Index], [Twopp], [Online_yannakakis]) and
+   the sections below are the engine's own.  A decoder that meets an
+   impossible structure raises [Codec.Corrupt], which the store layer
+   surfaces as [Malformed] — a CRC-valid file is rejected at load time
+   rather than failing later in [answer]. *)
 
-let guard ctx f =
-  try f () with
-  | Invalid_argument msg | Failure msg -> corrupt "%s: %s" ctx msg
-  | Not_found -> corrupt "%s: missing binding" ctx
-
-let write_vs e vs = C.write_uint e (Varset.to_int vs)
-let read_vs d = Varset.of_int_unsafe (C.read_uint d)
-
-let read_vs_in full ctx d =
-  let vs = read_vs d in
-  if not (Varset.subset vs full) then corrupt "%s: variables out of range" ctx;
-  vs
-
-(* relations: schema variables, then the tuple block sorted so the
-   column-major delta codec sees slowly-changing columns *)
-let write_relation e rel =
-  let schema = Relation.schema rel in
-  C.write_list e (C.write_uint e) (Schema.vars schema);
-  C.write_rows e
-    ~arity:(Schema.arity schema)
-    (List.sort Tuple.compare (Relation.to_list rel))
-
-let read_relation d =
-  let vars = C.read_list d (fun () -> C.read_uint d) in
-  let schema = guard "relation schema" (fun () -> Schema.of_list vars) in
-  let rows = C.read_rows d ~arity:(Schema.arity schema) in
-  let rel = Relation.create schema in
-  List.iter (fun r -> guard "relation row" (fun () -> Relation.add rel r)) rows;
-  rel
-
-(* annotated relations: the plain tuple block, then one presence flag
-   (and value) per row in the same sorted order write_relation used *)
+(* annotated relations: the plain relation, then one presence flag (and
+   value) per row in the sorted order [Relation.write] used *)
 let write_annotated e rel =
-  write_relation e rel;
+  Relation.write e rel;
   List.iter
     (fun tup ->
       match Relation.annotation_opt rel tup with
@@ -839,59 +809,18 @@ let write_annotated e rel =
     (List.sort Tuple.compare (Relation.to_list rel))
 
 let read_annotated d =
-  let rel = read_relation d in
+  let rel = Relation.read d in
   List.iter
     (fun tup -> if C.read_bool d then Relation.annotate rel tup (C.read_value d))
     (List.sort Tuple.compare (Relation.to_list rel));
   rel
 
-(* indexes: the row-major data array (in index order — bucket offsets
-   point into it) plus one (key, offset, length) triple per bucket,
-   sorted by key for determinism *)
-let write_index e idx =
-  let schema = Index.source_schema idx in
-  let arity = Schema.arity schema in
-  let key_vars = Index.key_vars idx in
-  C.write_list e (C.write_uint e) key_vars;
-  C.write_list e (C.write_uint e) (Schema.vars schema);
-  let data = Index.raw_data idx in
-  let n_rows = if arity > 0 then Array.length data / arity else Index.space idx in
-  C.write_rows e ~arity (List.init n_rows (fun i -> Array.sub data (i * arity) arity));
-  let buckets =
-    List.sort (fun (a, _, _) (b, _, _) -> Tuple.compare a b) (Index.buckets idx)
-  in
-  C.write_rows e ~arity:(List.length key_vars)
-    (List.map (fun (k, _, _) -> k) buckets);
-  List.iter
-    (fun (_, start, len) ->
-      C.write_uint e start;
-      C.write_uint e len)
-    buckets
-
-let read_index d =
-  let key_vars = C.read_list d (fun () -> C.read_uint d) in
-  let vars = C.read_list d (fun () -> C.read_uint d) in
-  let schema = guard "index schema" (fun () -> Schema.of_list vars) in
-  let data = Array.concat (C.read_rows d ~arity:(Schema.arity schema)) in
-  let keys = C.read_rows d ~arity:(List.length key_vars) in
-  let buckets =
-    List.rev
-      (List.fold_left
-         (fun acc key ->
-           let start = C.read_uint d in
-           let len = C.read_uint d in
-           (key, start, len) :: acc)
-         [] keys)
-  in
-  guard "index" (fun () ->
-      Index.of_buckets ~key_vars ~source_schema:schema ~data ~buckets)
-
 let write_cqap e (q : Cq.cqap) =
   let cq = q.Cq.cq in
   C.write_uint e cq.Cq.n;
   C.write_list e (C.write_string e) (Array.to_list cq.Cq.var_names);
-  write_vs e cq.Cq.head;
-  write_vs e q.Cq.access;
+  Varset.write e cq.Cq.head;
+  Varset.write e q.Cq.access;
   C.write_list e
     (fun (a : Cq.atom) ->
       C.write_string e a.Cq.rel;
@@ -900,22 +829,22 @@ let write_cqap e (q : Cq.cqap) =
 
 let read_cqap d =
   let n = C.read_uint d in
-  if n > 62 then corrupt "cqap: %d variables (max 62)" n;
+  if n > 62 then C.corrupt "cqap: %d variables (max 62)" n;
   let var_names = Array.of_list (C.read_list d (fun () -> C.read_string d)) in
-  if Array.length var_names <> n then corrupt "cqap: var_names length";
+  if Array.length var_names <> n then C.corrupt "cqap: var_names length";
   let full = Varset.full n in
-  let head = read_vs_in full "cqap head" d in
-  let access = read_vs_in full "cqap access" d in
+  let head = Varset.read ~within:full d in
+  let access = Varset.read ~within:full d in
   let atoms =
     C.read_list d (fun () ->
         let rel = C.read_string d in
         let vars = C.read_list d (fun () -> C.read_uint d) in
         { Cq.rel; vars })
   in
-  let cq = guard "cqap" (fun () -> Cq.create ~var_names ~head atoms) in
+  let cq = C.guard "cqap" (fun () -> Cq.create ~var_names ~head atoms) in
   (* [head] was normalized to contain [access] when the index was built,
      so [with_access] reconstructs the head verbatim *)
-  guard "cqap access" (fun () -> Cq.with_access cq access)
+  C.guard "cqap access" (fun () -> Cq.with_access cq access)
 
 let write_pmtd e (p : Pmtd.t) =
   let tree = p.Pmtd.td.Td.tree in
@@ -924,12 +853,12 @@ let write_pmtd e (p : Pmtd.t) =
   for i = 0 to size - 1 do
     C.write_int e (match Rtree.parent tree i with None -> -1 | Some q -> q)
   done;
-  Array.iter (write_vs e) p.Pmtd.td.Td.bags;
+  Array.iter (Varset.write e) p.Pmtd.td.Td.bags;
   Array.iter (C.write_bool e) p.Pmtd.materialized
 
 let read_pmtd cqap d =
   let size = C.read_uint d in
-  if size = 0 then corrupt "pmtd: empty tree";
+  if size = 0 then C.corrupt "pmtd: empty tree";
   let parent = Array.make size 0 in
   for i = 0 to size - 1 do
     parent.(i) <- C.read_int d
@@ -937,105 +866,27 @@ let read_pmtd cqap d =
   let full = Varset.full cqap.Cq.cq.Cq.n in
   let bags = Array.make size Varset.empty in
   for i = 0 to size - 1 do
-    bags.(i) <- read_vs_in full "pmtd bag" d
+    bags.(i) <- Varset.read ~within:full d
   done;
   let materialized = Array.make size false in
   for i = 0 to size - 1 do
     materialized.(i) <- C.read_bool d
   done;
-  let tree = guard "pmtd tree" (fun () -> Rtree.create ~parent) in
-  let td = guard "pmtd td" (fun () -> Td.create tree bags) in
+  let tree = C.guard "pmtd tree" (fun () -> Rtree.create ~parent) in
+  let td = C.guard "pmtd td" (fun () -> Td.create tree bags) in
   match Pmtd.create cqap td ~materialized with
   | Ok p -> p
-  | Error msg -> corrupt "pmtd: %s" msg
+  | Error msg -> C.corrupt "pmtd: %s" msg
 
 let write_rule e (r : Rule.t) =
-  C.write_list e (write_vs e) r.Rule.s_targets;
-  C.write_list e (write_vs e) r.Rule.t_targets
+  C.write_list e (Varset.write e) r.Rule.s_targets;
+  C.write_list e (Varset.write e) r.Rule.t_targets
 
 let read_rule cqap d =
   let full = Varset.full cqap.Cq.cq.Cq.n in
-  let s_targets = C.read_list d (fun () -> read_vs_in full "rule s-target" d) in
-  let t_targets = C.read_list d (fun () -> read_vs_in full "rule t-target" d) in
-  guard "rule" (fun () -> Rule.make cqap ~s_targets ~t_targets)
-
-let write_step e (s : Twopp.step) =
-  write_index e s.Twopp.idx;
-  C.write_list e (C.write_uint e) s.Twopp.keep
-
-let read_step d =
-  let idx = read_index d in
-  let keep = C.read_list d (fun () -> C.read_uint d) in
-  { Twopp.idx; keep }
-
-let write_structure e st =
-  C.write_uint e (Twopp.stored_subproblems st);
-  C.write_list e
-    (fun (vs, rel) ->
-      write_vs e vs;
-      write_relation e rel)
-    (List.sort (fun (a, _) (b, _) -> Varset.compare a b) (Twopp.s_targets st));
-  C.write_list e
-    (fun (sub : Twopp.subproblem) ->
-      write_vs e sub.Twopp.t_target;
-      C.write_uint e sub.Twopp.cap;
-      C.write_list e (write_step e) sub.Twopp.probe_plan;
-      C.write_list e (write_step e) sub.Twopp.safe_plan)
-    (Twopp.delegated st)
-
-let read_structure cqap rule d =
-  let full = Varset.full cqap.Cq.cq.Cq.n in
-  let stored_subs = C.read_uint d in
-  let stored =
-    C.read_list d (fun () ->
-        let vs = read_vs_in full "stored s-target" d in
-        let rel = read_relation d in
-        if not (Schema.equal (Relation.schema rel) (schema_of_set vs)) then
-          corrupt "stored s-target: relation schema differs from target";
-        (vs, rel))
-  in
-  let delegated =
-    C.read_list d (fun () ->
-        let t_target = read_vs_in full "delegated t-target" d in
-        let cap = C.read_uint d in
-        let probe_plan = C.read_list d (fun () -> read_step d) in
-        let safe_plan = C.read_list d (fun () -> read_step d) in
-        { Twopp.t_target; probe_plan; safe_plan; cap })
-  in
-  Twopp.import rule ~stored ~delegated ~stored_subs
-
-let write_preprocessed e oy =
-  C.write_list e
-    (fun (node, rel, idx) ->
-      C.write_uint e node;
-      write_relation e rel;
-      write_index e idx)
-    (Online_yannakakis.export oy)
-
-let read_preprocessed (p : Pmtd.t) d =
-  let size = Td.size p.Pmtd.td in
-  let seen = Array.make size false in
-  let entries =
-    C.read_list d (fun () ->
-        let node = C.read_uint d in
-        if node >= size then corrupt "s-view node %d out of range" node;
-        if not p.Pmtd.materialized.(node) then
-          corrupt "s-view at non-materialized node %d" node;
-        if seen.(node) then corrupt "duplicate s-view for node %d" node;
-        seen.(node) <- true;
-        let rel = read_relation d in
-        if
-          not
-            (Schema.equal (Relation.schema rel)
-               (schema_of_set (Pmtd.view p node).Pmtd.vars))
-        then corrupt "s-view %d: relation schema differs from the view" node;
-        let idx = read_index d in
-        (node, rel, idx))
-  in
-  Array.iteri
-    (fun i m -> if m && not seen.(i) then corrupt "missing s-view for node %d" i)
-    p.Pmtd.materialized;
-  Online_yannakakis.import p entries
+  let s_targets = C.read_list d (fun () -> Varset.read ~within:full d) in
+  let t_targets = C.read_list d (fun () -> Varset.read ~within:full d) in
+  C.guard "rule" (fun () -> Rule.make cqap ~s_targets ~t_targets)
 
 let save t path =
   Obs.span "engine.save" ~attrs:[ ("path", Json.String path) ] @@ fun () ->
@@ -1045,11 +896,12 @@ let save t path =
       ("cqap", fun e -> write_cqap e t.cqap);
       ("pmtds", fun e -> C.write_list e (write_pmtd e) t.pmtds);
       ("rules", fun e -> C.write_list e (write_rule e) t.rules);
-      ("twopp", fun e -> C.write_list e (write_structure e) t.structures);
+      ("twopp", fun e -> C.write_list e (Twopp.write e) t.structures);
       ( "yannakakis",
         fun e ->
-          C.write_list e (fun (_, oy) -> write_preprocessed e oy) t.preprocessed
-      );
+          C.write_list e
+            (fun (_, oy) -> Online_yannakakis.write e oy)
+            t.preprocessed );
       ( "summary",
         fun e ->
           C.write_uint e t.space;
@@ -1058,15 +910,13 @@ let save t path =
     ]
   in
   (* optional section: the delta epoch.  Written only after the engine
-     has absorbed deltas, so snapshots of pristine builds are unchanged
-     byte for byte; a replica uses it to tell stale from fresh. *)
+     has absorbed deltas; a replica uses it to tell stale from fresh. *)
   let sections =
     if t.epoch = 0 then sections
     else sections @ [ ("epoch", fun e -> C.write_uint e t.epoch) ]
   in
-  (* optional trailing section: a warm answer cache.  Written only when
-     one is attached, so snapshots from cache-less engines are unchanged
-     byte for byte and readers predating the section still load them. *)
+  (* optional section: a warm answer cache, written only when one is
+     attached *)
   let sections =
     match t.cache with
     | None -> sections
@@ -1085,7 +935,7 @@ let save t path =
                        scalar (whose tropical sentinels write_rows could
                        not encode) *)
                     match Ckey.decode key with
-                    | 0, _, _ -> write_relation e rel
+                    | 0, _, _ -> Relation.write e rel
                     | _ ->
                         C.write_value e
                           (Relation.fold (fun tup _ -> tup.(0)) rel 0))
@@ -1126,33 +976,6 @@ let save t path =
                   st.agg_tables );
           ]
   in
-  (* optional section: the d-representations behind factorized S-views.
-     The yannakakis section stays flat (readers predating this section
-     load the same views uncompressed); this one restores the compressed
-     holders — and with them the compressed space accounting that the
-     summary section records. *)
-  let sections =
-    let any_fact =
-      List.exists
-        (fun (_, oy) -> Online_yannakakis.factorized_views oy <> [])
-        t.preprocessed
-    in
-    if not any_fact then sections
-    else
-      sections
-      @ [
-          ( "factorized",
-            fun e ->
-              C.write_list e
-                (fun (_, oy) ->
-                  C.write_list e
-                    (fun (node, f) ->
-                      C.write_uint e node;
-                      Frep.write e f)
-                    (Online_yannakakis.factorized_views oy))
-                t.preprocessed );
-        ]
-  in
   match Store.write ~version:format_version path sections with
   | Ok bytes as ok ->
       Obs.incr ~by:bytes "snapshot.write.bytes";
@@ -1168,7 +991,7 @@ let ( let* ) = Result.bind
 let map_in_order f xs d =
   let n = C.read_uint d in
   if n <> List.length xs then
-    corrupt "aligned section: %d entries for %d owners" n (List.length xs);
+    C.corrupt "aligned section: %d entries for %d owners" n (List.length xs);
   List.rev (List.fold_left (fun acc x -> f x d :: acc) [] xs)
 
 let load path =
@@ -1188,46 +1011,11 @@ let load path =
         C.read_list d (fun () -> read_rule cqap d))
   in
   let* structures =
-    Store.Reader.section r "twopp" (map_in_order (read_structure cqap) rules)
+    Store.Reader.section r "twopp" (map_in_order Twopp.read rules)
   in
   let* preprocessed =
     Store.Reader.section r "yannakakis"
-      (map_in_order (fun p d -> (p, read_preprocessed p d)) pmtds)
-  in
-  (* the factorized section is optional; when present it swaps flat
-     holders for the saved d-representations, and must be applied before
-     the summary check below — the saved space is the compressed
-     accounting.  Each d-rep is revalidated against the flat view it
-     replaces: same tuple set, same probe key. *)
-  let* () =
-    if not (List.mem "factorized" (Store.Reader.section_names r)) then Ok ()
-    else
-      Store.Reader.section r "factorized"
-        (map_in_order
-           (fun (_, oy) d ->
-             C.read_list d (fun () ->
-                 let node = C.read_uint d in
-                 let f = Frep.read d in
-                 let rel =
-                   match Online_yannakakis.view_relation oy node with
-                   | Some rel -> rel
-                   | None ->
-                       corrupt "factorized: node %d has no stored view" node
-                 in
-                 let mat = Frep.to_relation f in
-                 let proj =
-                   try
-                     Relation.project mat (Schema.vars (Relation.schema rel))
-                   with Not_found ->
-                     corrupt "factorized: node %d schema differs from view"
-                       node
-                 in
-                 if not (Relation.equal proj rel) then
-                   corrupt "factorized: node %d tuples differ from view" node;
-                 try Online_yannakakis.set_factorized oy node f
-                 with Invalid_argument msg -> corrupt "factorized: %s" msg))
-           preprocessed)
-      |> Result.map (fun (_ : unit list list) -> ())
+      (map_in_order (fun p d -> (p, Online_yannakakis.read p d)) pmtds)
   in
   let space =
     List.fold_left
@@ -1239,25 +1027,25 @@ let load path =
         let stored_space = C.read_uint d in
         let np = C.read_uint d in
         let nr = C.read_uint d in
-        if np <> List.length pmtds then corrupt "summary: pmtd count mismatch";
-        if nr <> List.length rules then corrupt "summary: rule count mismatch";
+        if np <> List.length pmtds then C.corrupt "summary: pmtd count mismatch";
+        if nr <> List.length rules then C.corrupt "summary: rule count mismatch";
         if stored_space <> space then
-          corrupt "summary: space %d but loaded S-views hold %d" stored_space
+          C.corrupt "summary: space %d but loaded S-views hold %d" stored_space
             space)
   in
-  (* the cache section is optional (older snapshots predate it); its
-     keys must be canonical encodings over the access schema and its
-     answers must live over the head schema, or a hit would silently
-     return a wrong or differently-shaped answer *)
+  (* the cache section is optional; its keys must be canonical
+     encodings over the access schema and its answers must live over the
+     head schema, or a hit would silently return a wrong or
+     differently-shaped answer *)
   let* cache =
     if not (List.mem "cache" (Store.Reader.section_names r)) then Ok None
     else
       Store.Reader.section r "cache" (fun d ->
           let budget = C.read_uint d in
           let stripes = C.read_uint d in
-          if budget <= 0 then corrupt "cache: non-positive budget";
+          if budget <= 0 then C.corrupt "cache: non-positive budget";
           if stripes <= 0 || stripes > 4096 then
-            corrupt "cache: %d stripes out of range" stripes;
+            C.corrupt "cache: %d stripes out of range" stripes;
           let access = schema_of_set cqap.Cq.access in
           let head_schema = schema_of_set cqap.Cq.cq.Cq.head in
           let cache = Cache.create ~stripes ~budget () in
@@ -1268,20 +1056,20 @@ let load path =
                    section, not a truncated file *)
                 let kind, arity, rows =
                   try Ckey.decode key
-                  with C.Short _ -> corrupt "cache key: truncated encoding"
+                  with C.Short _ -> C.corrupt "cache key: truncated encoding"
                 in
                 if kind <> 0 && Semiring.of_tag kind = None then
-                  corrupt "cache key: unknown answer kind %d" kind;
+                  C.corrupt "cache key: unknown answer kind %d" kind;
                 if arity <> Schema.arity access then
-                  corrupt "cache key: arity %d for a %d-ary access" arity
+                  C.corrupt "cache key: arity %d for a %d-ary access" arity
                     (Schema.arity access);
                 if not (String.equal (Ckey.encode ~kind ~arity rows) key) then
-                  corrupt "cache key: not in canonical form";
+                  C.corrupt "cache key: not in canonical form";
                 let rel =
                   if kind = 0 then begin
-                    let rel = read_relation d in
+                    let rel = Relation.read d in
                     if not (Schema.equal (Relation.schema rel) head_schema)
-                    then corrupt "cache entry: schema differs from the head";
+                    then C.corrupt "cache entry: schema differs from the head";
                     rel
                   end
                   else begin
@@ -1305,7 +1093,7 @@ let load path =
     else
       Store.Reader.section r "epoch" (fun d ->
           let epoch = C.read_uint d in
-          if epoch = 0 then corrupt "epoch: zero epoch should be omitted";
+          if epoch = 0 then C.corrupt "epoch: zero epoch should be omitted";
           epoch)
   in
   (* the agg section is optional; a replica that loads one serves
@@ -1322,17 +1110,17 @@ let load path =
                 (name, read_annotated d))
           in
           if List.length agg_factors <> List.length atoms then
-            corrupt "agg: %d factors for %d atoms"
+            C.corrupt "agg: %d factors for %d atoms"
               (List.length agg_factors) (List.length atoms);
           List.iter2
             (fun (a : Cq.atom) (name, rel) ->
               if not (String.equal name a.Cq.rel) then
-                corrupt "agg factor: %s where atom %s expected" name a.Cq.rel;
+                C.corrupt "agg factor: %s where atom %s expected" name a.Cq.rel;
               if
                 not
                   (Schema.equal (Relation.schema rel)
                      (Schema.of_list a.Cq.vars))
-              then corrupt "agg factor %s: schema differs from the atom" name)
+              then C.corrupt "agg factor %s: schema differs from the atom" name)
             atoms agg_factors;
           let access_arity = Varset.cardinal cqap.Cq.access in
           let seen = Hashtbl.create 8 in
@@ -1342,10 +1130,10 @@ let load path =
                 let k =
                   match Semiring.of_tag tag with
                   | Some k -> k
-                  | None -> corrupt "agg table: unknown kind tag %d" tag
+                  | None -> C.corrupt "agg table: unknown kind tag %d" tag
                 in
                 if Hashtbl.mem seen tag then
-                  corrupt "agg table: duplicate kind %s" (Semiring.name k);
+                  C.corrupt "agg table: duplicate kind %s" (Semiring.name k);
                 Hashtbl.add seen tag ();
                 let complete = C.read_bool d in
                 let keys = C.read_rows d ~arity:access_arity in
@@ -1354,7 +1142,7 @@ let load path =
                   (fun key ->
                     let v = C.read_value d in
                     if Tuple.Tbl.mem entries key then
-                      corrupt "agg table: duplicate access key";
+                      C.corrupt "agg table: duplicate access key";
                     Tuple.Tbl.replace entries key v)
                   keys;
                 (k, { complete; entries }))

@@ -212,31 +212,38 @@ val total_space : t -> int
 (** {1 Snapshots}
 
     A built index is pure data, so the expensive preprocessing (LP
-    solves, heavy/light splits, plan search, S-view materialization and
-    indexing) can be paid for once: {!save} serializes the whole
-    structure to a versioned, checksummed snapshot file and {!load}
-    rebuilds an engine that is observationally identical to the one that
-    was saved — same {!space}, same {!answer}/{!answer_batch} results
-    and the same online operation counts — without touching the source
+    solves, heavy/light splits, plan search, S-view materialization)
+    can be paid for once: {!save} writes the build's rows and decisions
+    to a versioned, checksummed snapshot file and {!load} rebuilds an
+    engine that is observationally identical to the one that was saved
+    — same {!space}, same {!answer}/{!answer_batch} results and the
+    same online operation counts — without touching the source
     database. *)
 
 val format_version : int
-(** Wire-format version written by {!save}.  {!load} rejects any other
-    version with [Version_skew]. *)
+(** Wire-format version written by {!save}, currently 2.  {!load}
+    rejects any other version with [Version_skew]. *)
 
 val save : t -> string -> (int, Stt_store.Store.error) result
 (** [save t path] writes the snapshot and returns its size in bytes.
-    Records an [engine.save] span and bumps the
-    [snapshot.write.bytes] counter when observability is enabled.
-    An attached cache is persisted as an optional trailing "cache"
-    section (budget, striping and every warm entry in LRU order);
-    without one the snapshot is byte-identical to earlier formats.
-    An engine that has absorbed deltas also writes an optional "epoch"
-    section; pristine builds omit it, keeping their snapshots
-    byte-identical to earlier formats. *)
+    The sections, in order: "cqap" (query and access pattern), "pmtds"
+    (trees, bags, materialization flags), "rules" (S-/T-targets),
+    "twopp" (per rule: stored S-target relations and the delegated
+    subproblems' plans, each step an index written as sorted rows),
+    "yannakakis" (per PMTD: each materialized node's S-view relation
+    and which nodes are held as d-representations) and "summary"
+    (space and counts).  Optional sections follow: "epoch" once the
+    engine has absorbed deltas, "cache" when a cache is attached
+    (budget, striping and every warm entry in LRU order) and "agg" when
+    aggregates are enabled.  Serialization is canonical: saving a
+    loaded engine reproduces the file byte for byte.  Records an
+    [engine.save] span and bumps the [snapshot.write.bytes] counter
+    when observability is enabled. *)
 
 val load : string -> (t, Stt_store.Store.error) result
 (** [load path] validates the file strictly — magic, format version,
     section checksums, and the structural invariants of every decoded
-    component — and rebuilds the engine.  Any defect surfaces as a
-    typed error, never a crash or a silently wrong structure. *)
+    component — and rebuilds the engine: link indexes with
+    [Index.build] and d-representations with [Frep.of_relation], as the
+    build does.  Any defect surfaces as a typed error, never a crash or
+    a silently wrong structure. *)

@@ -26,16 +26,6 @@ let scaled t =
     q_exp = adjust t.q_exp;
   }
 
-let logt_at t ~logs ~logq =
-  if Rat.is_zero t.t_exp then None
-  else
-    let numer =
-      Rat.sub
-        (Rat.add t.d_exp (Rat.mul t.q_exp logq))
-        (Rat.mul t.s_exp logs)
-    in
-    Some (Rat.max Rat.zero (Rat.div numer t.t_exp))
-
 let equal a b =
   Rat.equal a.s_exp b.s_exp && Rat.equal a.t_exp b.t_exp
   && Rat.equal a.d_exp b.d_exp && Rat.equal a.q_exp b.q_exp
@@ -72,36 +62,7 @@ let pp ppf t =
   in
   Format.fprintf ppf "%a ≅ %a" pp_side lhs pp_side rhs
 
-type curve = (Rat.t * Rat.t) list
-
 let grid ~lo ~hi ~steps =
   List.init (steps + 1) (fun i ->
       let frac = Rat.make i steps in
       Rat.add lo (Rat.mul frac (Rat.sub hi lo)))
-
-let curve_of f xs = List.map (fun x -> (x, f x)) xs
-
-let combine op = function
-  | [] -> invalid_arg "Tradeoff.combine: no curves"
-  | first :: rest ->
-      List.fold_left
-        (fun acc curve ->
-          List.map2
-            (fun (x1, y1) (x2, y2) ->
-              if not (Rat.equal x1 x2) then
-                invalid_arg "Tradeoff.combine: mismatched abscissae";
-              (x1, op y1 y2))
-            acc curve)
-        first rest
-
-let pointwise_max curves = combine Rat.max curves
-let pointwise_min curves = combine Rat.min curves
-
-let dominates_curve a b =
-  List.for_all2 (fun (_, ya) (_, yb) -> Rat.compare ya yb <= 0) a b
-
-let pp_curve ppf curve =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-    (fun ppf (x, y) -> Format.fprintf ppf "(%a,%a)" Rat.pp x Rat.pp y)
-    ppf curve

@@ -18,25 +18,9 @@ val scaled : t -> t
     lcm of denominators, divide by the gcd), as printed in the paper's
     tables. *)
 
-val logt_at : t -> logs:Rat.t -> logq:Rat.t -> Rat.t option
-(** [log_|D| T] implied at a given space budget ([None] if [t_exp = 0]).
-    Clamped below at 0. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
-(** Curves: sampled [log_|D| T] as a function of [log_|D| S]. *)
-type curve = (Rat.t * Rat.t) list
-
 val grid : lo:Rat.t -> hi:Rat.t -> steps:int -> Rat.t list
-val curve_of : (Rat.t -> Rat.t) -> Rat.t list -> curve
-val pointwise_max : curve list -> curve
-(** All curves must share the same abscissae. *)
-
-val pointwise_min : curve list -> curve
-val dominates_curve : curve -> curve -> bool
-(** [dominates_curve a b]: [a] is everywhere [<=] [b] (a is at least as
-    good) on shared abscissae. *)
-
-val pp_curve : Format.formatter -> curve -> unit
+(** [steps + 1] evenly spaced points of [[lo, hi]]. *)

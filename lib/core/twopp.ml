@@ -77,7 +77,6 @@ type t = {
 let rule t = t.rule
 let s_targets t = t.stored
 let space t = t.space
-let delegated t = t.delegated
 let delegated_subproblems t = List.length t.delegated
 let stored_subproblems t = t.stored_subs
 let supports_maintenance t = t.maint <> None
@@ -100,12 +99,6 @@ let stored_mem t b row =
   match List.find_opt (fun (b', _) -> Varset.equal b b') t.stored with
   | Some (_, rel) -> Relation.mem rel row
   | None -> false
-
-let import rule ~stored ~delegated ~stored_subs =
-  let space =
-    List.fold_left (fun acc (_, rel) -> acc + Relation.cardinal rel) 0 stored
-  in
-  { rule; stored; space; delegated; stored_subs; maint = None }
 
 (* Quantized to 1/16 so the target-selection LPs keep small denominators
    (exact simplex on native-int rationals). *)
@@ -814,6 +807,62 @@ let online t ~q_a =
       Hashtbl.replace out sub.t_target merged)
     t.delegated;
   Hashtbl.fold (fun b rel acc -> (b, rel) :: acc) out []
+
+(* ------------------------------------------------------------------ *)
+(* snapshot codec                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module C = Stt_store.Codec
+
+let write e t =
+  C.write_uint e t.stored_subs;
+  C.write_list e
+    (fun (b, rel) ->
+      Varset.write e b;
+      Relation.write e rel)
+    (List.sort (fun (a, _) (b, _) -> Varset.compare a b) t.stored);
+  let write_step { idx; keep } =
+    Index.write e idx;
+    C.write_list e (C.write_uint e) keep
+  in
+  C.write_list e
+    (fun sub ->
+      Varset.write e sub.t_target;
+      C.write_uint e sub.cap;
+      C.write_list e write_step sub.probe_plan;
+      C.write_list e write_step sub.safe_plan)
+    t.delegated
+
+let read (rule : Rule.t) d =
+  let within = Varset.full rule.Rule.cqap.Cq.cq.Cq.n in
+  let stored_subs = C.read_uint d in
+  let stored =
+    C.read_list d (fun () ->
+        let b = Varset.read ~within d in
+        let rel = Relation.read d in
+        if
+          not
+            (Schema.equal (Relation.schema rel)
+               (Schema.of_list (Varset.to_list b)))
+        then C.corrupt "stored s-target: relation schema differs from target";
+        (b, rel))
+  in
+  let read_step () =
+    let idx = Index.read d in
+    { idx; keep = C.read_list d (fun () -> C.read_uint d) }
+  in
+  let delegated =
+    C.read_list d (fun () ->
+        let t_target = Varset.read ~within d in
+        let cap = C.read_uint d in
+        let probe_plan = C.read_list d read_step in
+        let safe_plan = C.read_list d read_step in
+        { t_target; probe_plan; safe_plan; cap })
+  in
+  let space =
+    List.fold_left (fun acc (_, rel) -> acc + Relation.cardinal rel) 0 stored
+  in
+  { rule; stored; space; delegated; stored_subs; maint = None }
 
 (* ------------------------------------------------------------------ *)
 (* incremental maintenance                                              *)

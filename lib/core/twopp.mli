@@ -21,17 +21,6 @@
 open Stt_relation
 open Stt_hypergraph
 
-type step = { idx : Index.t; keep : Schema.var list }
-(** One probing step of an online plan: join the accumulator with the
-    indexed relation, then project to [keep]. *)
-
-type subproblem = {
-  t_target : Varset.t;
-  probe_plan : step list;  (** greedy degree order: great average case *)
-  safe_plan : step list;  (** min worst-case-estimate order *)
-  cap : int;  (** abort threshold for the probe plan *)
-}
-
 type t
 
 val build : ?counted:bool -> Rule.t -> db:Db.t -> budget:int -> t
@@ -79,7 +68,7 @@ val rule : t -> Rule.t
     a snapshot are static replicas: they answer but do not maintain. *)
 
 val supports_maintenance : t -> bool
-(** [true] for built structures, [false] for {!import}ed ones. *)
+(** [true] for built structures, [false] for {!read} ones. *)
 
 val apply_delta :
   t -> rel:string -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
@@ -105,21 +94,22 @@ val stored_mem : t -> Varset.t -> Tuple.t -> bool
 (** Is [row] (ascending-variable order) currently in this structure's
     stored relation for the given S-target? *)
 
-(** {1 Snapshot access}
+(** {1 Snapshot codec}
 
     A built structure is pure data — stored S-target relations plus the
     delegated subproblems' index-backed plans — so it round-trips
-    through the snapshot store without re-running the LP, the
-    heavy/light splits or the plan search. *)
+    without re-running the LP, the heavy/light splits or the plan
+    search. *)
 
-val delegated : t -> subproblem list
-(** The delegated subproblems, in build order. *)
+val write : Stt_store.Codec.encoder -> t -> unit
+(** The stored subproblem count, the stored S-target relations sorted
+    by target, then per delegated subproblem (in build order) its
+    T-target, cap, and probe and safe plans as (index, kept variables)
+    steps.  The maintenance state is not written. *)
 
-val import :
-  Rule.t ->
-  stored:(Varset.t * Relation.t) list ->
-  delegated:subproblem list ->
-  stored_subs:int ->
-  t
-(** Reassemble a structure from {!s_targets}, {!delegated} and
-    {!stored_subproblems}; [space] is recomputed from [stored]. *)
+val read : Rule.t -> Stt_store.Codec.decoder -> t
+(** Inverse of {!write}: a static replica ({!supports_maintenance} is
+    [false]) whose [space] is recomputed from the stored relations.
+    Raises [Stt_store.Codec.Corrupt] on a target outside the query's
+    variables or a stored relation whose schema differs from its
+    target. *)

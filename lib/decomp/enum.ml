@@ -148,6 +148,9 @@ let merge_closure tds =
   done;
   !out
 
+(* all rooted decompositions reachable by the construction above whose
+   root bag contains the access pattern and which are free-connex w.r.t.
+   their root *)
 let tree_decompositions (cqap : Cq.cqap) =
   let hg = Pmtd.access_hypergraph cqap in
   let vars = Varset.to_list (Hypergraph.vertices hg) in

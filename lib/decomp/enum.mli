@@ -12,11 +12,6 @@
 
 open Stt_hypergraph
 
-val tree_decompositions : Cq.cqap -> Td.t list
-(** All rooted decompositions reachable by the construction above whose
-    root bag contains the access pattern and which are free-connex w.r.t.
-    their root. *)
-
 val pmtds : ?max_pmtds:int -> Cq.cqap -> Pmtd.t list
 (** Non-redundant, mutually non-dominating PMTDs, deduplicated by view
     signature.  Raises [Failure] if more than [max_pmtds] (default 64)

@@ -69,21 +69,6 @@ let is_free_connex t ~head =
 
 let reroot t r = { t with tree = Rtree.reroot t.tree r }
 
-let non_redundant t =
-  let n = size t in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && Varset.subset t.bags.(i) t.bags.(j) then ok := false
-    done
-  done;
-  !ok
-
-let dominated_by t1 t2 =
-  Array.for_all
-    (fun b1 -> Array.exists (fun b2 -> Varset.subset b1 b2) t2.bags)
-    t1.bags
-
 let merge_subtree t i =
   let sub = Rtree.subtree t.tree i in
   let merged = List.fold_left (fun acc j -> Varset.union acc t.bags.(j)) Varset.empty sub in

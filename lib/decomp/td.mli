@@ -28,12 +28,6 @@ val is_free_connex : t -> head:Varset.t -> bool
     [y ∉ H] is a strict ancestor of some [TOP(x)] with [x ∈ H]. *)
 
 val reroot : t -> int -> t
-val non_redundant : t -> bool
-(** No bag contained in another. *)
-
-val dominated_by : t -> t -> bool
-(** Every bag of the first is a subset of some bag of the second. *)
-
 val merge_subtree : t -> int -> t
 (** Replace node [i]'s bag by the union of its subtree's bags and remove
     the rest of the subtree (the Section 6.3 merge operation). *)

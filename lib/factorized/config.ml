@@ -9,9 +9,8 @@ let of_env () =
 let current = Atomic.make (of_env ())
 let mode () = Atomic.get current
 let set_mode m = Atomic.set current m
-let min_ratio = 1.25
 
-(* integer form of [rows >= min_ratio * size] with min_ratio = 5/4 *)
+(* [rows / size >= 5/4] in integers *)
 let ratio_ok ~rows ~size = 4 * rows >= 5 * size
 
 let eligible ~rows ~size =

@@ -13,7 +13,7 @@ type mode =
   | Off  (** never factorize: flat tuple sets everywhere (pre-PR behaviour) *)
   | Auto
       (** factorize a view only when its measured compression ratio
-          [rows / size] clears {!min_ratio} — the production default *)
+          [rows / size] is at least 5/4 — the production default *)
   | Forced
       (** factorize every eligible view regardless of measured ratio;
           for differential tests that must exercise the compressed path
@@ -22,14 +22,11 @@ type mode =
 val mode : unit -> mode
 val set_mode : mode -> unit
 
-val min_ratio : float
-(** The [Auto] eligibility gate: a view is stored factorized only when
-    [rows >= min_ratio * size], i.e. every stored singleton of the
-    d-representation stands in for at least this many flat rows. *)
-
 val eligible : rows:int -> size:int -> bool
-(** Mode-aware gate: [false] under [Off]; under [Auto], the
-    {!min_ratio} test; always [true] under [Forced]. *)
+(** Mode-aware gate: [false] under [Off]; under [Auto],
+    [4 * rows >= 5 * size], i.e. every stored singleton of the
+    d-representation stands in for at least 1.25 flat rows; always
+    [true] under [Forced]. *)
 
 val effective_size : rows:int -> size:int -> int
 (** The stored-singleton charge a view of [rows] flat tuples whose

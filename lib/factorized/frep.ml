@@ -21,7 +21,6 @@ type t = {
 let schema t = t.schema
 let rows t = t.rows
 let size t = t.size
-let node_count t = Array.length t.nodes
 
 let key_vars t =
   List.filteri (fun i _ -> i < t.prefix_len) (Schema.vars t.schema)
@@ -284,25 +283,23 @@ let write e t =
       Array.iter (fun kid -> C.write_uint e kid) n.kids)
     (Array.to_list t.nodes)
 
-let corrupt fmt = Format.kasprintf (fun msg -> raise (C.Corrupt msg)) fmt
-
 (* a run length is read before its payload; cap it so a corrupted
    length cannot allocate unboundedly before the byte shortage shows *)
 let max_run = 1 lsl 24
 
 let read_raw d =
   let v = C.read_u8 d in
-  if v <> codec_version then corrupt "frep: codec version %d" v;
+  if v <> codec_version then C.corrupt "frep: codec version %d" v;
   let ar = C.read_uint d in
   let vars = C.read_list d (fun () -> C.read_uint d) in
-  if List.length vars <> ar then corrupt "frep: %d vars for arity %d"
+  if List.length vars <> ar then C.corrupt "frep: %d vars for arity %d"
       (List.length vars) ar;
   let schema =
     try Schema.of_list vars
-    with Invalid_argument _ -> corrupt "frep: duplicate schema variable"
+    with Invalid_argument _ -> C.corrupt "frep: duplicate schema variable"
   in
   let prefix_len = C.read_uint d in
-  if prefix_len > ar then corrupt "frep: prefix %d exceeds arity %d" prefix_len ar;
+  if prefix_len > ar then C.corrupt "frep: prefix %d exceeds arity %d" prefix_len ar;
   let stored_rows = C.read_uint d in
   let root = C.read_uint d - 1 in
   let next_id = ref 0 in
@@ -313,11 +310,11 @@ let read_raw d =
         let level = C.read_uint d in
         let len = C.read_uint d in
         if id = 0 then begin
-          if level <> ar || len <> 0 then corrupt "frep: node 0 not terminal"
+          if level <> ar || len <> 0 then C.corrupt "frep: node 0 not terminal"
         end
-        else if level >= ar then corrupt "frep: inner node at level %d" level
-        else if len = 0 then corrupt "frep: empty run at node %d" id;
-        if len > max_run then corrupt "frep: run of %d at node %d" len id;
+        else if level >= ar then C.corrupt "frep: inner node at level %d" level
+        else if len = 0 then C.corrupt "frep: empty run at node %d" id;
+        if len > max_run then C.corrupt "frep: run of %d at node %d" len id;
         let vals = Array.make len 0 in
         for k = 0 to len - 1 do
           vals.(k) <-
@@ -326,14 +323,14 @@ let read_raw d =
         let kids = Array.make len 0 in
         for k = 0 to len - 1 do
           let kid = C.read_uint d in
-          if kid >= id then corrupt "frep: forward child %d at node %d" kid id;
+          if kid >= id then C.corrupt "frep: forward child %d at node %d" kid id;
           kids.(k) <- kid
         done;
         { level; vals; kids })
   in
   let nodes = Array.of_list nodes in
   let n = Array.length nodes in
-  if n = 0 then corrupt "frep: no nodes";
+  if n = 0 then C.corrupt "frep: no nodes";
   (* child levels step by one; the terminal closes every path *)
   Array.iteri
     (fun id nd ->
@@ -341,11 +338,11 @@ let read_raw d =
         Array.iter
           (fun kid ->
             if nodes.(kid).level <> nd.level + 1 then
-              corrupt "frep: child level skew at node %d" id)
+              C.corrupt "frep: child level skew at node %d" id)
           nd.kids)
     nodes;
-  if root < -1 || root >= n then corrupt "frep: root %d out of range" root;
-  if root >= 0 && nodes.(root).level <> 0 then corrupt "frep: root not level 0";
+  if root < -1 || root >= n then C.corrupt "frep: root %d out of range" root;
+  if root >= 0 && nodes.(root).level <> 0 then C.corrupt "frep: root not level 0";
   (* every node must be live: an unreachable node would inflate [size] *)
   let reached = Array.make n false in
   let rec reach id =
@@ -357,7 +354,7 @@ let read_raw d =
   if root >= 0 then reach root;
   reached.(0) <- true (* the terminal is always interned *);
   Array.iteri
-    (fun id r -> if not r then corrupt "frep: unreachable node %d" id)
+    (fun id r -> if not r then C.corrupt "frep: unreachable node %d" id)
     reached;
   (* re-derive the cardinality and reject a mismatch: a decoded value
      that loads at all is structurally sound *)
@@ -369,12 +366,12 @@ let read_raw d =
   done;
   let derived = if root < 0 then 0 else counts.(root) in
   if derived <> stored_rows then
-    corrupt "frep: %d rows stored, %d derived" stored_rows derived;
+    C.corrupt "frep: %d rows stored, %d derived" stored_rows derived;
   let size = Array.fold_left (fun acc nd -> acc + Array.length nd.vals) 0 nodes in
   { schema; prefix_len; nodes; root; rows = stored_rows; size }
 
 let read d =
-  try read_raw d with C.Short what -> corrupt "frep: truncated at %s" what
+  try read_raw d with C.Short what -> C.corrupt "frep: truncated at %s" what
 
 let encode t =
   let e = C.encoder () in

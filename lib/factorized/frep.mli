@@ -55,10 +55,6 @@ val size : t -> int
 (** Stored singletons in the DAG: Σ over distinct nodes of their run
     length.  The space this structure is accounted at. *)
 
-val node_count : t -> int
-(** Distinct DAG nodes (including the shared terminal), for
-    diagnostics. *)
-
 val enum_iter : t -> (Tuple.t -> unit) -> unit
 (** Enumerate every tuple in ascending level-order.  The callback
     receives a {e scratch} buffer reused between calls (copy it to keep
@@ -92,19 +88,14 @@ val to_relation : t -> Relation.t
 
 (** {1 Wire codec}
 
-    A versioned binary layout for snapshot sections and cache values.
-    Nodes are written children-first, so decoding validates each child
-    reference against already-decoded ids; the decoder re-derives
-    [rows] and [size] from the DAG and rejects any mismatch, so a
-    decoded value that loads at all is structurally sound. *)
-
-val write : Stt_store.Codec.encoder -> t -> unit
-val read : Stt_store.Codec.decoder -> t
-(** Raises [Stt_store.Codec.Corrupt] on any structural violation. *)
+    A versioned binary layout for answer-cache values.  Nodes are
+    written children-first, so decoding validates each child reference
+    against already-decoded ids; the decoder re-derives [rows] and
+    [size] from the DAG and rejects any mismatch, so a decoded value
+    that loads at all is structurally sound. *)
 
 val encode : t -> string
-(** [write] into a fresh buffer. *)
 
 val decode : string -> t
-(** [read] a full string; raises [Stt_store.Codec.Corrupt] on trailing
-    bytes. *)
+(** Inverse of {!encode}; raises [Stt_store.Codec.Corrupt] on any
+    structural violation or trailing bytes. *)

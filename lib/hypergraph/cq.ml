@@ -37,13 +37,6 @@ let with_access cq access =
   { cq = { cq with head = Varset.union cq.head access }; access }
 
 let hypergraph t = Hypergraph.create ~n:t.n (List.map atom_vars t.atoms)
-let is_full t = Varset.equal t.head (Varset.full t.n)
-let is_boolean t = Varset.is_empty t.head
-let free_vars t = t.head
-let bound_vars t = Varset.diff (Varset.full t.n) t.head
-
-let atoms_of_var t v = List.filter (fun a -> Varset.mem v (atom_vars a)) t.atoms
-
 let is_hierarchical t =
   let atoms = Array.of_list t.atoms in
   let atom_set v =
@@ -152,7 +145,6 @@ module Library = struct
 
   let k_set_disjointness k = k_set_disj_generic k ~with_y:false
   let k_set_intersection k = k_set_disj_generic k ~with_y:true
-  let two_set_disjointness = k_set_disjointness 2
 
   let triangle_detect =
     let var_names = [| "x1"; "x2"; "x3" |] in

@@ -27,11 +27,6 @@ val with_access : t -> Varset.t -> cqap
 
 val atom_vars : atom -> Varset.t
 val hypergraph : t -> Hypergraph.t
-val is_full : t -> bool
-val is_boolean : t -> bool
-val free_vars : t -> Varset.t
-val bound_vars : t -> Varset.t
-val atoms_of_var : t -> int -> atom list
 val is_hierarchical : t -> bool
 (** For any two variables, their atom sets are disjoint or one contains
     the other. *)
@@ -68,7 +63,4 @@ module Library : sig
   (** The Appendix F / Figure 5 query:
       [φ(Z | Z) ← R(X,Y1,Z1), S(X,Y1,Z2), T(X,Y2,Z3), U(X,Y2,Z4)]
       with ids X=0, Y1=1, Y2=2, Z1=3, Z2=4, Z3=5, Z4=6. *)
-
-  val two_set_disjointness : cqap
-  (** [k_set_disjointness 2], the introduction's running example. *)
 end

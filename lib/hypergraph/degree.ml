@@ -76,7 +76,3 @@ let splits cs =
 let pp ppf c =
   Format.fprintf ppf "(%a, %a, %a)" Varset.pp c.x Varset.pp c.y pp_logsize
     c.bound
-
-let pp_split ppf s =
-  Format.fprintf ppf "(%a, %a|%a, %a)" Varset.pp s.sx Varset.pp s.sy Varset.pp
-    s.sx pp_logsize s.sbound

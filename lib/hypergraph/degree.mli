@@ -13,12 +13,9 @@ type logsize = { d : Stt_lp.Rat.t; q : Stt_lp.Rat.t }
 val logsize_zero : logsize
 val logsize_d : logsize  (** log |D| *)
 
-val logsize_q : logsize  (** log |Q_A| *)
-
 val logsize_add : logsize -> logsize -> logsize
 val logsize_scale : Stt_lp.Rat.t -> logsize -> logsize
 val logsize_eval : logd:Stt_lp.Rat.t -> logq:Stt_lp.Rat.t -> logsize -> Stt_lp.Rat.t
-val pp_logsize : Format.formatter -> logsize -> unit
 
 type t = { x : Varset.t; y : Varset.t; bound : logsize }
 (** The degree constraint [(X, Y, N_{Y|X})] with [X ⊂ Y]:
@@ -52,4 +49,3 @@ val splits : t list -> split list
     [∅ ≠ X ⊂ Y ⊆ Z]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_split : Format.formatter -> split -> unit

@@ -59,6 +59,14 @@ let subsets t =
 
 let to_int t = t
 let of_int_unsafe t = t
+let write e t = Stt_store.Codec.write_uint e t
+
+let read ~within d =
+  let t = Stt_store.Codec.read_uint d in
+  if not (subset t within) then
+    Stt_store.Codec.corrupt "variable set %d outside %d" t within;
+  t
+
 let hash t = Hashtbl.hash t
 
 let pp ppf t =

@@ -45,6 +45,14 @@ val subsets : t -> t list
 
 val to_int : t -> int
 val of_int_unsafe : int -> t
+
+val write : Stt_store.Codec.encoder -> t -> unit
+(** The bit set as one varint. *)
+
+val read : within:t -> Stt_store.Codec.decoder -> t
+(** Inverse of {!write}.  Raises [Stt_store.Codec.Corrupt] unless the
+    set is a subset of [within] (a query's variable universe). *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val pp_named : string array -> Format.formatter -> t -> unit

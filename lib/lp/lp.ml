@@ -56,7 +56,6 @@ let var m name =
       Hashtbl.add m.name_index name v;
       v
 
-let var_name m v = m.names.(v)
 let num_vars m = Array.length m.names
 let num_constraints m = m.ncstrs
 

@@ -24,8 +24,6 @@ val create : unit -> model
 val var : model -> string -> var
 (** Declare (or retrieve) the nonnegative variable with this name. *)
 
-val var_name : model -> var -> string
-
 type linexpr = (Rat.t * var) list
 
 val add_le : model -> ?name:string -> linexpr -> Rat.t -> cstr

@@ -90,6 +90,9 @@ let fold_elemental h f =
   done;
   !count
 
+(* add the elemental submodularity rows violated by a primal point;
+   returns the number added (0 when the point is a polymatroid or cuts
+   are eager) *)
 let add_violated_cuts model h primal =
   if not h.lazy_cuts then 0
   else

@@ -28,11 +28,6 @@ val expr : h -> Cvec.t -> Lp.linexpr
 (** Translate a conditional-coordinate vector into a linear expression
     over this polymatroid's variables. *)
 
-val add_violated_cuts : Lp.model -> h -> (Lp.var -> Rat.t) -> int
-(** Add the elemental submodularity rows violated by a primal point;
-    returns the number added (0 when the point is a polymatroid or cuts
-    are eager). *)
-
 val solve_cuts : Lp.model -> h list -> Lp.linexpr -> Lp.outcome
 (** Maximize, adding violated cuts for the given polymatroids and
     re-solving until none remain.  The returned solution's duals are

@@ -49,11 +49,6 @@ let is_polymatroid t =
   Rat.is_zero t.table.(0) && is_nonnegative t && is_monotone t
   && is_submodular t
 
-let of_cardinalities n card =
-  create n (fun s ->
-      let c = card s in
-      if c <= 0 then Rat.zero else Rat.of_float_approx (Float.log2 (float_of_int c)))
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   for mask = 0 to (1 lsl t.n) - 1 do

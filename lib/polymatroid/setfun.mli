@@ -17,8 +17,4 @@ val is_monotone : t -> bool
 val is_submodular : t -> bool
 val is_polymatroid : t -> bool
 
-val of_cardinalities : int -> (Varset.t -> int) -> t
-(** [log2]-cardinality profile of a relation instance: [h(F) = log2 c(F)]
-    approximated as a rational (used only in tests/diagnostics). *)
-
 val pp : Format.formatter -> t -> unit

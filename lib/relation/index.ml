@@ -258,46 +258,68 @@ let count t key =
 
 let space t = t.space
 
-let raw_data t =
-  compact t;
-  t.data
+(* Snapshot layout: key variables, schema, then the live rows sorted by
+   key columns, then by row.  A bucket is a maximal run of equal keys,
+   so no bucket key or offset is written, and no row can land under
+   another row's key. *)
+module C = Stt_store.Codec
 
-let buckets t =
-  compact t;
-  Tuple.Tbl.fold (fun k (s, l) acc -> (k, s, l) :: acc) t.table []
+let compare_keys pos a b =
+  let rec go k =
+    if k = Array.length pos then 0
+    else
+      match Int.compare a.(pos.(k)) b.(pos.(k)) with 0 -> go (k + 1) | c -> c
+  in
+  go 0
 
-let of_buckets ~key_vars ~source_schema ~data ~buckets =
-  let arity = Schema.arity source_schema in
-  (* key_vars must resolve against the schema (raises Not_found on skew) *)
+let write e t =
+  compact t;
+  C.write_list e (C.write_uint e) t.key_vars;
+  C.write_list e (C.write_uint e) (Schema.vars t.source_schema);
+  C.write_rows e ~arity:t.arity
+    (List.sort
+       (fun a b ->
+         match compare_keys t.key_pos a b with
+         | 0 -> Tuple.compare a b
+         | c -> c)
+       (List.init t.flat_rows (row t)))
+
+(* one pass over the sorted rows: one key comparison per row, one hash
+   insertion per bucket *)
+let read d =
+  let key_vars = C.read_list d (fun () -> C.read_uint d) in
+  let vars = C.read_list d (fun () -> C.read_uint d) in
+  let source_schema = C.guard "index schema" (fun () -> Schema.of_list vars) in
   let key_pos =
-    match Schema.positions source_schema key_vars with
-    | pos -> pos
-    | exception Not_found ->
-        invalid_arg "Index.of_buckets: key variable not in schema"
+    C.guard "index key" (fun () -> Schema.positions source_schema key_vars)
   in
-  if arity > 0 && Array.length data mod arity <> 0 then
-    invalid_arg "Index.of_buckets: data length not a multiple of arity";
-  let n_rows =
-    if arity > 0 then Array.length data / arity
-    else List.fold_left (fun acc (_, _, len) -> acc + len) 0 buckets
+  let arity = Schema.arity source_schema in
+  let rows = C.read_rows d ~arity in
+  let n = List.length rows in
+  let data = Array.make (n * arity) 0 in
+  let table = Tuple.Tbl.create 16 in
+  let close first i last =
+    Tuple.Tbl.add table (Tuple.project key_pos last) (first, i - first)
   in
-  let kn = List.length key_vars in
-  let table = Tuple.Tbl.create (max 16 (List.length buckets)) in
-  let space = ref 0 in
-  List.iter
-    (fun (key, start, len) ->
-      if Array.length key <> kn then
-        invalid_arg "Index.of_buckets: key arity mismatch";
-      if start < 0 || len < 0 || start + len > n_rows then
-        invalid_arg "Index.of_buckets: bucket range out of bounds";
-      if Tuple.Tbl.mem table key then
-        invalid_arg "Index.of_buckets: duplicate bucket key";
-      space := !space + len;
-      Tuple.Tbl.add table key (start, len))
-    buckets;
+  let rec go first i prev = function
+    | [] -> close first i prev
+    | r :: rest -> (
+        Array.blit r 0 data (i * arity) arity;
+        match compare_keys key_pos prev r with
+        | 0 when Tuple.compare prev r < 0 -> go first (i + 1) r rest
+        | c when c < 0 ->
+            close first i prev;
+            go i (i + 1) r rest
+        | _ -> C.corrupt "index: row %d out of key order" i)
+  in
+  (match rows with
+  | [] -> ()
+  | r :: rest ->
+      Array.blit r 0 data 0 arity;
+      go 0 1 r rest);
   {
     key_vars; source_schema; arity; key_pos; table; data;
-    flat_rows = !space; space = !space;
+    flat_rows = n; space = n;
     extra = Tuple.Tbl.create 8; dead = Tuple.Tbl.create 8;
     dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
   }

@@ -64,28 +64,18 @@ val join : Relation.t -> t -> Relation.t
 (** [join rel idx] probes the index once per tuple of [rel] and extends
     with the matching tuples — cost [O(|rel| + output)]. *)
 
-(** {1 Snapshot access}
+(** {1 Snapshot codec} *)
 
-    The flat layout serializes naturally: the row-major data array plus
-    one [(key, offset, length)] triple per bucket describe the index
-    completely.  {!of_buckets} rebuilds the probe structure from those
-    parts — one hash insertion per {e bucket}, no per-row projection or
-    re-counting — so loading a snapshot skips the two build passes. *)
+val write : Stt_store.Codec.encoder -> t -> unit
+(** Key variables, schema variables, then the live rows sorted by key
+    columns, then by {!Tuple.compare}.  A bucket is a maximal run of
+    equal keys, so no bucket key or offset is written and equal indexes
+    write equal bytes.  Folds a pending insert/remove overlay into the
+    flat arrays first, which leaves the contents unchanged. *)
 
-val raw_data : t -> int array
-(** The row-major, key-grouped backing array.  Do not mutate. *)
-
-val buckets : t -> (Tuple.t * int * int) list
-(** [(key, first_row, row_count)] per distinct key, in unspecified
-    order.  Row offsets index {!raw_data} in units of rows. *)
-
-val of_buckets :
-  key_vars:Schema.var list ->
-  source_schema:Schema.t ->
-  data:int array ->
-  buckets:(Tuple.t * int * int) list ->
-  t
-(** Reconstruct an index from its serialized parts.  Raises
-    [Invalid_argument] if the parts are inconsistent: key arity
-    mismatch, data length not a multiple of the schema arity, or a
-    bucket range outside the data array. *)
+val read : Stt_store.Codec.decoder -> t
+(** Inverse of {!write}: finds the buckets in one pass over the rows —
+    one key comparison per row, one hash insertion per bucket, no
+    per-row hashing.  Raises [Stt_store.Codec.Corrupt] on a repeated
+    schema variable, a key variable outside the schema, or any row out
+    of that order, duplicates included. *)

@@ -319,6 +319,23 @@ let split_heavy_light t vs ~threshold =
     t;
   (heavy, light)
 
+module C = Stt_store.Codec
+
+(* schema variables, then the rows sorted so the column-major delta
+   codec sees slowly-changing columns and equal relations write equal
+   bytes *)
+let write e t =
+  C.write_list e (C.write_uint e) (Schema.vars t.schema);
+  C.write_rows e
+    ~arity:(Schema.arity t.schema)
+    (List.sort Tuple.compare (to_list t))
+
+let read d =
+  let vars = C.read_list d (fun () -> C.read_uint d) in
+  let t = create (C.guard "relation schema" (fun () -> Schema.of_list vars)) in
+  List.iter (add t) (C.read_rows d ~arity:(List.length vars));
+  t
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a |%d|" Schema.pp t.schema (cardinal t);
   iter (fun tup -> Format.fprintf ppf "@ %a" Tuple.pp tup) t;

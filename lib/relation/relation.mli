@@ -79,4 +79,14 @@ val split_heavy_light : t -> Schema.var list -> threshold:int -> t * t
 (** [(heavy, light)]: tuples whose key-group size exceeds [threshold] go
     to [heavy]; the rest to [light]. *)
 
+(** {1 Snapshot codec} *)
+
+val write : Stt_store.Codec.encoder -> t -> unit
+(** Schema variables, then the rows in {!Tuple.compare} order, so equal
+    relations write equal bytes.  Annotations are not written. *)
+
+val read : Stt_store.Codec.decoder -> t
+(** Inverse of {!write}.  Raises [Stt_store.Codec.Corrupt] on a
+    repeated schema variable. *)
+
 val pp : Format.formatter -> t -> unit

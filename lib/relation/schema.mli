@@ -10,7 +10,6 @@ type t = private var array
 val of_list : var list -> t
 (** Raises [Invalid_argument] if the variables are not distinct. *)
 
-val of_array : var array -> t
 val vars : t -> var list
 val arity : t -> int
 val mem : var -> t -> bool

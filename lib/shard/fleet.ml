@@ -24,8 +24,6 @@ let endpoints t =
     (fun r -> { Router.name = r.name; host = "127.0.0.1"; port = r.port })
     (List.rev t.replicas)
 
-let replica_names t = List.rev_map (fun r -> r.name) t.replicas
-
 (* scan accumulated stdout for "serving on 127.0.0.1:PORT (" — the
    trailing delimiter guarantees the digits are complete *)
 let scrape_port s =

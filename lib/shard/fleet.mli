@@ -39,8 +39,6 @@ val launch :
 val endpoints : t -> Router.endpoint list
 (** In launch order — feed to [Router.start]. *)
 
-val replica_names : t -> string list
-
 val drain : t -> string -> bool
 (** SIGTERM one replica by name, wait for it to exit, reap it.  [false]
     if unknown.  Call [Router.drain_shard] {e first} so new tuples stop

@@ -444,19 +444,6 @@ let start ?host ~port ~workers ~queue_capacity ?io_backend ?(vnodes = 128)
   Atomic.set t_box (Some t);
   t
 
-let add_shard t ep =
-  Mutex.protect t.ups_m (fun () ->
-      match Hashtbl.find_opt t.upstreams ep.name with
-      | Some up when up.ep = ep -> ()
-      | Some up ->
-          close_pool up;
-          Hashtbl.replace t.upstreams ep.name
-            { ep; um = Mutex.create (); free = []; last_uptime_ns = -1 }
-      | None ->
-          Hashtbl.replace t.upstreams ep.name
-            { ep; um = Mutex.create (); free = []; last_uptime_ns = -1 });
-  Mutex.protect t.ring_m (fun () -> t.ring <- Ring.add t.ring ep.name)
-
 (* Remove the shard from the ring so no new tuple routes to it, then
    close its pooled connections.  Requests already in flight against it
    either complete (the shard's own SIGTERM drain answers queued jobs)

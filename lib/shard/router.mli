@@ -56,10 +56,6 @@ val start :
 
 (** {1 Live ring membership} *)
 
-val add_shard : t -> endpoint -> unit
-(** Add (or re-point) a shard; only keys whose nearest ring point
-    changed move to it. *)
-
 val drain_shard : t -> string -> unit
 (** Remove a shard from the ring (new tuples stop routing to it) and
     drop its pooled connections.  Pair with SIGTERM to the replica: its

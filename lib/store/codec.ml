@@ -1,6 +1,13 @@
 exception Short of string
 exception Corrupt of string
 
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+let guard ctx f =
+  try f () with
+  | Invalid_argument msg | Failure msg -> corrupt "%s: %s" ctx msg
+  | Not_found -> corrupt "%s: missing binding" ctx
+
 (* ------------------------------------------------------------------ *)
 (* encoding                                                             *)
 (* ------------------------------------------------------------------ *)

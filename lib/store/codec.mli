@@ -21,6 +21,15 @@ exception Short of string
 exception Corrupt of string
 (** The bytes decode to a structurally impossible value. *)
 
+val corrupt : ('a, unit, string, 'b) format4 -> 'a
+(** [corrupt fmt ...] raises {!Corrupt} with the formatted message. *)
+
+val guard : string -> (unit -> 'a) -> 'a
+(** [guard ctx f] runs a constructor over decoded parts: its
+    [Invalid_argument], [Failure] or [Not_found] becomes {!Corrupt}
+    tagged with [ctx], so a CRC-valid but impossible structure is
+    rejected at load time rather than failing later. *)
+
 (** {1 Encoding} *)
 
 type encoder

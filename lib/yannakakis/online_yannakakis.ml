@@ -54,11 +54,22 @@ let store_of_rel ~factorize rel key =
   end
   else Flat (Index.build rel key)
 
+(* per S-view: a probe structure on its link variables *)
+let assemble pmtd s_rels holder =
+  let s_store = Hashtbl.create 8 in
+  let space = ref 0 in
+  Hashtbl.iter
+    (fun node rel ->
+      let st = holder node rel (Varset.to_list (link_vars pmtd node)) in
+      space := !space + storage_space ~rows:(Relation.cardinal rel) st;
+      Hashtbl.replace s_store node st)
+    s_rels;
+  { pmtd; s_rels; s_store; space = !space }
+
 let preprocess ?(reduce = true) ?(factorize = true) pmtd ~s_views =
   Cost.with_counting false (fun () ->
       let tree = pmtd.Pmtd.td.Td.tree in
       let s_rels = Hashtbl.create 8 in
-      let s_store = Hashtbl.create 8 in
       let materialized = pmtd.Pmtd.materialized in
       List.iter
         (fun node -> if materialized.(node) then
@@ -81,18 +92,7 @@ let preprocess ?(reduce = true) ?(factorize = true) pmtd ~s_views =
                   Hashtbl.replace s_rels par reduced
               | Some _ | None -> ())
           (Rtree.bottom_up tree);
-      (* per S-view: a probe structure on its link variables *)
-      let space = ref 0 in
-      Hashtbl.iter
-        (fun node rel ->
-          let st =
-            store_of_rel ~factorize rel
-              (Varset.to_list (link_vars pmtd node))
-          in
-          space := !space + storage_space ~rows:(Relation.cardinal rel) st;
-          Hashtbl.replace s_store node st)
-        s_rels;
-      { pmtd; s_rels; s_store; space = !space })
+      assemble pmtd s_rels (fun _ -> store_of_rel ~factorize))
 
 let space t = t.space
 
@@ -105,19 +105,6 @@ let factorized_views t =
       match st with Fact f -> (node, f) :: acc | Flat _ -> acc)
     t.s_store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let set_factorized t node f =
-  let rel = Hashtbl.find t.s_rels node in
-  if Frep.rows f <> Relation.cardinal rel then
-    invalid_arg "Online_yannakakis.set_factorized: cardinality mismatch";
-  if Frep.key_vars f <> Varset.to_list (link_vars t.pmtd node) then
-    invalid_arg "Online_yannakakis.set_factorized: key mismatch";
-  let old = Hashtbl.find t.s_store node in
-  Hashtbl.replace t.s_store node (Fact f);
-  t.space <-
-    t.space - storage_space ~rows:(Relation.cardinal rel) old + Frep.size f
-
-let view_relation t node = Hashtbl.find_opt t.s_rels node
 
 let materialized_nodes t =
   List.filter
@@ -151,33 +138,57 @@ let delete_view_tuple t node row =
   end
   else false
 
-let export t =
-  Hashtbl.fold
-    (fun node rel acc ->
-      let idx =
-        match Hashtbl.find t.s_store node with
-        | Flat idx -> idx
-        | Fact _ ->
-            (* snapshot sections stay flat-format; the factorized
-               section re-compresses on load *)
-            Cost.with_counting false (fun () ->
-                Index.build rel (Varset.to_list (link_vars t.pmtd node)))
-      in
-      (node, rel, idx) :: acc)
-    t.s_rels []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+(* Snapshot layout: each materialized node's stored S-view, by node id,
+   then the increasing list of nodes held as d-representations.  The
+   holders are a pure function of their views, so [read] rebuilds them
+   with the constructors [preprocess] uses. *)
+module C = Stt_store.Codec
 
-let import pmtd entries =
+let write e t =
+  C.write_list e
+    (fun node ->
+      C.write_uint e node;
+      Relation.write e (Hashtbl.find t.s_rels node))
+    (List.sort compare (materialized_nodes t));
+  C.write_list e (fun (node, _) -> C.write_uint e node) (factorized_views t)
+
+let read pmtd d =
+  let size = Td.size pmtd.Pmtd.td in
+  let materialized = pmtd.Pmtd.materialized in
   let s_rels = Hashtbl.create 8 in
-  let s_store = Hashtbl.create 8 in
-  let space = ref 0 in
-  List.iter
-    (fun (node, rel, idx) ->
-      space := !space + Relation.cardinal rel;
-      Hashtbl.replace s_rels node rel;
-      Hashtbl.replace s_store node (Flat idx))
-    entries;
-  { pmtd; s_rels; s_store; space = !space }
+  let read_view () =
+    let node = C.read_uint d in
+    if node >= size then C.corrupt "s-view node %d out of range" node;
+    if not materialized.(node) then
+      C.corrupt "s-view at non-materialized node %d" node;
+    if Hashtbl.mem s_rels node then
+      C.corrupt "duplicate s-view for node %d" node;
+    let rel = Relation.read d in
+    if
+      not
+        (Schema.equal (Relation.schema rel)
+           (Schema.of_list (Varset.to_list (view_vars pmtd node))))
+    then C.corrupt "s-view %d: relation schema differs from the view" node;
+    Hashtbl.replace s_rels node rel
+  in
+  ignore (C.read_list d read_view);
+  Array.iteri
+    (fun i m ->
+      if m && not (Hashtbl.mem s_rels i) then
+        C.corrupt "missing s-view for node %d" i)
+    materialized;
+  let fact = C.read_list d (fun () -> C.read_uint d) in
+  ignore
+    (List.fold_left
+       (fun prev node ->
+         if node <= prev || not (Hashtbl.mem s_rels node) then
+           C.corrupt "d-rep at node %d: not an increasing stored view" node;
+         node)
+       (-1) fact);
+  Cost.with_counting false (fun () ->
+      assemble pmtd s_rels (fun node rel key ->
+          if List.mem node fact then Fact (Frep.of_relation ~prefix:key rel)
+          else Flat (Index.build rel key)))
 
 (* Per-call node state lives in flat arrays indexed by node id (tree
    nodes are [0 .. size-1]): the only per-answer setup allocation is the

@@ -46,16 +46,6 @@ val logical_rows : preprocessed -> int
 val factorized_views : preprocessed -> (int * Stt_factorized.Frep.t) list
 (** The views currently held compressed, sorted by node id. *)
 
-val view_relation : preprocessed -> int -> Relation.t option
-(** The stored (possibly reduced) S-view relation of a node, [None] if
-    the node is not materialized. *)
-
-val set_factorized : preprocessed -> int -> Stt_factorized.Frep.t -> unit
-(** Swap a node's holder for the given d-representation, adjusting
-    {!space}.  Used by snapshot load to restore the compressed holders
-    saved alongside the flat section.  Raises [Invalid_argument] if the
-    d-rep's cardinality or probe key disagrees with the stored view. *)
-
 (** {1 Incremental maintenance}
 
     Single-row deltas against the stored S-views, keeping relation,
@@ -75,15 +65,21 @@ val delete_view_tuple : preprocessed -> int -> Tuple.t -> bool
 (** Remove a row from the node's S-view and link index; [false] if it
     was not present. *)
 
-val export : preprocessed -> (int * Relation.t * Index.t) list
-(** Snapshot view of the preprocessed state: one
-    [(node, reduced S-view, link-variable index)] triple per
-    materialized node, sorted by node id.  Together with the PMTD this
-    determines the structure completely. *)
+(** {1 Snapshot codec} *)
 
-val import : Pmtd.t -> (int * Relation.t * Index.t) list -> preprocessed
-(** Rebuild from {!export}ed parts without re-running the semijoin
-    pass or re-indexing; [space] is recomputed from the relations. *)
+val write : Stt_store.Codec.encoder -> preprocessed -> unit
+(** Each materialized node's stored (possibly reduced) S-view relation,
+    by node id, then the increasing list of nodes held as
+    d-representations.  Link indexes and d-reps are not written. *)
+
+val read : Pmtd.t -> Stt_store.Codec.decoder -> preprocessed
+(** Inverse of {!write}: rebuilds each link index with [Index.build] and
+    each d-rep with [Frep.of_relation ~prefix:(link variables)], as
+    {!preprocess} does, so the loaded holders and {!space} equal the
+    saved ones.  Raises [Stt_store.Codec.Corrupt] on a node out of
+    range, not materialized, repeated or missing, a view whose schema
+    differs from the node's, or a d-rep node list that is not an
+    increasing list of stored views. *)
 
 val answer :
   preprocessed -> t_views:(int -> Relation.t) -> q_a:Relation.t -> Relation.t

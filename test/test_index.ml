@@ -1,7 +1,9 @@
 (* Direct tests for the flat-bucket hash index: build/probe/semijoin/
-   join/space, plus the O(1) [count] behavior the rework guarantees. *)
+   join/space, the O(1) [count] behavior the rework guarantees, and the
+   snapshot layout (rows sorted by key, buckets derived from the runs). *)
 
 open Stt_relation
+module Codec = Stt_store.Codec
 
 let schema = Schema.of_list
 let rel vars tuples = Relation.of_list (schema vars) tuples
@@ -128,6 +130,115 @@ let test_build_charges_nothing () =
   Alcotest.check Alcotest.int "building is preprocessing (free online)" 0
     (Cost.total snap)
 
+(* ------------------------------------------------------------------ *)
+(* snapshot layout                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let reread idx =
+  let e = Codec.encoder () in
+  Index.write e idx;
+  let d = Codec.decoder (Codec.contents e) in
+  let loaded = Index.read d in
+  Codec.expect_end d "index";
+  loaded
+
+(* [loaded] answers probe, count, semijoin and join exactly like [idx],
+   on every key of [rows], an absent key, and a probe side over the key
+   variables plus a fresh one *)
+let check_alike what idx loaded ~rows =
+  let key_vars = Index.key_vars idx in
+  Alcotest.(check (list int)) (what ^ ": key vars") key_vars
+    (Index.key_vars loaded);
+  Alcotest.(check int) (what ^ ": space") (Index.space idx) (Index.space loaded);
+  let pos = Schema.positions (Index.source_schema idx) key_vars in
+  let absent = Array.make (List.length key_vars) 777 in
+  let keys =
+    List.sort_uniq compare (absent :: List.map (Tuple.project pos) rows)
+  in
+  List.iter
+    (fun k ->
+      let what = what ^ ": key " ^ Tuple.to_string k in
+      Alcotest.(check (list (list int)))
+        (what ^ " probe")
+        (sorted_tuples (Index.probe idx k))
+        (sorted_tuples (Index.probe loaded k));
+      Alcotest.(check int) (what ^ " count") (Index.count idx k)
+        (Index.count loaded k);
+      Alcotest.(check bool) (what ^ " probe_mem") (Index.probe_mem idx k)
+        (Index.probe_mem loaded k))
+    keys;
+  let probe_side =
+    rel (key_vars @ [ 9 ])
+      (List.concat_map
+         (fun k -> [ Array.append k [| 0 |]; Array.append k [| 1 |] ])
+         keys)
+  in
+  Alcotest.(check (list (list int)))
+    (what ^ ": semijoin")
+    (sorted (Index.semijoin probe_side idx))
+    (sorted (Index.semijoin probe_side loaded));
+  Alcotest.(check (list (list int)))
+    (what ^ ": join")
+    (sorted (Index.join probe_side idx))
+    (sorted (Index.join probe_side loaded))
+
+let test_snapshot_roundtrip () =
+  let pairs = List.init 40 (fun i -> [| i; i mod 7 |]) in
+  let triples = List.init 60 (fun i -> [| i mod 5; i; i mod 3 |]) in
+  List.iter
+    (fun (what, vars, key_vars, rows) ->
+      let idx = Index.build (rel vars rows) key_vars in
+      check_alike what idx (reread idx) ~rows)
+    [
+      ("arity 0, no rows", [], [], []);
+      ("arity 0", [], [], [ [||] ]);
+      ("arity 1, empty key", [ 0 ], [], [ [| 3 |]; [| 1 |]; [| 2 |] ]);
+      ("arity 1", [ 0 ], [ 0 ], [ [| 3 |]; [| 1 |]; [| 2 |] ]);
+      ("arity 2, no rows", [ 0; 1 ], [ 1 ], []);
+      ("arity 2", [ 0; 1 ], [ 1 ], pairs);
+      ("arity 2, empty key", [ 0; 1 ], [], pairs);
+      ("arity 3, composite key", [ 0; 1; 2 ], [ 2; 0 ], triples);
+      ("arity 3, empty key", [ 0; 1; 2 ], [], triples);
+    ]
+
+let test_snapshot_overlay () =
+  (* inserts and removes stay in the overlay (far below the compaction
+     threshold); the written rows are the live ones *)
+  let rows = List.init 40 (fun i -> [| i mod 4; i |]) in
+  let idx = Index.build (rel [ 0; 1 ] rows) [ 0 ] in
+  let added = [ [| 1; 100 |]; [| 9; 101 |]; [| 2; 102 |] ] in
+  let removed = [ [| 1; 1 |]; [| 2; 102 |]; [| 3; 3 |] ] in
+  List.iter (fun r -> ignore (Index.insert idx r)) added;
+  List.iter (fun r -> ignore (Index.remove idx r)) removed;
+  let live = List.filter (fun r -> not (List.mem r removed)) (rows @ added) in
+  check_alike "overlay" (Index.build (rel [ 0; 1 ] live) [ 0 ]) (reread idx)
+    ~rows:(rows @ added)
+
+let block ~key_vars ~vars rows =
+  let e = Codec.encoder () in
+  Codec.write_list e (Codec.write_uint e) key_vars;
+  Codec.write_list e (Codec.write_uint e) vars;
+  Codec.write_rows e ~arity:(List.length vars) rows;
+  Codec.contents e
+
+let test_snapshot_rejects_disorder () =
+  let read ?(key_vars = [ 1 ]) rows =
+    Index.read (Codec.decoder (block ~key_vars ~vars:[ 0; 1 ] rows))
+  in
+  (* keyed on variable 1: rows sorted by key, then by row *)
+  let ok = read [ [| 5; 1 |]; [| 6; 1 |]; [| 5; 2 |] ] in
+  Alcotest.(check int) "sorted block: bucket of 1" 2 (Index.count ok [| 1 |]);
+  Alcotest.(check int) "sorted block: bucket of 2" 1 (Index.count ok [| 2 |]);
+  let rejects what ?key_vars rows =
+    match read ?key_vars rows with
+    | _ -> Alcotest.failf "%s: loaded" what
+    | exception Codec.Corrupt _ -> ()
+  in
+  rejects "two rows swapped across keys" [ [| 5; 1 |]; [| 5; 2 |]; [| 6; 1 |] ];
+  rejects "duplicated row" [ [| 5; 1 |]; [| 5; 1 |]; [| 5; 2 |] ];
+  rejects "rows out of order under one key" [ [| 6; 1 |]; [| 5; 1 |] ];
+  rejects "key variable outside the schema" ~key_vars:[ 7 ] [ [| 5; 1 |] ]
+
 let () =
   Alcotest.run "index"
     [
@@ -142,5 +253,14 @@ let () =
           Alcotest.test_case "empty relation" `Quick test_empty_relation;
           Alcotest.test_case "build charges nothing" `Quick
             test_build_charges_nothing;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "read (write i) answers like i" `Quick
+            test_snapshot_roundtrip;
+          Alcotest.test_case "overlay rows are written live" `Quick
+            test_snapshot_overlay;
+          Alcotest.test_case "rows out of key order are corrupt" `Quick
+            test_snapshot_rejects_disorder;
         ] );
     ]

@@ -290,6 +290,14 @@ let engine_rejects_damage () =
       | Store.Version_skew { expected; _ } -> expected = Engine.format_version
       | _ -> false)
     (Engine.load path);
+  (* a file of the previous format (bytes 8-11 hold the version) *)
+  let v1 = Bytes.of_string whole in
+  Bytes.set_int32_le v1 8 1l;
+  write_file path (Bytes.to_string v1);
+  expect_error "format version 1"
+    (function
+      | Store.Version_skew { found = 1; expected = 2 } -> true | _ -> false)
+    (Engine.load path);
   write_file path whole;
   flip_byte path 3;
   expect_error "magic"
@@ -315,6 +323,67 @@ let engine_flip_sweep () =
       (Engine.load path);
     pos := !pos + 251
   done
+
+(* ------------------------------------------------------------------ *)
+(* canonical bytes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Fconfig = Stt_factorized.Config
+module Semiring = Stt_semiring.Semiring
+
+let with_mode m f =
+  let saved = Fconfig.mode () in
+  Fconfig.set_mode m;
+  Fun.protect ~finally:(fun () -> Fconfig.set_mode saved) f
+
+let reach_engine ~k ~seed ~budget =
+  let db = Db.create () in
+  Db.add_pairs db "R"
+    (Stt_workload.Graphs.zipf_both ~seed ~vertices:400 ~edges:4000 ~s:1.1);
+  (db, Engine.build_auto (Cq.Library.k_path k) ~db ~budget)
+
+(* save (load (save e)) = save e, byte for byte *)
+let check_canonical what e =
+  let first = temp_snap () and second = temp_snap () in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove first;
+      Sys.remove second)
+  @@ fun () ->
+  ignore (save_exn e first);
+  (match Engine.load first with
+  | Error err -> Alcotest.failf "%s: load: %s" what (Store.error_to_string err)
+  | Ok loaded -> ignore (save_exn loaded second));
+  let a = read_file first and b = read_file second in
+  if not (String.equal a b) then
+    Alcotest.failf "%s: re-saved snapshot differs (%d vs %d bytes)" what
+      (String.length a) (String.length b)
+
+let canonical_2reach () =
+  with_mode Fconfig.Auto @@ fun () ->
+  let db, e = reach_engine ~k:2 ~seed:113 ~budget:2000 in
+  Alcotest.(check bool) "a view is factorized" true
+    (Engine.factorized_views e > 0);
+  check_canonical "2-reach" e;
+  (* the same engine with aggregate tables and a warm cache holding
+     tuple and aggregate answers *)
+  Engine.enable_agg ~kinds:[ Semiring.Count; Semiring.Min ] e ~db
+    ~budget:100_000;
+  Engine.attach_cache e ~budget:5000;
+  let schema = Engine.access_schema e in
+  List.iteri
+    (fun i tup ->
+      let q_a = Relation.singleton schema tup in
+      if i mod 4 = 0 then ignore (Engine.answer_agg e Semiring.Count ~q_a)
+      else ignore (Engine.answer e ~q_a))
+    (Stt_workload.Scenario.zipf_requests ~seed:7 ~n:400 ~requests:600
+       ~skew:1.1 ~arity:(Schema.arity schema));
+  Alcotest.(check bool) "cache is warm" true (Engine.cache_space e > 0);
+  check_canonical "2-reach with aggregates and cache" e
+
+let canonical_3reach_forced () =
+  with_mode Fconfig.Forced @@ fun () ->
+  let _, e = reach_engine ~k:3 ~seed:131 ~budget:800 in
+  check_canonical "3-reach, factorization forced" e
 
 (* ------------------------------------------------------------------ *)
 (* randomized round-trip differential                                   *)
@@ -380,6 +449,10 @@ let () =
             engine_rejects_damage;
           Alcotest.test_case "every flipped byte is caught" `Slow
             engine_flip_sweep;
+          Alcotest.test_case "2-reach re-saves to the same bytes" `Quick
+            canonical_2reach;
+          Alcotest.test_case "forced 3-reach re-saves to the same bytes"
+            `Quick canonical_3reach_forced;
         ] );
       ( "differential",
         [

@@ -18,9 +18,6 @@ type agg_table = { complete : bool; entries : int Tuple.Tbl.t }
 
 type agg_state = {
   agg_budget : int;
-  agg_factors : (string * Relation.t) list;
-      (* annotated base relations, aligned positionally with the CQ's
-         atoms (a self-joined relation appears once per atom) *)
   mutable agg_tables : (Semiring.kind * agg_table) list;
 }
 
@@ -28,6 +25,10 @@ type t = {
   cqap : Cq.cqap;
   pmtds : Pmtd.t list;
   rules : Rule.t list;
+  mutable base : (Cq.atom * Relation.t) list;
+      (* the one live, annotated relation per atom, in atom order: split
+         by every rule's 2PP structure, written once per delta and read
+         as the aggregate factors; empty when loaded without "agg" *)
   structures : Twopp.t list;
   mutable preprocessed : (Pmtd.t * Online_yannakakis.preprocessed) list;
   mutable space : int;
@@ -41,8 +42,8 @@ type t = {
   mutable thawed : bool;
       (* S-views re-materialized unreduced for incremental maintenance *)
   mutable agg : agg_state option;
-      (* semiring aggregate answering; None until [enable_agg] (or a
-         snapshot with an "agg" section) provides annotated factors *)
+      (* semiring aggregate answering over [base]; None until
+         [enable_agg] (or a snapshot with an "agg" section) *)
 }
 
 (* Carry the per-domain simplex pivot counter across the pool's worker
@@ -107,32 +108,37 @@ let pmap f xs =
       List.iter (fun (_, ctx) -> Obs.adopt ctx) tasks;
       res
 
+(* One PMTD's Online Yannakakis state over the union of the rules'
+   stored S-targets: semijoin-reduced (and possibly factorized) views at
+   build, plain ones once thawed for maintenance. *)
+let preprocess_pmtd ~thawed s_targets p =
+  let s_views node = view_of_targets s_targets (Pmtd.view p node).Pmtd.vars in
+  let frozen = not thawed in
+  (p, Online_yannakakis.preprocess ~reduce:frozen ~factorize:frozen p ~s_views)
+
+let views_space preprocessed =
+  List.fold_left
+    (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
+    0 preprocessed
+
 let build ?(counted = false) cqap pmtd_list ~db ~budget =
   Obs.span "engine.build" ~attrs:[ ("budget", Json.Int budget) ] @@ fun () ->
   let rules = Rule.generate cqap pmtd_list in
   Obs.set_attr "pmtds" (Json.Int (List.length pmtd_list));
   Obs.set_attr "rules" (Json.Int (List.length rules));
   Obs.set_attr "jobs" (Json.Int (Pool.jobs ()));
-  (* phase 1: the 2PP structure of every rule, in parallel across rules *)
-  let structures = pmap (fun r -> Twopp.build ~counted r ~db ~budget) rules in
-  let all_s_targets = List.concat_map Twopp.s_targets structures in
+  let base = List.map (fun a -> (a, Db.relation db a)) cqap.Cq.cq.Cq.atoms in
+  (* phase 1: the 2PP structure of every rule, in parallel across rules
+     (each reads the shared base and writes only its own structure) *)
+  let structures = pmap (fun r -> Twopp.build ~counted r ~base ~budget) rules in
   (* phase 2: Yannakakis preprocessing, in parallel across PMTDs (reads
      the shared S-targets, writes only per-PMTD state) *)
   let preprocessed =
+    let s_targets = List.concat_map Twopp.s_targets structures in
     Cost.with_counting counted (fun () ->
-        pmap
-          (fun p ->
-            let s_views node =
-              view_of_targets all_s_targets (Pmtd.view p node).Pmtd.vars
-            in
-            (p, Online_yannakakis.preprocess p ~s_views))
-          pmtd_list)
+        pmap (preprocess_pmtd ~thawed:false s_targets) pmtd_list)
   in
-  let space =
-    List.fold_left
-      (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
-      0 preprocessed
-  in
+  let space = views_space preprocessed in
   Obs.set_attr "space" (Json.Int space);
   Obs.set_attr "pmtd_space"
     (Json.List
@@ -143,6 +149,7 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
     cqap;
     pmtds = pmtd_list;
     rules;
+    base;
     structures;
     preprocessed;
     space;
@@ -394,8 +401,7 @@ let agg_state t =
   | Some st -> st
   | None -> failwith "Engine: aggregates not enabled (call enable_agg)"
 
-let factors_of st k =
-  List.map (fun (_, r) -> Agg_eval.of_relation k r) st.agg_factors
+let factors_of t k = List.map (fun (_, r) -> Agg_eval.of_relation k r) t.base
 
 (* Precompute the per-kind aggregate tables over the access variables by
    full offline elimination (uncounted — preprocessing time is not what
@@ -412,7 +418,7 @@ let build_agg_tables t ~kinds =
       Cost.with_counting false @@ fun () ->
       let access = access_schema t in
       let count_tbl =
-        Agg_eval.table Semiring.Count (factors_of st Semiring.Count) ~access
+        Agg_eval.table Semiring.Count (factors_of t Semiring.Count) ~access
       in
       let n = Tuple.Tbl.length count_tbl in
       let heavy =
@@ -452,22 +458,20 @@ let build_agg_tables t ~kinds =
           (fun k ->
             let tbl =
               if k = Semiring.Count then count_tbl
-              else Agg_eval.table k (factors_of st k) ~access
+              else Agg_eval.table k (factors_of t k) ~access
             in
             (k, restrict tbl))
           kinds
 
+(* The factors are the live base, so tables built after deltas are
+   exact; [db] only supplies a base to an engine loaded without one. *)
 let enable_agg ?(kinds = Semiring.all) t ~db ~budget =
   Obs.span "engine.enable_agg" ~attrs:[ ("budget", Json.Int budget) ]
   @@ fun () ->
   if budget < 0 then invalid_arg "Engine.enable_agg: negative budget";
-  let agg_factors =
-    Cost.with_counting false (fun () ->
-        List.map
-          (fun (a : Cq.atom) -> (a.Cq.rel, Db.relation db a))
-          t.cqap.Cq.cq.Cq.atoms)
-  in
-  t.agg <- Some { agg_budget = budget; agg_factors; agg_tables = [] };
+  if t.base = [] then
+    t.base <- List.map (fun a -> (a, Db.relation db a)) t.cqap.Cq.cq.Cq.atoms;
+  t.agg <- Some { agg_budget = budget; agg_tables = [] };
   build_agg_tables t ~kinds;
   Obs.set_attr "table_rows" (Json.Int (agg_table_size t))
 
@@ -483,7 +487,7 @@ let answer_agg_scoped t k ~rows =
       let online light =
         let q = Relation.create (access_schema t) in
         List.iter (Relation.add q) light;
-        Agg_eval.aggregate k (factors_of st k) ~q_a:q
+        Agg_eval.aggregate k (factors_of t k) ~q_a:q
       in
       match List.assoc_opt k st.agg_tables with
       | Some { complete; entries } ->
@@ -507,8 +511,8 @@ let answer_agg_scoped t k ~rows =
    this is the baseline the benchmarks and the differential op-sanity
    check compare against. *)
 let agg_baseline t k ~q_a =
-  let st = agg_state t in
-  Cost.scoped (fun () -> Agg_eval.brute k (factors_of st k) ~q_a)
+  ignore (agg_state t) (* raises unless enabled *);
+  Cost.scoped (fun () -> Agg_eval.brute k (factors_of t k) ~q_a)
 
 let answer_agg t k ~q_a =
   Obs.span "engine.answer_agg"
@@ -568,25 +572,13 @@ let supports_maintenance t =
    that lands on the first delta and amortizes over the stream. *)
 let thaw t =
   if not t.thawed then begin
-    let all_s_targets = List.concat_map Twopp.s_targets t.structures in
-    let preprocessed =
+    let s_targets = List.concat_map Twopp.s_targets t.structures in
+    t.preprocessed <-
       Cost.with_counting false (fun () ->
           List.map
-            (fun (p, _) ->
-              let s_views node =
-                view_of_targets all_s_targets (Pmtd.view p node).Pmtd.vars
-              in
-              ( p,
-                Online_yannakakis.preprocess ~reduce:false ~factorize:false p
-                  ~s_views ))
-            t.preprocessed)
-    in
-    t.preprocessed <- preprocessed;
-    let space =
-      List.fold_left
-        (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
-        0 preprocessed
-    in
+            (fun (p, _) -> preprocess_pmtd ~thawed:true s_targets p)
+            t.preprocessed);
+    let space = views_space t.preprocessed in
     for _ = 1 to space do
       Cost.charge_scan ()
     done;
@@ -595,9 +587,6 @@ let thaw t =
     Obs.incr "maintain.thaw"
   end
 
-let known_relation t rel =
-  List.exists (fun (a : Cq.atom) -> a.Cq.rel = rel) t.cqap.Cq.cq.Cq.atoms
-
 (* Access requests whose answers can change with the delta: the
    access-variable projections of every body derivation that uses the
    tuple at some atom.  Computed against the base relations — before
@@ -605,32 +594,26 @@ let known_relation t rel =
    (the new ones).  The pinned singleton is the smallest join input, so
    the greedy join stays narrow around the tuple. *)
 let affected_access t ~rel ~tuple =
-  match t.structures with
-  | [] -> Tuple.Tbl.create 1
-  | s :: _ ->
-      let base = Twopp.base_relations s in
-      let access = Varset.to_list t.cqap.Cq.access in
-      let acc = Tuple.Tbl.create 16 in
-      List.iter
-        (fun ((a : Cq.atom), _) ->
-          if a.Cq.rel = rel then begin
-            let single =
-              Relation.singleton (Schema.of_list a.Cq.vars) tuple
-            in
-            let others =
-              List.filter_map
-                (fun (a', r) -> if a' == a then None else Some r)
-                base
-            in
-            let reach = Db.join_greedy (single :: others) ~keep:access in
-            Relation.iter
-              (fun row ->
-                if not (Tuple.Tbl.mem acc row) then
-                  Tuple.Tbl.add acc (Array.copy row) ())
-              reach
-          end)
-        base;
-      acc
+  let access = Varset.to_list t.cqap.Cq.access in
+  let acc = Tuple.Tbl.create 16 in
+  List.iter
+    (fun ((a : Cq.atom), _) ->
+      if a.Cq.rel = rel then begin
+        let single = Relation.singleton (Schema.of_list a.Cq.vars) tuple in
+        let others =
+          List.filter_map
+            (fun (a', r) -> if a' == a then None else Some r)
+            t.base
+        in
+        let reach = Db.join_greedy (single :: others) ~keep:access in
+        Relation.iter
+          (fun row ->
+            if not (Tuple.Tbl.mem acc row) then
+              Tuple.Tbl.add acc (Array.copy row) ())
+          reach
+      end)
+    t.base;
+  acc
 
 let invalidate_cache t affected =
   match t.cache with
@@ -656,41 +639,40 @@ let nodes_for t b =
         (Online_yannakakis.materialized_nodes oy))
     t.preprocessed
 
+(* One validated delta.  A redundant one (inserting a present tuple,
+   deleting an absent one) touches nothing, not even the thaw. *)
 let apply_one t ~rel ~tuple ~add =
-  if not (known_relation t rel) then
-    failwith (Printf.sprintf "Engine: delta against unknown relation %s" rel);
-  (* reject malformed deltas before any state is touched, so a bad
-     request cannot leave the engine half-updated *)
-  List.iter
-    (fun (a : Cq.atom) ->
-      if a.Cq.rel = rel && List.length a.Cq.vars <> Tuple.arity tuple then
-        failwith
-          (Printf.sprintf "Engine: arity-%d delta for %d-ary relation %s"
-             (Tuple.arity tuple)
-             (List.length a.Cq.vars)
-             rel))
-    t.cqap.Cq.cq.Cq.atoms;
-  if not (supports_maintenance t) then
-    failwith
-      "Engine: snapshot-loaded engines are static replicas and cannot \
-       accept deltas";
-  thaw t;
   let present =
-    Twopp.base_mem (List.hd t.structures) ~rel tuple
+    List.exists
+      (fun ((a : Cq.atom), r) -> a.Cq.rel = rel && Relation.mem r tuple)
+      t.base
   in
-  if add = present then false (* redundant delta: no-op *)
+  if add = present then false
   else begin
-    (* for a delete, the dying derivations must be probed before the
-       base loses the tuple *)
-    let pre_affected =
-      if (not add) && t.cache <> None then Some (affected_access t ~rel ~tuple)
-      else None
+    thaw t;
+    (* the cache's stale entries: a delete's dying derivations must be
+       probed before the base loses the tuple, an insert's new ones
+       after it has it *)
+    let affected () =
+      if t.cache = None then None else Some (affected_access t ~rel ~tuple)
     in
+    let pre_affected = if add then None else affected () in
+    (* write the base and route the delta one atom at a time, in atom
+       order, so each structure's delta joins for an atom see the
+       earlier atoms of a self-joined relation updated and the later
+       ones not *)
     let events =
       List.concat_map
-        (fun s ->
-          List.map (fun ev -> ev) (Twopp.apply_delta s ~rel ~tuple ~add))
-        t.structures
+        (fun ((atom : Cq.atom), r) ->
+          if atom.Cq.rel <> rel then []
+          else begin
+            if add then Relation.add r tuple
+            else ignore (Relation.remove r tuple);
+            List.concat_map
+              (fun s -> Twopp.apply_delta s ~atom ~tuple ~add)
+              t.structures
+          end)
+        t.base
     in
     let inserts, deletes = List.partition (fun (_, _, sign) -> sign) events in
     List.iter
@@ -712,47 +694,55 @@ let apply_one t ~rel ~tuple ~add =
               ignore (Online_yannakakis.delete_view_tuple oy node row))
             (nodes_for t b))
       deletes;
-    t.space <-
-      List.fold_left
-        (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
-        0 t.preprocessed;
-    let affected =
-      match pre_affected with
-      | Some a -> Some a
-      | None ->
-          if t.cache <> None then Some (affected_access t ~rel ~tuple)
-          else None
-    in
-    (match affected with
+    t.space <- views_space t.preprocessed;
+    (match if add then affected () else pre_affected with
     | Some aff ->
         let n = invalidate_cache t aff in
         if n > 0 then Obs.incr ~by:n "cache.invalidate"
     | None -> ());
-    (* aggregate state: patch the annotated factors in place (a delta
-       carries no weight, so an inserted tuple starts from the kind's
-       default annotation) and drop the precomputed tables — subsequent
-       aggregate requests fall back to online elimination *)
+    (* the aggregate factors are the base, already updated (a delta
+       carries no weight, so an inserted tuple takes the kind's default
+       annotation); the precomputed tables are dropped, and aggregate
+       requests fall back to online elimination until [enable_agg] *)
     (match t.agg with
-    | None -> ()
-    | Some st ->
-        List.iter
-          (fun (name, frel) ->
-            if name = rel then
-              if add then Relation.add frel tuple
-              else ignore (Relation.remove frel tuple))
-          st.agg_factors;
-        if st.agg_tables <> [] then begin
-          st.agg_tables <- [];
-          Obs.incr "agg.tables_dropped"
-        end);
+    | Some st when st.agg_tables <> [] ->
+        st.agg_tables <- [];
+        Obs.incr "agg.tables_dropped"
+    | _ -> ());
     t.epoch <- t.epoch + 1;
     true
   end
+
+(* Every delta of the batch is checked before anything is written, so a
+   malformed batch leaves the engine as it was. *)
+let check_batch t deltas =
+  List.iter
+    (fun (rel, tuple, _) ->
+      match
+        List.filter (fun (a : Cq.atom) -> a.Cq.rel = rel) t.cqap.Cq.cq.Cq.atoms
+      with
+      | [] ->
+          Printf.ksprintf failwith "Engine: delta against unknown relation %s"
+            rel
+      | atoms ->
+          List.iter
+            (fun (a : Cq.atom) ->
+              if List.length a.Cq.vars <> Tuple.arity tuple then
+                Printf.ksprintf failwith
+                  "Engine: arity-%d delta for %d-ary relation %s"
+                  (Tuple.arity tuple) (List.length a.Cq.vars) rel)
+            atoms)
+    deltas;
+  if deltas <> [] && not (supports_maintenance t) then
+    failwith
+      "Engine: snapshot-loaded engines are static replicas and cannot \
+       accept deltas"
 
 let apply_deltas t deltas =
   Obs.span "engine.maintain"
     ~attrs:[ ("deltas", Json.Int (List.length deltas)) ]
   @@ fun () ->
+  check_batch t deltas;
   let applied = ref 0 in
   let (), cost =
     Cost.scoped (fun () ->
@@ -942,9 +932,9 @@ let save t path =
                   (Cache.export cache) );
           ]
   in
-  (* optional section: semiring aggregate state — the annotated factors
-     and the precomputed per-kind tables, so a snapshot-shipped replica
-     serves aggregates without the base database *)
+  (* optional section: semiring aggregate state — the annotated base
+     relations (the factors) and the precomputed per-kind tables, so a
+     snapshot-shipped replica serves aggregates without the database *)
   let sections =
     match t.agg with
     | None -> sections
@@ -956,10 +946,10 @@ let save t path =
               fun e ->
                 C.write_uint e st.agg_budget;
                 C.write_list e
-                  (fun (name, rel) ->
-                    C.write_string e name;
+                  (fun ((a : Cq.atom), rel) ->
+                    C.write_string e a.Cq.rel;
                     write_annotated e rel)
-                  st.agg_factors;
+                  t.base;
                 C.write_list e
                   (fun (k, { complete; entries }) ->
                     C.write_u8 e (Semiring.to_tag k);
@@ -1017,11 +1007,7 @@ let load path =
     Store.Reader.section r "yannakakis"
       (map_in_order (fun p d -> (p, Online_yannakakis.read p d)) pmtds)
   in
-  let space =
-    List.fold_left
-      (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
-      0 preprocessed
-  in
+  let space = views_space preprocessed in
   let* () =
     Store.Reader.section r "summary" (fun d ->
         let stored_space = C.read_uint d in
@@ -1096,32 +1082,38 @@ let load path =
           if epoch = 0 then C.corrupt "epoch: zero epoch should be omitted";
           epoch)
   in
-  (* the agg section is optional; a replica that loads one serves
-     aggregates without ever seeing the base database *)
-  let* agg =
-    if not (List.mem "agg" (Store.Reader.section_names r)) then Ok None
+  (* the agg section is optional; a replica that loads one takes its
+     factors as the base and serves aggregates without ever seeing the
+     database *)
+  let* base, agg =
+    if not (List.mem "agg" (Store.Reader.section_names r)) then Ok ([], None)
     else
       Store.Reader.section r "agg" (fun d ->
           let agg_budget = C.read_uint d in
           let atoms = cqap.Cq.cq.Cq.atoms in
-          let agg_factors =
+          let factors =
             C.read_list d (fun () ->
                 let name = C.read_string d in
                 (name, read_annotated d))
           in
-          if List.length agg_factors <> List.length atoms then
-            C.corrupt "agg: %d factors for %d atoms"
-              (List.length agg_factors) (List.length atoms);
-          List.iter2
-            (fun (a : Cq.atom) (name, rel) ->
-              if not (String.equal name a.Cq.rel) then
-                C.corrupt "agg factor: %s where atom %s expected" name a.Cq.rel;
-              if
-                not
-                  (Schema.equal (Relation.schema rel)
-                     (Schema.of_list a.Cq.vars))
-              then C.corrupt "agg factor %s: schema differs from the atom" name)
-            atoms agg_factors;
+          if List.length factors <> List.length atoms then
+            C.corrupt "agg: %d factors for %d atoms" (List.length factors)
+              (List.length atoms);
+          let base =
+            List.map2
+              (fun (a : Cq.atom) (name, rel) ->
+                if not (String.equal name a.Cq.rel) then
+                  C.corrupt "agg factor: %s where atom %s expected" name
+                    a.Cq.rel;
+                if
+                  not
+                    (Schema.equal (Relation.schema rel)
+                       (Schema.of_list a.Cq.vars))
+                then
+                  C.corrupt "agg factor %s: schema differs from the atom" name;
+                (a, rel))
+              atoms factors
+          in
           let access_arity = Varset.cardinal cqap.Cq.access in
           let seen = Hashtbl.create 8 in
           let agg_tables =
@@ -1147,7 +1139,7 @@ let load path =
                   keys;
                 (k, { complete; entries }))
           in
-          Some { agg_budget; agg_factors; agg_tables })
+          (base, Some { agg_budget; agg_tables }))
   in
   Obs.set_attr "space" (Json.Int space);
   Obs.set_attr "epoch" (Json.Int epoch);
@@ -1156,6 +1148,7 @@ let load path =
       cqap;
       pmtds;
       rules;
+      base;
       structures;
       preprocessed;
       space;

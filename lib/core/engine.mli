@@ -86,19 +86,25 @@ val access_schema : t -> Schema.t
     over all valuations of the query's variables consistent with some
     request tuple, of the semiring product of the base-atom annotations
     — COUNT and SUM without materializing the join, MIN/MAX over the
-    tropical semirings.  [enable_agg] annotates the base relations with
-    the database's weights ({!Db.add_weighted}) and precomputes per-kind
-    aggregate tables over the access variables (uncounted, like the rest
-    of preprocessing); when the full table exceeds the budget, only the
-    heaviest access keys (by derivation count) are kept and the rest are
-    answered by online annotated variable elimination.  Aggregate
+    tropical semirings.  The factors are the engine's live base
+    relations, annotated with the database's weights
+    ({!Db.add_weighted}) when the engine was built; [enable_agg]
+    precomputes per-kind aggregate tables over the access variables
+    (uncounted, like the rest of preprocessing); when the full table
+    exceeds the budget, only the heaviest access keys (by derivation
+    count) are kept and the rest are answered by online annotated
+    variable elimination.  Aggregate
     answers are cached under kind-tagged keys and shipped in snapshots
     (the ["agg"] section), so replicas serve aggregates too. *)
 
 val enable_agg :
   ?kinds:Stt_semiring.Semiring.kind list -> t -> db:Db.t -> budget:int -> unit
 (** Build aggregate state for [kinds] (default: all) with at most
-    [budget] precomputed table entries per kind.  Raises
+    [budget] precomputed table entries per kind.  The tables are
+    computed over the live base, so calling it again after deltas
+    builds exact tables for the current data.  [db] is read only by an
+    engine without a base — one loaded from a snapshot without an
+    "agg" section — and then becomes its base.  Raises
     [Invalid_argument] on a negative budget. *)
 
 val answer_agg :
@@ -149,15 +155,19 @@ val agg_table_size : t -> int
     counters, with per-batch totals in the [engine.maintain.ops]
     histogram.
 
-    The first delta {e thaws} the engine: S-views are re-materialized
-    without the SS semijoin reduction (which {!answer} never depends
-    on), since reduced views cannot absorb deltas additively; the
-    conversion is charged as one scan per view tuple on that first
-    delta.  Engines loaded from snapshots are static replicas: they
-    answer, but reject deltas with [Failure].  A [Failure] escaping
-    mid-delta (unknown relation, arity mismatch, or a newly non-empty
-    subproblem impossible at the build budget) can leave the engine
-    inconsistent — treat it as fatal and rebuild. *)
+    The first effective delta {e thaws} the engine: S-views are
+    re-materialized without the SS semijoin reduction (which {!answer}
+    never depends on), since reduced views cannot absorb deltas
+    additively; the conversion is charged as one scan per view tuple on
+    that delta.  A redundant delta (inserting a present tuple, deleting
+    an absent one) touches nothing and costs nothing.
+
+    A malformed batch — an unknown relation, an arity mismatch, or any
+    delta against a snapshot-loaded engine, which is a static replica —
+    raises [Failure] before anything is written, leaving the engine as
+    it was.  A [Failure] that only shows while a delta is applied (a
+    newly non-empty subproblem impossible at the build budget) can
+    leave the engine inconsistent — treat it as fatal and rebuild. *)
 
 val insert : t -> string -> Tuple.t -> bool * Cost.snapshot
 (** [insert t rel tuple] adds [tuple] to every atom of relation [rel].
@@ -168,8 +178,9 @@ val delete : t -> string -> Tuple.t -> bool * Cost.snapshot
 (** Remove a tuple; deleting an absent tuple is a no-op. *)
 
 val apply_deltas : t -> (string * Tuple.t * bool) list -> int * Cost.snapshot
-(** Apply a batch of [(relation, tuple, insert?)] deltas in order.
-    Returns how many were effective and the total maintenance cost. *)
+(** Apply a batch of [(relation, tuple, insert?)] deltas in order,
+    after checking all of them.  Returns how many were effective and
+    the total maintenance cost. *)
 
 val epoch : t -> int
 (** Number of effective deltas absorbed since build; 0 for a pristine

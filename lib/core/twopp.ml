@@ -60,7 +60,6 @@ type ctree =
 
 type maint = {
   mbudget : int;
-  base : (Cq.atom * Relation.t) list; (* live base relation per atom *)
   tree : ctree;
   combos : combo list; (* leaves in canonical heavy-first order *)
 }
@@ -81,20 +80,6 @@ let delegated_subproblems t = List.length t.delegated
 let stored_subproblems t = t.stored_subs
 let supports_maintenance t = t.maint <> None
 
-let base_relations t =
-  match t.maint with Some m -> m.base | None -> []
-
-let base_mem t ~rel tuple =
-  match t.maint with
-  | None -> false
-  | Some m ->
-      List.exists
-        (fun ((a : Cq.atom), base_rel) ->
-          a.Cq.rel = rel
-          && Tuple.arity tuple = List.length a.Cq.vars
-          && Relation.mem base_rel tuple)
-        m.base
-
 let stored_mem t b row =
   match List.find_opt (fun (b', _) -> Varset.equal b b') t.stored with
   | Some (_, rel) -> Relation.mem rel row
@@ -105,26 +90,6 @@ let stored_mem t b row =
 let log2_rat x =
   let bits = Float.log2 (float_of_int (max 2 x)) in
   Rat.make (int_of_float (Float.round (16.0 *. bits))) 16
-
-(* Partition an atom's relation into (heavy, light) by the degree
-   deg(Y | X) measured on distinct Y-projections.  Runs under the
-   caller's counting mode: quiet inside a default build, charged inside
-   a [~counted] rebuild. *)
-let split_atom rel ~x_vars ~y_vars ~threshold =
-  let proj = Relation.project rel y_vars in
-  let degs = Relation.degrees proj x_vars in
-  let schema = Relation.schema rel in
-  let x_pos = Schema.positions schema x_vars in
-  let heavy = Relation.create schema and light = Relation.create schema in
-  Relation.iter
-    (fun tup ->
-      let key = Tuple.project x_pos tup in
-      let d =
-        match Tuple.Tbl.find_opt degs key with Some d -> d | None -> 0
-      in
-      if d > threshold then Relation.add heavy tup else Relation.add light tup)
-    rel;
-  (heavy, light)
 
 (* Measured degree constraints of a subproblem, for target selection. *)
 let measured_dc rels =
@@ -321,19 +286,26 @@ let safe_order ~access atoms =
 (* Build both plans for one subproblem; online execution runs the greedy
    plan with the safe plan's worst-case estimate as an abort cap and
    falls back when it trips — adaptive, at most ~2x the worst-case
-   bound, near-greedy on typical requests.  Also returns the atom behind
+   bound, near-greedy on typical requests.  Also records the atom behind
    each step, so incremental maintenance can patch step indexes. *)
 let build_plan rels ~access ~target =
   Cost.with_counting false (fun () ->
       let atoms = local_atoms rels ~access target in
       let safe = safe_order ~access atoms in
       let greedy = greedy_order ~access atoms in
-      let cap = 2 * (1 + order_cost ~access safe) in
-      ( steps_of_order ~access ~target greedy,
-        List.map fst greedy,
-        steps_of_order ~access ~target safe,
-        List.map fst safe,
-        cap ))
+      let sub =
+        {
+          t_target = target;
+          probe_plan = steps_of_order ~access ~target greedy;
+          safe_plan = steps_of_order ~access ~target safe;
+          cap = 2 * (1 + order_cost ~access safe);
+        }
+      in
+      {
+        sub;
+        probe_atoms = List.map fst greedy;
+        safe_atoms = List.map fst safe;
+      })
 
 (* evaluate the (partial) body join projected onto each target, giving
    up early on any materialization that cannot fit the budget; joins are
@@ -350,6 +322,44 @@ let eval_targets rels targets ~budget =
       | Some rel -> Some (b, rel)
       | None -> None)
     targets
+
+type choice = Store of Varset.t * Relation.t | Delegate of dsub
+
+(* The one decision for a non-empty subproblem: evaluate the S-targets
+   (bounded by [eval_budget]) and store the one of least [size] when it
+   fits [budget], else delegate the T-target of least polymatroid bound
+   with its probe and safe plans.  Also returns the best candidate and
+   its size, stored or not.  Raises [Failure] when the rule has no
+   T-target to delegate to. *)
+let decide (r : Rule.t) rels ~eval_budget ~budget ~size =
+  let cqap = r.Rule.cqap in
+  let candidates =
+    match r.Rule.s_targets with
+    | [] -> []
+    | s_targets -> eval_targets rels s_targets ~budget:eval_budget
+  in
+  let best =
+    List.fold_left
+      (fun acc (b, rel) ->
+        let eff = size rel in
+        match acc with
+        | Some (_, _, best_eff) when best_eff <= eff -> acc
+        | _ -> Some (b, rel, eff))
+      None candidates
+  in
+  let choice =
+    match best with
+    | Some (b, rel, eff) when eff <= budget -> Store (b, rel)
+    | _ -> (
+        match r.Rule.t_targets with
+        | [] -> failwith "Twopp.build: rule impossible at this budget"
+        | t_targets ->
+            let target =
+              pick_target cqap.Cq.cq.Cq.n ~dc:(measured_dc rels) t_targets
+            in
+            Delegate (build_plan rels ~access:cqap.Cq.access ~target))
+  in
+  (best, choice)
 
 (* ------------------------------------------------------------------ *)
 (* the split tree                                                       *)
@@ -464,6 +474,43 @@ and tree_delete tr atom tup events =
 (* build                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let stored_rel_for t b =
+  match List.find_opt (fun (b', _) -> Varset.equal b b') t.stored with
+  | Some (_, rel) -> rel
+  | None ->
+      let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
+      t.stored <- t.stored @ [ (b, rel) ];
+      rel
+
+(* Add a combo's derived [rows] (any column order over target [b]) to
+   the stored union, recording each new row as an S-view insert event. *)
+let store_rows t b rows out_events =
+  let union_rel = stored_rel_for t b in
+  let pos =
+    Schema.positions (Relation.schema rows)
+      (Schema.vars (Relation.schema union_rel))
+  in
+  Relation.iter
+    (fun row0 ->
+      let row = Tuple.project pos row0 in
+      if not (Relation.mem union_rel row) then begin
+        Relation.add union_rel row;
+        t.space <- t.space + 1;
+        out_events := (b, row, true) :: !out_events
+      end)
+    rows
+
+(* carry out a {!decide} for combo [c] *)
+let settle t c choice out_events =
+  match choice with
+  | Store (b, rel) ->
+      t.stored_subs <- t.stored_subs + 1;
+      c.cdecision <- M_stored b;
+      store_rows t b rel out_events
+  | Delegate d ->
+      t.delegated <- t.delegated @ [ d.sub ];
+      c.cdecision <- M_delegated d
+
 (* One materialization pass.  [budget_lp] drives the guide LP's space
    exponent and the candidate-evaluation limit — how aggressively the
    splits steer tuples toward storage; [budget] is the stored-singleton
@@ -473,7 +520,7 @@ and tree_delete tr atom tup events =
    Besides the structure, returns the total cardinality and effective
    size of the best candidates seen, the measured compression evidence
    {!build} amplifies on. *)
-let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
+let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
   Obs.span "twopp.build"
     ~attrs:
       [
@@ -485,16 +532,19 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
   Cost.with_counting counted (fun () ->
       let cqap = r.Rule.cqap in
       let cq = cqap.Cq.cq in
-      let n = cq.Cq.n in
       let vs_str b =
         "{"
         ^ String.concat ","
             (List.map (fun v -> cq.Cq.var_names.(v)) (Varset.to_list b))
         ^ "}"
       in
-      let access = cqap.Cq.access in
       let dc = Degree.default_dc cq and ac = Degree.default_ac cqap in
-      let dsize = max 2 (Db.size db) in
+      (* the paper's |D|: the largest base relation *)
+      let dsize =
+        List.fold_left
+          (fun acc (_, rel) -> max acc (Relation.cardinal rel))
+          2 base
+      in
       let logd_abs = Float.log2 (float_of_int dsize) in
       let logs =
         Rat.of_float_approx ~max_den:1024
@@ -539,7 +589,6 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
       (* [Impossible] is a worst-case prediction; actual materialization is
          still attempted below and only fails if the real data does not
          fit either. *)
-      let base = List.map (fun a -> (a, Db.relation db a)) cq.Cq.atoms in
       let hs_of x =
         match List.assoc_opt x point.Jointflow.hs with
         | Some v -> v
@@ -566,48 +615,50 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
       in
       (* subproblems: every heavy/light choice over the split pairs,
          materialized as an explicit tree whose nodes carry the degree
-         state needed to re-route tuple deltas later *)
+         state needed to re-route tuple deltas later.  The node's
+         distinct-y degree per x key, deg(Y | X), is also what splits
+         the input: keys above the threshold go heavy.  The leaves of
+         atoms no split touches are the base relations themselves. *)
       let rec expand_tree rels = function
         | [] -> CLeaf { crel = rels; cdecision = M_absent }
         | (atom, x, y, threshold) :: rest ->
             let rel = List.assq atom rels in
-            let heavy, light =
-              Obs.span "twopp.split" (fun () ->
-                  let h, l =
-                    split_atom rel
-                      ~x_vars:(Varset.to_list x)
-                      ~y_vars:(Varset.to_list y)
-                      ~threshold
-                  in
-                  Obs.set_attr "atom" (Json.String atom.Cq.rel);
-                  Obs.set_attr "x" (Json.String (vs_str x));
-                  Obs.set_attr "y" (Json.String (vs_str y));
-                  Obs.set_attr "threshold" (Json.Int threshold);
-                  Obs.set_attr "heavy" (Json.Int (Relation.cardinal h));
-                  Obs.set_attr "light" (Json.Int (Relation.cardinal l));
-                  (h, l))
-            in
             let schema = Relation.schema rel in
             let x_pos = Schema.positions schema (Varset.to_list x) in
             let y_pos = Schema.positions schema (Varset.to_list y) in
             let ycount = Tuple.Tbl.create 64 in
             let xdeg = Tuple.Tbl.create 64 in
             let members = Tuple.Tbl.create 64 in
-            Relation.iter
-              (fun tup ->
-                let yk = Tuple.project y_pos tup in
-                let xk = Tuple.project x_pos tup in
-                (match Tuple.Tbl.find_opt ycount yk with
-                | Some c -> Tuple.Tbl.replace ycount yk (c + 1)
-                | None ->
-                    Tuple.Tbl.add ycount yk 1;
-                    (match Tuple.Tbl.find_opt xdeg xk with
-                    | Some d -> Tuple.Tbl.replace xdeg xk (d + 1)
-                    | None -> Tuple.Tbl.add xdeg xk 1));
-                match Tuple.Tbl.find_opt members xk with
-                | Some l -> l := tup :: !l
-                | None -> Tuple.Tbl.add members xk (ref [ tup ]))
-              rel;
+            let heavy = Relation.create schema in
+            let light = Relation.create schema in
+            Obs.span "twopp.split" (fun () ->
+                Relation.iter
+                  (fun tup ->
+                    let yk = Tuple.project y_pos tup in
+                    let xk = Tuple.project x_pos tup in
+                    (match Tuple.Tbl.find_opt ycount yk with
+                    | Some c -> Tuple.Tbl.replace ycount yk (c + 1)
+                    | None ->
+                        Tuple.Tbl.add ycount yk 1;
+                        (match Tuple.Tbl.find_opt xdeg xk with
+                        | Some d -> Tuple.Tbl.replace xdeg xk (d + 1)
+                        | None -> Tuple.Tbl.add xdeg xk 1));
+                    match Tuple.Tbl.find_opt members xk with
+                    | Some l -> l := tup :: !l
+                    | None -> Tuple.Tbl.add members xk (ref [ tup ]))
+                  rel;
+                Relation.iter
+                  (fun tup ->
+                    if Tuple.Tbl.find xdeg (Tuple.project x_pos tup) > threshold
+                    then Relation.add heavy tup
+                    else Relation.add light tup)
+                  rel;
+                Obs.set_attr "atom" (Json.String atom.Cq.rel);
+                Obs.set_attr "x" (Json.String (vs_str x));
+                Obs.set_attr "y" (Json.String (vs_str y));
+                Obs.set_attr "threshold" (Json.Int threshold);
+                Obs.set_attr "heavy" (Json.Int (Relation.cardinal heavy));
+                Obs.set_attr "light" (Json.Int (Relation.cardinal light)));
             let with_rel repl =
               List.map
                 (fun (a, r0) -> if a == atom then (a, repl) else (a, r0))
@@ -623,26 +674,27 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
       in
       let tree = expand_tree base splits in
       let combos = combos_of tree in
-      let stored_acc : (Varset.t, Relation.t) Hashtbl.t = Hashtbl.create 8 in
-      let union_into b rel =
-        let acc =
-          match Hashtbl.find_opt stored_acc b with
-          | Some existing -> existing
-          | None ->
-              let fresh =
-                Relation.create (Schema.of_list (Varset.to_list b))
-              in
-              Hashtbl.add stored_acc b fresh;
-              fresh
-        in
-        let pos =
-          Schema.positions (Relation.schema rel)
-            (Schema.vars (Relation.schema acc))
-        in
-        Relation.iter (fun row -> Relation.add acc (Tuple.project pos row)) rel
+      let t =
+        {
+          rule = r;
+          stored = [];
+          space = 0;
+          delegated = [];
+          stored_subs = 0;
+          maint = Some { mbudget = budget; tree; combos };
+        }
       in
-      let delegated = ref [] in
-      let stored_subs = ref 0 in
+      (* admission charges a candidate at the stored-singleton size it
+         would actually occupy: its d-representation size when
+         factorization is on and the measured ratio clears the gate, its
+         flat cardinality otherwise.  Under mode [Off] this is exactly
+         the pre-factorization cardinality test. *)
+      let admission_size rel =
+        let rows = Relation.cardinal rel in
+        if Fconfig.mode () = Fconfig.Off then rows
+        else
+          Fconfig.effective_size ~rows ~size:(Frep.size (Frep.of_relation rel))
+      in
       let n_live = ref 0 in
       let cand_rows = ref 0 in
       let cand_eff = ref 0 in
@@ -651,90 +703,36 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
           if combo_nonempty c then begin
             incr n_live;
             Obs.span "twopp.subproblem" @@ fun () ->
-            let rels = c.crel in
-            let candidates =
-              match r.Rule.s_targets with
-              | [] -> []
-              | s_targets -> eval_targets rels s_targets ~budget:budget_lp
-            in
-            (* admission charges a candidate at the stored-singleton
-               size it would actually occupy: its d-representation size
-               when factorization is on and the measured ratio clears
-               the gate, its flat cardinality otherwise.  Under mode
-               [Off] this is exactly the pre-factorization cardinality
-               test. *)
-            let admission_size rel =
-              let rows = Relation.cardinal rel in
-              if Fconfig.mode () = Fconfig.Off then rows
-              else
-                Fconfig.effective_size ~rows
-                  ~size:(Frep.size (Frep.of_relation rel))
-            in
-            let best =
-              List.fold_left
-                (fun acc (b, rel) ->
-                  let eff = admission_size rel in
-                  match acc with
-                  | Some (_, _, best_eff) when best_eff <= eff -> acc
-                  | _ -> Some (b, rel, eff))
-                None candidates
+            let best, choice =
+              decide r c.crel ~eval_budget:budget_lp ~budget
+                ~size:admission_size
             in
             (match best with
             | Some (_, rel, eff) ->
                 cand_rows := !cand_rows + Relation.cardinal rel;
                 cand_eff := !cand_eff + eff
             | None -> ());
-            match best with
-            | Some (b, rel, eff) when eff <= budget ->
-                incr stored_subs;
+            (match choice with
+            | Store (b, rel) ->
                 Obs.set_attr "decision" (Json.String "stored");
                 Obs.set_attr "target" (Json.String (vs_str b));
-                Obs.set_attr "tuples" (Json.Int (Relation.cardinal rel));
-                union_into b rel;
-                c.cdecision <- M_stored b
-            | _ -> (
+                Obs.set_attr "tuples" (Json.Int (Relation.cardinal rel))
+            | Delegate d ->
                 (match best with
                 | Some (_, _, eff) ->
                     (* best S-candidate existed but blew the budget *)
                     Obs.set_attr "best_eff" (Json.Int eff)
                 | None -> ());
-                match r.Rule.t_targets with
-                | [] -> failwith "Twopp.build: rule impossible at this budget"
-                | t_targets ->
-                    let sub_dc = measured_dc rels in
-                    let t_target = pick_target n ~dc:sub_dc t_targets in
-                    Obs.set_attr "decision" (Json.String "delegated");
-                    Obs.set_attr "target" (Json.String (vs_str t_target));
-                    let probe_plan, probe_atoms, safe_plan, safe_atoms, cap =
-                      build_plan rels ~access ~target:t_target
-                    in
-                    let sub = { t_target; probe_plan; safe_plan; cap } in
-                    delegated := sub :: !delegated;
-                    c.cdecision <- M_delegated { sub; probe_atoms; safe_atoms })
+                Obs.set_attr "decision" (Json.String "delegated");
+                Obs.set_attr "target" (Json.String (vs_str d.sub.t_target)));
+            settle t c choice (ref [])
           end)
         combos;
-      let stored =
-        Hashtbl.fold (fun b rel acc -> (b, rel) :: acc) stored_acc []
-      in
-      let space =
-        List.fold_left
-          (fun acc (_, rel) -> acc + Relation.cardinal rel)
-          0 stored
-      in
       Obs.set_attr "subproblems" (Json.Int !n_live);
-      Obs.set_attr "stored" (Json.Int !stored_subs);
-      Obs.set_attr "delegated" (Json.Int (List.length !delegated));
-      Obs.set_attr "space" (Json.Int space);
-      ( {
-          rule = r;
-          stored;
-          space;
-          delegated = List.rev !delegated;
-          stored_subs = !stored_subs;
-          maint = Some { mbudget = budget; base; tree; combos };
-        },
-        !cand_rows,
-        !cand_eff ))
+      Obs.set_attr "stored" (Json.Int t.stored_subs);
+      Obs.set_attr "delegated" (Json.Int (List.length t.delegated));
+      Obs.set_attr "space" (Json.Int t.space);
+      (t, !cand_rows, !cand_eff))
 
 (* Adaptive space amplification: when the best candidates of a plain
    pass measurably compress as d-representations (cardinality at least
@@ -748,13 +746,13 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
    materialized tuples without delegating any subproblem the plain pass
    stored; on any failure the plain structure stands, so answers and
    worst-case behavior are unchanged when compression does not show. *)
-let build ?(counted = false) (r : Rule.t) ~db ~budget =
-  let s1, rows1, eff1 = build_pass ~counted r ~db ~budget ~budget_lp:budget in
+let build ?(counted = false) (r : Rule.t) ~base ~budget =
+  let s1, rows1, eff1 = build_pass ~counted r ~base ~budget ~budget_lp:budget in
   if Fconfig.mode () = Fconfig.Off || eff1 = 0 || 2 * rows1 < 3 * eff1 then s1
   else
     (* nearest-integer measured ratio, clamped to [2, 4] *)
     let amp = max 2 (min 4 ((rows1 + (eff1 / 2)) / eff1)) in
-    match build_pass ~counted r ~db ~budget ~budget_lp:(budget * amp) with
+    match build_pass ~counted r ~base ~budget ~budget_lp:(budget * amp) with
     | s2, _, _ when s2.space > s1.space && s2.stored_subs >= s1.stored_subs ->
         Obs.incr "twopp.amplified";
         s2
@@ -868,14 +866,6 @@ let read (rule : Rule.t) d =
 (* incremental maintenance                                              *)
 (* ------------------------------------------------------------------ *)
 
-let stored_rel_for t b =
-  match List.find_opt (fun (b', _) -> Varset.equal b b') t.stored with
-  | Some (_, rel) -> rel
-  | None ->
-      let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
-      t.stored <- t.stored @ [ (b, rel) ];
-      rel
-
 (* Early-exit witness search.  [find_witness binding rels] asks whether
    some extension of [binding] satisfies every (vars, relation) atom in
    [rels] — an existence check, so it stops at the first witness instead
@@ -983,60 +973,16 @@ let derivable_rows c ~keep cand_rel =
   out
 
 (* a combo that was empty at build (never classified) just became
-   non-empty: run the build-time decision logic on its current leaves.
-   May raise [Failure] exactly like [build] when the rule has no
-   T-targets and the stored candidates no longer fit the budget. *)
+   non-empty: run the build's decision on its current leaves, at the
+   true budget and flat sizes.  May raise [Failure] exactly like
+   [build] when the rule has no T-targets and the stored candidates no
+   longer fit the budget. *)
 let activate t m c out_events =
-  let r = t.rule in
-  let rels = c.crel in
-  let candidates =
-    match r.Rule.s_targets with
-    | [] -> []
-    | s_targets -> eval_targets rels s_targets ~budget:m.mbudget
-  in
-  let best =
-    List.fold_left
-      (fun acc (b, rel) ->
-        match acc with
-        | Some (_, best_rel)
-          when Relation.cardinal best_rel <= Relation.cardinal rel ->
-            acc
-        | _ -> Some (b, rel))
-      None candidates
-  in
-  match best with
-  | Some (b, rel) when Relation.cardinal rel <= m.mbudget ->
-      t.stored_subs <- t.stored_subs + 1;
-      c.cdecision <- M_stored b;
-      let union_rel = stored_rel_for t b in
-      let pos =
-        Schema.positions (Relation.schema rel)
-          (Schema.vars (Relation.schema union_rel))
-      in
-      Relation.iter
-        (fun row0 ->
-          let row = Tuple.project pos row0 in
-          if not (Relation.mem union_rel row) then begin
-            Relation.add union_rel row;
-            t.space <- t.space + 1;
-            out_events := (b, row, true) :: !out_events
-          end)
-        rel
-  | _ -> (
-      match r.Rule.t_targets with
-      | [] -> failwith "Twopp.build: rule impossible at this budget"
-      | t_targets ->
-          let sub_dc = measured_dc rels in
-          let t_target =
-            pick_target r.Rule.cqap.Cq.cq.Cq.n ~dc:sub_dc t_targets
-          in
-          let probe_plan, probe_atoms, safe_plan, safe_atoms, cap =
-            build_plan rels ~access:r.Rule.cqap.Cq.access ~target:t_target
-          in
-          let sub = { t_target; probe_plan; safe_plan; cap } in
-          t.delegated <- t.delegated @ [ sub ];
-          c.cdecision <- M_delegated { sub; probe_atoms; safe_atoms })
-
+  settle t c
+    (snd
+       (decide t.rule c.crel ~eval_budget:m.mbudget ~budget:m.mbudget
+          ~size:Relation.cardinal))
+    out_events
 
 (* one leaf change of [atom] in combo [c], already applied to the leaf
    relation; update the combo's decision artifacts and record the
@@ -1058,7 +1004,6 @@ let propagate t m c atom tup sign out_events =
       patch d.sub.probe_plan d.probe_atoms;
       patch d.sub.safe_plan d.safe_atoms
   | M_stored b ->
-      let union_rel = stored_rel_for t b in
       let single =
         Relation.singleton (Relation.schema (List.assq atom c.crel)) tup
       in
@@ -1069,16 +1014,9 @@ let propagate t m c atom tup sign out_events =
       in
       let keep = Varset.to_list b in
       if sign then
-        let delta = Db.join_greedy (single :: others) ~keep in
-        Relation.iter
-          (fun row ->
-            if not (Relation.mem union_rel row) then begin
-              Relation.add union_rel row;
-              t.space <- t.space + 1;
-              out_events := (b, row, true) :: !out_events
-            end)
-          delta
+        store_rows t b (Db.join_greedy (single :: others) ~keep) out_events
       else begin
+        let union_rel = stored_rel_for t b in
         (* candidate rows that may have lost their last witness: exactly
            the rows that were derivable through the removed tuple.  The
            delta join's intermediates are degree products, so it blows
@@ -1124,41 +1062,18 @@ let propagate t m c atom tup sign out_events =
           victims
       end
 
-let apply_delta t ~rel ~tuple ~add =
+let apply_delta t ~atom ~tuple ~add =
   match t.maint with
   | None ->
       failwith
         "Twopp.apply_delta: structure has no maintenance state (loaded from \
          a static snapshot)"
   | Some m ->
+      let levs = ref [] in
+      if add then tree_insert m.tree atom tuple levs
+      else tree_delete m.tree atom tuple levs;
       let out_events = ref [] in
       List.iter
-        (fun ((atom : Cq.atom), base_rel) ->
-          if atom.Cq.rel = rel then begin
-            if Tuple.arity tuple <> List.length atom.Cq.vars then
-              failwith
-                (Printf.sprintf
-                   "Twopp.apply_delta: arity-%d tuple for %d-ary relation %s"
-                   (Tuple.arity tuple)
-                   (List.length atom.Cq.vars)
-                   rel);
-            let changed =
-              if add then
-                if Relation.mem base_rel tuple then false
-                else begin
-                  Relation.add base_rel tuple;
-                  true
-                end
-              else Relation.remove base_rel tuple
-            in
-            if changed then begin
-              let levs = ref [] in
-              if add then tree_insert m.tree atom tuple levs
-              else tree_delete m.tree atom tuple levs;
-              List.iter
-                (fun (c, tup, sign) -> propagate t m c atom tup sign out_events)
-                (List.rev !levs)
-            end
-          end)
-        m.base;
+        (fun (c, tup, sign) -> propagate t m c atom tup sign out_events)
+        (List.rev !levs);
       List.rev !out_events

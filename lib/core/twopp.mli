@@ -23,8 +23,15 @@ open Stt_hypergraph
 
 type t
 
-val build : ?counted:bool -> Rule.t -> db:Db.t -> budget:int -> t
-(** Raises [Failure] if the rule has no T-targets and its S-targets do
+val build :
+  ?counted:bool -> Rule.t -> base:(Cq.atom * Relation.t) list -> budget:int -> t
+(** [base] holds one relation per atom of the rule's query (the
+    engine's live copy, shared by every rule); the guide LP's [|D|] is
+    the largest of them.  The build only reads [base], so rules can be
+    built in parallel over one copy, and the leaves of atoms that no
+    split touches are the base relations themselves.
+
+    Raises [Failure] if the rule has no T-targets and its S-targets do
     not actually fit in the budget (the rule is impossible at this
     budget; the worst-case LP prediction alone does not fail the build —
     real data often fits well below the bound).
@@ -57,38 +64,37 @@ val rule : t -> Rule.t
 
 (** {1 Incremental maintenance}
 
-    A freshly built structure keeps its maintenance state: the live base
-    relation per atom and the heavy/light split tree with per-key degree
-    counters.  [apply_delta] routes a single-tuple base delta through the
-    tree — re-classifying exactly the keys whose degree crossed the
-    build-time threshold — and patches each affected subproblem in
-    place: delegated plans get their step indexes updated, stored
-    subproblems get a pinned delta join (inserts) or a last-witness
-    check (deletes) against the combo's leaves.  Structures loaded from
-    a snapshot are static replicas: they answer but do not maintain. *)
+    A freshly built structure keeps its maintenance state: the
+    heavy/light split tree with per-key degree counters, and the combos
+    at its leaves.  The base relations belong to the caller.
+    [apply_delta] routes a single-tuple base delta through the tree —
+    re-classifying exactly the keys whose degree crossed the build-time
+    threshold — and patches each affected subproblem in place:
+    delegated plans get their step indexes updated, stored subproblems
+    get a pinned delta join (inserts) or a last-witness check (deletes)
+    against the combo's leaves.  Structures loaded from a snapshot are
+    static replicas: they answer but do not maintain. *)
 
 val supports_maintenance : t -> bool
 (** [true] for built structures, [false] for {!read} ones. *)
 
 val apply_delta :
-  t -> rel:string -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
-(** Apply one base-tuple delta to every atom named [rel].  Returns the
-    resulting stored-target (S-view) row changes as
+  t -> atom:Cq.atom -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
+(** Route one effective base-tuple delta of [atom] (physically one of
+    the atoms of the base passed to {!build}) through the split tree.
+    Returns the resulting stored-target (S-view) row changes as
     [(target, row, added?)], rows in ascending-variable order — the
-    engine feeds these to the Yannakakis views.  Redundant deltas
-    (inserting a present tuple, deleting an absent one) are no-ops.
-    Raises [Failure] on arity mismatch, on a static replica, or — like
+    engine feeds these to the Yannakakis views.
+
+    Precondition: the delta is effective and the caller has already
+    written it to [atom]'s base relation.  When several atoms share a
+    relation name, the caller writes and routes them one at a time in
+    query order, so each atom's delta joins see the earlier atoms
+    updated and the later ones not.  No arity or membership check is
+    made here.  Raises [Failure] on a static replica, or — like
     {!build} — when a newly non-empty subproblem is impossible at the
     build budget; a [Failure] mid-delta leaves the structure
     inconsistent, so callers should treat it as fatal and rebuild. *)
-
-val base_mem : t -> rel:string -> Tuple.t -> bool
-(** Is the tuple in the base relation of some atom named [rel]?  Always
-    [false] on static replicas. *)
-
-val base_relations : t -> (Cq.atom * Relation.t) list
-(** The live base relation per atom (empty on static replicas).  Treat
-    as read-only; mutate only through {!apply_delta}. *)
 
 val stored_mem : t -> Varset.t -> Tuple.t -> bool
 (** Is [row] (ascending-variable order) currently in this structure's

@@ -9,13 +9,16 @@
    witness of a derived answer — plus the snapshot story: an engine
    that has absorbed deltas must save/load into an observationally
    identical replica (same answers, same op counts, same epoch), and
-   the replica must reject further deltas. *)
+   the replica must reject further deltas.  A batch is checked whole
+   before any write, and COUNT answers follow the live base. *)
 
 open Stt_relation
 open Stt_hypergraph
 open Stt_core
 open Stt_workload
 open Diff_harness
+module Semiring = Stt_semiring.Semiring
+module Eval = Stt_semiring.Eval
 
 let sorted r = List.sort compare (List.map Array.to_list (Relation.to_list r))
 
@@ -93,7 +96,11 @@ let run_one i =
                (fun (a : Cq.atom) -> (a.Cq.rel, List.length a.Cq.vars))
                inst.cqap.Cq.cq.Cq.atoms)
         in
-        let engine = ref idx in
+        let with_count e db =
+          Engine.enable_agg ~kinds:[ Semiring.Count ] e ~db ~budget:16;
+          e
+        in
+        let engine = ref (with_count idx inst.db) in
         let check step =
           let db' = db_of_mirror mirror in
           let expected =
@@ -107,6 +114,22 @@ let run_one i =
                query: %a@\nexpected %a@\ngot      %a"
               i seed step Cq.pp_cqap inst.cqap pp_tuples expected pp_tuples
               got;
+          (* COUNT over the live base against a brute-force fold over
+             the mirror *)
+          let count, _ =
+            Engine.answer_agg !engine Semiring.Count ~q_a:inst.q_a
+          in
+          let brute =
+            Eval.brute Semiring.Count
+              (List.map
+                 (fun a -> Eval.of_relation Semiring.Count (Db.relation db' a))
+                 inst.cqap.Cq.cq.Cq.atoms)
+              ~q_a:inst.q_a
+          in
+          if count <> brute then
+            Alcotest.failf
+              "instance %d (seed %d) after delta %d: COUNT %d, brute fold %d"
+              i seed step count brute;
           (* from-scratch rebuild on the mutated database must agree *)
           let rebuilt, _ = build_index { inst with db = db' } in
           let fresh = sorted (Engine.answer rebuilt ~q_a:inst.q_a) in
@@ -168,8 +191,9 @@ let run_one i =
               (* a newly non-empty subproblem can be impossible at the
                  build budget, exactly like a failed build; the engine
                  is poisoned, so rebuild and continue the stream *)
-              let rebuilt, _ = build_index { inst with db = db_of_mirror mirror } in
-              engine := rebuilt);
+              let db' = db_of_mirror mirror in
+              let rebuilt, _ = build_index { inst with db = db' } in
+              engine := with_count rebuilt db');
           check step
         done
   in
@@ -202,6 +226,15 @@ let build_path ~r_rows ~s_rows =
 
 let q_x v = Relation.of_list (Schema.of_list [ 0 ]) [ [| v |] ]
 
+(* 2-reach over a skewed 4,000-edge graph at budget 2,000 — the fixture
+   of perfbench's point-2reach workload *)
+let point_fixture () =
+  let edges = Graphs.zipf_both ~seed:113 ~vertices:400 ~edges:4000 ~s:1.1 in
+  let db = Db.create () in
+  Db.add_pairs db "R" edges;
+  ( edges,
+    Engine.build_auto ~max_pmtds:128 (Cq.Library.k_path 2) ~db ~budget:2000 )
+
 let test_redundant_insert () =
   let _, _, eng = build_path ~r_rows:[ [| 1; 2 |] ] ~s_rows:[ [| 2; 3 |] ] in
   let before = sorted (Engine.answer eng ~q_a:(q_x 1)) in
@@ -216,7 +249,61 @@ let test_redundant_insert () =
   (* deleting a tuple that was never there is equally a no-op *)
   let effective, _ = Engine.delete eng "S" [| 9; 9 |] in
   Alcotest.(check bool) "redundant delete ineffective" false effective;
-  Alcotest.(check int) "epoch still unchanged" 0 (Engine.epoch eng)
+  Alcotest.(check int) "epoch still unchanged" 0 (Engine.epoch eng);
+  (* on a larger index a redundant delta must not even thaw the views:
+     the space stays as built and the delta costs nothing *)
+  let edges, eng = point_fixture () in
+  Alcotest.(check int) "built space" 2326 (Engine.space eng);
+  let u, v = List.hd edges in
+  let effective, cost = Engine.insert eng "R" [| u; v |] in
+  Alcotest.(check bool) "redundant insert ineffective" false effective;
+  Alcotest.(check int) "redundant insert costs nothing" 0 (Cost.total cost);
+  Alcotest.(check int) "space after the redundant insert" 2326
+    (Engine.space eng);
+  let effective, cost = Engine.delete eng "R" [| 400; 401 |] in
+  Alcotest.(check bool) "redundant delete ineffective" false effective;
+  Alcotest.(check int) "redundant delete costs nothing" 0 (Cost.total cost);
+  Alcotest.(check int) "space after the redundant delete" 2326
+    (Engine.space eng)
+
+let test_batch_checked_before_writes () =
+  let edges, eng = point_fixture () in
+  let present = Hashtbl.create 4096 in
+  List.iter (fun e -> Hashtbl.replace present e ()) edges;
+  (* a new edge a -> b into a vertex with successors, so the requests
+     (a, c) for every successor c of b see it *)
+  let a, b =
+    List.find
+      (fun (a, b) -> a <> b && not (Hashtbl.mem present (a, b)))
+      (List.concat_map (fun (x, _) -> [ (0, x); (1, x); (2, x) ]) edges)
+  in
+  let reqs =
+    List.filter_map
+      (fun (x, c) ->
+        if x = b then
+          Some (Relation.singleton (Engine.access_schema eng) [| a; c |])
+        else None)
+      edges
+  in
+  let answers () = List.map (fun q_a -> sorted (Engine.answer eng ~q_a)) reqs in
+  let before = answers () in
+  List.iter
+    (fun (what, bad) ->
+      (match Engine.apply_deltas eng [ ("R", [| a; b |], true); bad ] with
+      | _ -> Alcotest.failf "%s: the batch was accepted" what
+      | exception Failure _ -> ());
+      Alcotest.(check int) (what ^ ": epoch unchanged") 0 (Engine.epoch eng);
+      Alcotest.(check int) (what ^ ": space unchanged") 2326 (Engine.space eng);
+      Alcotest.(check bool) (what ^ ": answers unchanged") true
+        (answers () = before))
+    [
+      ("wrong arity", ("R", [| 1 |], true));
+      ("unknown relation", ("S", [| 1; 2 |], true));
+    ];
+  let effective, _ = Engine.insert eng "R" [| a; b |] in
+  Alcotest.(check bool) "the good delta alone is effective" true effective;
+  Alcotest.(check int) "one effective delta" 1 (Engine.epoch eng);
+  Alcotest.(check bool) "and it reaches the answers" true (answers () <> before)
 
 let test_last_witness_delete () =
   (* (1,3) has two witnesses through y ∈ {2, 4}; (1,5) has one *)
@@ -251,6 +338,56 @@ let test_last_witness_delete () =
     [ [ 1; 3 ]; [ 1; 5 ] ]
     (sorted (Engine.answer eng ~q_a:(q_x 1)));
   Alcotest.(check int) "three effective deltas" 3 (Engine.epoch eng)
+
+(* R appears at both atoms of the 2-path, so one delta reaches two atoms,
+   and a self-loop serves both atoms of one derivation: deleting (v,v)
+   must drop the answers whose only path is v -> v -> v.  Small dense
+   graphs, every access pair, checked against the reference after every
+   delta (an impossible activation rebuilds, as in the churn test). *)
+let test_self_join_deltas () =
+  let q = Cq.Library.k_path 2 in
+  List.iter
+    (fun (seed, budget) ->
+      let rng = Rng.create seed in
+      let edges = Hashtbl.create 16 in
+      for _ = 1 to 8 do
+        Hashtbl.replace edges (Rng.int rng 4, Rng.int rng 4) ()
+      done;
+      let db_now () =
+        let db = Db.create () in
+        Db.add_pairs db "R" (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+        db
+      in
+      let build () =
+        Engine.build_auto ~max_pmtds:64 q ~db:(db_now ()) ~budget
+      in
+      let eng = ref (build ()) in
+      let q_a =
+        Relation.of_list (Engine.access_schema !eng)
+          (List.init 16 (fun i -> [| i / 4; i mod 4 |]))
+      in
+      for step = 1 to 16 do
+        let ((u, v) as e) = (Rng.int rng 4, Rng.int rng 4) in
+        let add = not (Hashtbl.mem edges e) in
+        if add then Hashtbl.replace edges e () else Hashtbl.remove edges e;
+        (match
+           if add then Engine.insert !eng "R" [| u; v |]
+           else Engine.delete !eng "R" [| u; v |]
+         with
+        | effective, _ ->
+            Alcotest.(check bool) "every delta is effective" true effective
+        | exception Failure _ -> eng := build ());
+        let expected = sorted (Db.eval_access (db_now ()) q ~q_a) in
+        let got = sorted (Engine.answer !eng ~q_a) in
+        if got <> expected then
+          Alcotest.failf
+            "seed %d budget %d, after %s (%d,%d) at step %d:@\n\
+             expected %a@\ngot      %a"
+            seed budget
+            (if add then "inserting" else "deleting")
+            u v step pp_tuples expected pp_tuples got
+      done)
+    [ (1, 1); (2, 2); (3, 4); (4, 16); (5, 1000); (6, 1); (7, 4); (8, 1000) ]
 
 let test_snapshot_after_deltas () =
   let _, _, eng =
@@ -310,6 +447,10 @@ let () =
             test_last_witness_delete;
           Alcotest.test_case "snapshot after deltas round-trips" `Quick
             test_snapshot_after_deltas;
+          Alcotest.test_case "a malformed batch writes nothing" `Quick
+            test_batch_checked_before_writes;
+          Alcotest.test_case "self-joined deltas match the reference" `Quick
+            test_self_join_deltas;
         ] );
       ( "churn",
         [

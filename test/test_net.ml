@@ -990,6 +990,33 @@ let updates_interleave_with_answers () =
   Alcotest.(check int) "malformed updates counted as bad" 2
     st.Server.bad_requests
 
+(* a batch with one malformed delta is rejected whole: its good delta
+   is not applied, and applies on its own afterwards *)
+let mixed_update_batch_rejects () =
+  let served = churn_fixture () in
+  with_server ~update_handler:(Server.engine_update_handler served)
+    (Server.engine_handler served)
+  @@ fun server ->
+  with_client server @@ fun client ->
+  (* the fixture's vertices are 0..99, so this edge is new *)
+  let good = { Frame.urel = "R"; utuple = [| 7; 100 |]; uadd = true } in
+  (match
+     rpc_exn client
+       (Frame.Update
+          {
+            id = 1;
+            deltas =
+              [ good; { Frame.urel = "R"; utuple = [| 1 |]; uadd = true } ];
+          })
+   with
+  | Frame.Rejected { id = 1; reject = Frame.Bad_request _ } -> ()
+  | _ -> Alcotest.fail "a batch with a wrong-arity delta must reject");
+  Alcotest.(check int) "nothing applied" 0 (Engine.epoch served);
+  match rpc_exn client (Frame.Update { id = 2; deltas = [ good ] }) with
+  | Frame.Updated { id = 2; applied; _ } ->
+      Alcotest.(check int) "the good delta applies alone" 1 applied
+  | _ -> Alcotest.fail "expected Updated"
+
 let updates_without_handler_reject () =
   let idx = Lazy.force fixture in
   with_server (Server.engine_handler idx) @@ fun server ->
@@ -1206,6 +1233,8 @@ let () =
             `Quick drain_answers_in_flight;
           Alcotest.test_case "updates interleave with answers" `Quick
             updates_interleave_with_answers;
+          Alcotest.test_case "mixed update batch rejects whole" `Quick
+            mixed_update_batch_rejects;
           Alcotest.test_case "static server rejects updates" `Quick
             updates_without_handler_reject;
         ] );

@@ -69,9 +69,30 @@ let test_pool_respects_counting_flag () =
   Alcotest.check Alcotest.int "workers inherit disabled counting" 0
     (Cost.total snap)
 
+(* three deltas drawn from the instance seed: inserts of random tuples
+   and deletes of present ones *)
+let deltas_of (inst : Diff_harness.instance) =
+  let rng = Rng.create (inst.Diff_harness.seed lxor 0xDE17A) in
+  let atoms = Array.of_list inst.Diff_harness.cqap.Cq.cq.Cq.atoms in
+  List.init 3 (fun _ ->
+      let a = atoms.(Rng.int rng (Array.length atoms)) in
+      let present =
+        List.sort compare
+          (Relation.to_list (Db.relation inst.Diff_harness.db a))
+      in
+      if present <> [] && Rng.bool rng then
+        (a.Cq.rel, List.nth present (Rng.int rng (List.length present)), false)
+      else
+        ( a.Cq.rel,
+          Array.init (List.length a.Cq.vars) (fun _ -> Rng.int rng 8),
+          true ))
+
 (* build + answer one differential-harness instance at a given job
-   count, returning everything observable: space, per-PMTD spaces, the
-   sorted answer and the online cost snapshot *)
+   count, then apply three deltas one batch at a time (stopping at the
+   first [Failure]) and answer again, returning everything observable:
+   space, per-PMTD spaces, the sorted answer, the online cost snapshot,
+   each delta's outcome (applied count and cost, or [None] for a
+   failure) and the sorted post-delta answer *)
 let run_instance i jobs =
   Pool.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
@@ -82,20 +103,30 @@ let run_instance i jobs =
     | exception Diff_harness.Skip reason ->
         Alcotest.failf "instance %d: unbuildable (%s)" i reason
     | idx, _ ->
-        let answer, snap =
-          Cost.scoped (fun () -> Engine.answer idx ~q_a:inst.Diff_harness.q_a)
+        let q_a = inst.Diff_harness.q_a in
+        let space = Engine.space idx in
+        let per_pmtd = List.map snd (Engine.per_pmtd_space idx) in
+        let answer, snap = Cost.scoped (fun () -> Engine.answer idx ~q_a) in
+        let rec maintain = function
+          | [] -> []
+          | d :: rest -> (
+              match Engine.apply_deltas idx [ d ] with
+              | outcome -> Some outcome :: maintain rest
+              | exception Failure _ -> [ None ])
         in
-        ( Engine.space idx,
-          List.map snd (Engine.per_pmtd_space idx),
-          sorted answer,
-          snap )
+        let outcomes = maintain (deltas_of inst) in
+        let after =
+          if List.mem None outcomes then []
+          else sorted (Engine.answer idx ~q_a)
+        in
+        (space, per_pmtd, sorted answer, snap, outcomes, after)
   in
   attempt 0
 
 let test_jobs_determinism () =
   for i = 0 to 9 do
-    let space1, per1, ans1, cost1 = run_instance i 1 in
-    let space4, per4, ans4, cost4 = run_instance i 4 in
+    let space1, per1, ans1, cost1, deltas1, after1 = run_instance i 1 in
+    let space4, per4, ans4, cost4, deltas4, after4 = run_instance i 4 in
     Alcotest.check Alcotest.int
       (Printf.sprintf "instance %d: space" i)
       space1 space4;
@@ -113,7 +144,14 @@ let test_jobs_determinism () =
       cost1.Cost.tuples cost4.Cost.tuples;
     Alcotest.check Alcotest.int
       (Printf.sprintf "instance %d: online scans" i)
-      cost1.Cost.scans cost4.Cost.scans
+      cost1.Cost.scans cost4.Cost.scans;
+    Alcotest.check Alcotest.bool
+      (Printf.sprintf
+         "instance %d: same delta outcomes (failures, applied counts, costs)" i)
+      true (deltas1 = deltas4);
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "instance %d: post-delta answers" i)
+      after1 after4
   done
 
 let test_answer_batch_matches_answer () =

@@ -212,6 +212,43 @@ let test_deltas_invalidate_tables () =
     done
   end
 
+(* --- tables built after deltas read the live base --- *)
+
+let test_tables_after_deltas () =
+  let edges = ref [ (1, 2); (2, 3) ] in
+  let db = Db.create () in
+  Db.add_pairs db "R" !edges;
+  let e =
+    Engine.build_auto (Stt_hypergraph.Cq.Library.k_path 2) ~db ~budget:100
+  in
+  let q_a = Relation.of_list (Engine.access_schema e) [ [| 1; 3 |] ] in
+  let delta add (u, v) =
+    if add then begin
+      ignore (Engine.insert e "R" [| u; v |]);
+      edges := !edges @ [ (u, v) ]
+    end
+    else begin
+      ignore (Engine.delete e "R" [| u; v |]);
+      edges := List.filter (( <> ) (u, v)) !edges
+    end
+  in
+  let check what expect =
+    Alcotest.(check int) (what ^ ": walks over the edge list") expect
+      (Reach.naive_count !edges ~k:2 1 3);
+    Alcotest.(check int) what expect
+      (fst (Engine.answer_agg e Semiring.Count ~q_a))
+  in
+  delta true (1, 4);
+  delta true (4, 3);
+  Engine.enable_agg ~kinds:[ Semiring.Count ] e ~db ~budget:100;
+  check "COUNT(1,3) from tables built after two inserts" 2;
+  delta false (1, 2);
+  check "COUNT(1,3) after a delete" 1;
+  Engine.enable_agg ~kinds:[ Semiring.Count ] e ~db ~budget:100;
+  Alcotest.(check bool) "tables rebuilt" true
+    (Engine.agg_kinds e = [ Semiring.Count ]);
+  check "COUNT(1,3) from tables rebuilt after the delete" 1
+
 (* --- apps against naive references --- *)
 
 let test_reach_counting () =
@@ -296,6 +333,8 @@ let () =
             test_snapshot_roundtrip;
           Alcotest.test_case "deltas drop tables, answers stay right" `Quick
             test_deltas_invalidate_tables;
+          Alcotest.test_case "tables built after deltas are exact" `Quick
+            test_tables_after_deltas;
         ] );
       ( "apps",
         [

@@ -16,12 +16,16 @@ let db_of edges =
   Db.add_pairs db "R" edges;
   db
 
+(* one relation per atom of the 2-path, as the engine's base holds them *)
+let base_of db =
+  List.map (fun a -> (a, Db.relation db a)) path2.Cq.cq.Cq.atoms
+
 let skewed = Graphs.zipf_both ~seed:11 ~vertices:200 ~edges:2000 ~s:1.1
 
 let test_budget_respected_per_target () =
   List.iter
     (fun budget ->
-      let s = Twopp.build rule2 ~db:(db_of skewed) ~budget in
+      let s = Twopp.build rule2 ~base:(base_of (db_of skewed)) ~budget in
       (* each stored S-target union stays within a small factor of the
          budget (one slice per subproblem) *)
       List.iter
@@ -36,7 +40,8 @@ let test_budget_respected_per_target () =
 
 let test_more_budget_fewer_delegations () =
   let delegated budget =
-    Twopp.delegated_subproblems (Twopp.build rule2 ~db:(db_of skewed) ~budget)
+    Twopp.delegated_subproblems
+      (Twopp.build rule2 ~base:(base_of (db_of skewed)) ~budget)
   in
   Alcotest.check Alcotest.bool "monotone-ish" true
     (delegated 1_000_000 <= delegated 50)
@@ -45,7 +50,7 @@ let test_model_coverage () =
   (* union of stored S13 and online T123 projections must cover the true
      answer of the access CQ *)
   let db = db_of skewed in
-  let s = Twopp.build rule2 ~db ~budget:800 in
+  let s = Twopp.build rule2 ~base:(base_of db) ~budget:800 in
   let q_a =
     Relation.of_list
       (Schema.of_list [ 0; 2 ])
@@ -84,7 +89,7 @@ let test_online_soundness () =
   (* T-targets may over-approximate (local exactness) but must never
      contain a tuple violating the atoms inside the target bag *)
   let db = db_of skewed in
-  let s = Twopp.build rule2 ~db ~budget:200 in
+  let s = Twopp.build rule2 ~base:(base_of db) ~budget:200 in
   let q_a = Relation.of_list (Schema.of_list [ 0; 2 ]) [ [| 0; 1 |]; [| 5; 9 |] ] in
   let edges = Tuple.Tbl.create 64 in
   List.iter (fun (a, b) -> Tuple.Tbl.replace edges [| a; b |] ()) skewed;
@@ -112,11 +117,11 @@ let test_impossible_rule () =
         (List.init 40 Fun.id)
   in
   (try
-     ignore (Twopp.build r ~db:(db_of edges) ~budget:5);
+     ignore (Twopp.build r ~base:(base_of (db_of edges)) ~budget:5);
      Alcotest.fail "expected failure"
    with Failure _ -> ());
   (* but with a huge budget it stores fine *)
-  let s = Twopp.build r ~db:(db_of edges) ~budget:10_000_000 in
+  let s = Twopp.build r ~base:(base_of (db_of edges)) ~budget:10_000_000 in
   Alcotest.check Alcotest.bool "stored" true (Twopp.space s > 0)
 
 let () =

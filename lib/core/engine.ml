@@ -25,10 +25,11 @@ type t = {
   cqap : Cq.cqap;
   pmtds : Pmtd.t list;
   rules : Rule.t list;
-  mutable base : (Cq.atom * Relation.t) list;
+  mutable base : (Cq.atom * Live.t) list;
       (* the one live, annotated relation per atom, in atom order: split
-         by every rule's 2PP structure, written once per delta and read
-         as the aggregate factors; empty when loaded without "agg" *)
+         by every rule's 2PP structure, written once per delta through
+         [Live.add]/[remove], probed by cache invalidation and read as
+         the aggregate factors; empty when loaded without "agg" *)
   structures : Twopp.t list;
   mutable preprocessed : (Pmtd.t * Online_yannakakis.preprocessed) list;
   mutable space : int;
@@ -121,13 +122,18 @@ let views_space preprocessed =
     (fun acc (_, oy) -> acc + Online_yannakakis.space oy)
     0 preprocessed
 
+let base_of_db db cqap =
+  List.map
+    (fun a -> (a, Live.of_relation (Db.relation db a)))
+    cqap.Cq.cq.Cq.atoms
+
 let build ?(counted = false) cqap pmtd_list ~db ~budget =
   Obs.span "engine.build" ~attrs:[ ("budget", Json.Int budget) ] @@ fun () ->
   let rules = Rule.generate cqap pmtd_list in
   Obs.set_attr "pmtds" (Json.Int (List.length pmtd_list));
   Obs.set_attr "rules" (Json.Int (List.length rules));
   Obs.set_attr "jobs" (Json.Int (Pool.jobs ()));
-  let base = List.map (fun a -> (a, Db.relation db a)) cqap.Cq.cq.Cq.atoms in
+  let base = base_of_db db cqap in
   (* phase 1: the 2PP structure of every rule, in parallel across rules
      (each reads the shared base and writes only its own structure) *)
   let structures = pmap (fun r -> Twopp.build ~counted r ~base ~budget) rules in
@@ -401,7 +407,8 @@ let agg_state t =
   | Some st -> st
   | None -> failwith "Engine: aggregates not enabled (call enable_agg)"
 
-let factors_of t k = List.map (fun (_, r) -> Agg_eval.of_relation k r) t.base
+let factors_of t k =
+  List.map (fun (_, l) -> Agg_eval.of_relation k (Live.relation l)) t.base
 
 (* Precompute the per-kind aggregate tables over the access variables by
    full offline elimination (uncounted — preprocessing time is not what
@@ -469,8 +476,7 @@ let enable_agg ?(kinds = Semiring.all) t ~db ~budget =
   Obs.span "engine.enable_agg" ~attrs:[ ("budget", Json.Int budget) ]
   @@ fun () ->
   if budget < 0 then invalid_arg "Engine.enable_agg: negative budget";
-  if t.base = [] then
-    t.base <- List.map (fun a -> (a, Db.relation db a)) t.cqap.Cq.cq.Cq.atoms;
+  if t.base = [] then t.base <- base_of_db db t.cqap;
   t.agg <- Some { agg_budget = budget; agg_tables = [] };
   build_agg_tables t ~kinds;
   Obs.set_attr "table_rows" (Json.Int (agg_table_size t))
@@ -587,45 +593,44 @@ let thaw t =
     Obs.incr "maintain.thaw"
   end
 
-(* Access requests whose answers can change with the delta: the
-   access-variable projections of every body derivation that uses the
-   tuple at some atom.  Computed against the base relations — before
-   applying a delete (the dying derivations), after applying an insert
-   (the new ones).  The pinned singleton is the smallest join input, so
-   the greedy join stays narrow around the tuple. *)
-let affected_access t ~rel ~tuple =
-  let access = Varset.to_list t.cqap.Cq.access in
-  let acc = Tuple.Tbl.create 16 in
-  List.iter
-    (fun ((a : Cq.atom), _) ->
-      if a.Cq.rel = rel then begin
-        let single = Relation.singleton (Schema.of_list a.Cq.vars) tuple in
-        let others =
-          List.filter_map
-            (fun (a', r) -> if a' == a then None else Some r)
-            t.base
-        in
-        let reach = Db.join_greedy (single :: others) ~keep:access in
-        Relation.iter
-          (fun row ->
-            if not (Tuple.Tbl.mem acc row) then
-              Tuple.Tbl.add acc (Array.copy row) ())
-          reach
-      end)
-    t.base;
-  acc
-
-let invalidate_cache t affected =
+(* Drop the cached answers the delta of [tuple] to [rel] can change: an
+   entry is stale when one of its access rows has a body derivation that
+   uses the tuple at some atom of [rel] — a witness check per row and
+   atom, with the tuple pinned at the atom and the other atoms probed in
+   the live base.  A delete is checked before the base loses the tuple
+   (the dying derivations), an insert after it has it (the new ones).
+   Both answer kinds alike: a tuple answer and an aggregate over the
+   same access row are both stale.  The work is bounded by the cache's
+   budget, not by the size of the delta's join. *)
+let invalidate_cache t ~rel ~tuple =
   match t.cache with
-  | None -> 0
+  | None -> ()
   | Some cache ->
-      if Tuple.Tbl.length affected = 0 then 0
-      else
-        (* all answer kinds alike: a tuple answer and an aggregate over
-           the same affected access tuple are both stale *)
-        Cache.invalidate cache (fun key ->
-            let _, _, rows = Ckey.decode key in
-            List.exists (Tuple.Tbl.mem affected) rows)
+      let access = Varset.to_list t.cqap.Cq.access in
+      let pins =
+        List.filter_map
+          (fun ((a : Cq.atom), _) ->
+            if a.Cq.rel <> rel then None
+            else
+              Some
+                ( List.combine a.Cq.vars (Array.to_list tuple),
+                  List.filter_map
+                    (fun (a', l) -> if a' == a then None else Some l)
+                    t.base ))
+          t.base
+      in
+      let stale key =
+        let _, _, rows = Ckey.decode key in
+        List.exists
+          (fun row ->
+            let at = List.combine access (Array.to_list row) in
+            List.exists
+              (fun (pin, others) -> Live.exists (pin @ at) others)
+              pins)
+          rows
+      in
+      let n = Cache.invalidate cache stale in
+      if n > 0 then Obs.incr ~by:n "cache.invalidate"
 
 (* S-view routing: an S-view row change for target [b] lands on every
    materialized node whose view variables equal [b], across all PMTDs. *)
@@ -644,30 +649,24 @@ let nodes_for t b =
 let apply_one t ~rel ~tuple ~add =
   let present =
     List.exists
-      (fun ((a : Cq.atom), r) -> a.Cq.rel = rel && Relation.mem r tuple)
+      (fun ((a : Cq.atom), l) ->
+        a.Cq.rel = rel && Relation.mem (Live.relation l) tuple)
       t.base
   in
   if add = present then false
   else begin
     thaw t;
-    (* the cache's stale entries: a delete's dying derivations must be
-       probed before the base loses the tuple, an insert's new ones
-       after it has it *)
-    let affected () =
-      if t.cache = None then None else Some (affected_access t ~rel ~tuple)
-    in
-    let pre_affected = if add then None else affected () in
+    if not add then invalidate_cache t ~rel ~tuple;
     (* write the base and route the delta one atom at a time, in atom
        order, so each structure's delta joins for an atom see the
        earlier atoms of a self-joined relation updated and the later
        ones not *)
     let events =
       List.concat_map
-        (fun ((atom : Cq.atom), r) ->
+        (fun ((atom : Cq.atom), l) ->
           if atom.Cq.rel <> rel then []
           else begin
-            if add then Relation.add r tuple
-            else ignore (Relation.remove r tuple);
+            ignore (if add then Live.add l tuple else Live.remove l tuple);
             List.concat_map
               (fun s -> Twopp.apply_delta s ~atom ~tuple ~add)
               t.structures
@@ -695,11 +694,7 @@ let apply_one t ~rel ~tuple ~add =
             (nodes_for t b))
       deletes;
     t.space <- views_space t.preprocessed;
-    (match if add then affected () else pre_affected with
-    | Some aff ->
-        let n = invalidate_cache t aff in
-        if n > 0 then Obs.incr ~by:n "cache.invalidate"
-    | None -> ());
+    if add then invalidate_cache t ~rel ~tuple;
     (* the aggregate factors are the base, already updated (a delta
        carries no weight, so an inserted tuple takes the kind's default
        annotation); the precomputed tables are dropped, and aggregate
@@ -946,9 +941,9 @@ let save t path =
               fun e ->
                 C.write_uint e st.agg_budget;
                 C.write_list e
-                  (fun ((a : Cq.atom), rel) ->
+                  (fun ((a : Cq.atom), l) ->
                     C.write_string e a.Cq.rel;
-                    write_annotated e rel)
+                    write_annotated e (Live.relation l))
                   t.base;
                 C.write_list e
                   (fun (k, { complete; entries }) ->
@@ -1111,7 +1106,7 @@ let load path =
                        (Schema.of_list a.Cq.vars))
                 then
                   C.corrupt "agg factor %s: schema differs from the atom" name;
-                (a, rel))
+                (a, Live.of_relation rel))
               atoms factors
           in
           let access_arity = Varset.cardinal cqap.Cq.access in

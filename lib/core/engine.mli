@@ -144,13 +144,19 @@ val agg_table_size : t -> int
 (** {1 Incremental maintenance}
 
     Single-tuple base-data deltas applied without a rebuild: the delta
-    routes through each rule's heavy/light split tree (re-classifying
-    exactly the keys whose degree crossed the build threshold), patches
-    the affected subproblems — delegated plan indexes in place, stored
-    targets by pinned delta joins and last-witness checks — and
-    propagates the resulting S-view row changes into the Yannakakis
-    views.  Cached answers overlapping the delta are invalidated
-    precisely.  All of it is charged to the online cost counters and to
+    is written once to the live base relation of each atom it reaches
+    ({!Stt_relation.Live}, whose writes patch its indexes), routes
+    through each rule's heavy/light split tree (re-classifying exactly
+    the keys whose degree crossed the build threshold), patches the
+    affected subproblems — delegated plan indexes in place, stored
+    targets by delta joins from the pinned tuple and last-witness
+    checks, both run as index probes — and propagates the resulting
+    S-view row changes into the Yannakakis views.  A cached answer is
+    invalidated exactly when one of its access rows has a derivation
+    through the delta, found by a witness check per entry.  The
+    indexes are built on the first delta that probes them, uncounted;
+    an engine that never takes a delta builds none.  All of it is
+    charged to the online cost counters and to
     the [maintain.probes] / [maintain.tuples] / [maintain.scans] Obs
     counters, with per-batch totals in the [engine.maintain.ops]
     histogram.

@@ -35,7 +35,9 @@ type decision =
   | M_delegated of dsub
 
 type combo = {
-  crel : (Cq.atom * Relation.t) list; (* this combo's leaf per atom *)
+  crel : (Cq.atom * Live.t) list;
+      (* this combo's leaf per atom; an atom no split touches has the
+         engine's base relation itself as its leaf *)
   mutable cdecision : decision;
 }
 
@@ -366,7 +368,9 @@ let decide (r : Rule.t) rels ~eval_budget ~budget ~size =
 (* ------------------------------------------------------------------ *)
 
 let combo_nonempty c =
-  List.for_all (fun (_, r) -> not (Relation.is_empty r)) c.crel
+  List.for_all (fun (_, l) -> not (Relation.is_empty (Live.relation l))) c.crel
+
+let leaf_relations c = List.map (fun (a, l) -> (a, Live.relation l)) c.crel
 
 let rec combos_of = function
   | CLeaf c -> [ c ]
@@ -376,12 +380,13 @@ let rec combos_of = function
    in the branch matching its x key's *current* distinct-y degree, so
    the leaves always equal what a batch rebuild of the splits would
    produce.  Leaf changes are appended to [events] as
-   [(combo, tuple, added?)] — all for the same atom. *)
+   [(combo, tuple, added?)] — all for the same atom.  A leaf that is
+   the base relation already holds the delta, so its write is a
+   no-op. *)
 let rec tree_insert tr atom tup events =
   match tr with
   | CLeaf c ->
-      let rel = List.assq atom c.crel in
-      Relation.add rel tup;
+      ignore (Live.add (List.assq atom c.crel) tup);
       events := (c, tup, true) :: !events
   | CNode n ->
       if n.catom != atom then begin
@@ -427,8 +432,7 @@ let rec tree_insert tr atom tup events =
 and tree_delete tr atom tup events =
   match tr with
   | CLeaf c ->
-      let rel = List.assq atom c.crel in
-      ignore (Relation.remove rel tup);
+      ignore (Live.remove (List.assq atom c.crel) tup);
       events := (c, tup, false) :: !events
   | CNode n ->
       if n.catom != atom then begin
@@ -542,7 +546,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
       (* the paper's |D|: the largest base relation *)
       let dsize =
         List.fold_left
-          (fun acc (_, rel) -> max acc (Relation.cardinal rel))
+          (fun acc (_, l) -> max acc (Relation.cardinal (Live.relation l)))
           2 base
       in
       let logd_abs = Float.log2 (float_of_int dsize) in
@@ -604,10 +608,10 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
                 base
             with
             | None -> None
-            | Some (atom, rel) ->
+            | Some (atom, l) ->
                 let exp = Rat.to_float (hs_of x) *. logd_abs in
                 let t =
-                  float_of_int (max 1 (Relation.cardinal rel))
+                  float_of_int (max 1 (Relation.cardinal (Live.relation l)))
                   /. Float.pow 2.0 exp
                 in
                 Some (atom, x, y, max 1 (int_of_float (Float.round t))))
@@ -622,7 +626,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
       let rec expand_tree rels = function
         | [] -> CLeaf { crel = rels; cdecision = M_absent }
         | (atom, x, y, threshold) :: rest ->
-            let rel = List.assq atom rels in
+            let rel = Live.relation (List.assq atom rels) in
             let schema = Relation.schema rel in
             let x_pos = Schema.positions schema (Varset.to_list x) in
             let y_pos = Schema.positions schema (Varset.to_list y) in
@@ -664,8 +668,8 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
                 (fun (a, r0) -> if a == atom then (a, repl) else (a, r0))
                 rels
             in
-            let cheavy = expand_tree (with_rel heavy) rest in
-            let clight = expand_tree (with_rel light) rest in
+            let cheavy = expand_tree (with_rel (Live.of_relation heavy)) rest in
+            let clight = expand_tree (with_rel (Live.of_relation light)) rest in
             CNode
               {
                 catom = atom; x_pos; y_pos; cthreshold = threshold;
@@ -704,7 +708,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
             incr n_live;
             Obs.span "twopp.subproblem" @@ fun () ->
             let best, choice =
-              decide r c.crel ~eval_budget:budget_lp ~budget
+              decide r (leaf_relations c) ~eval_budget:budget_lp ~budget
                 ~size:admission_size
             in
             (match best with
@@ -866,112 +870,6 @@ let read (rule : Rule.t) d =
 (* incremental maintenance                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Early-exit witness search.  [find_witness binding rels] asks whether
-   some extension of [binding] satisfies every (vars, relation) atom in
-   [rels] — an existence check, so it stops at the first witness instead
-   of enumerating all of them (around a heavy key the witness count is a
-   degree product; a full join would pay for every one).  Scan-based:
-   one [scan] charged per tuple visited. *)
-let consistent binding vs tup =
-  let ok = ref true in
-  List.iteri
-    (fun i v ->
-      if !ok then
-        match Hashtbl.find_opt binding v with
-        | Some x -> if x <> tup.(i) then ok := false
-        | None -> ())
-    vs;
-  !ok
-
-(* bind the atom's unbound variables to the tuple's values; [None] (and
-   no binding change) if the tuple contradicts the current binding *)
-let extend binding vs tup =
-  let added = ref [] in
-  let ok = ref true in
-  List.iteri
-    (fun i v ->
-      if !ok then
-        match Hashtbl.find_opt binding v with
-        | Some x -> if x <> tup.(i) then ok := false
-        | None ->
-            Hashtbl.add binding v tup.(i);
-            added := v :: !added)
-    vs;
-  if !ok then Some !added
-  else begin
-    List.iter (Hashtbl.remove binding) !added;
-    None
-  end
-
-let rec find_witness binding rels =
-  match rels with
-  | [] -> true
-  | _ ->
-      (* one counting scan per remaining atom, then recurse through the
-         atom with the fewest matches under the current binding — around
-         a heavy key the fan-out atom is deferred until its variables
-         are pinned, so branching stays near the cold side's degrees *)
-      let scored =
-        List.map
-          (fun ((vs, rel) as atom) ->
-            let matches = ref [] in
-            Relation.iter
-              (fun tup ->
-                Cost.charge_scan ();
-                if consistent binding vs tup then matches := tup :: !matches)
-              rel;
-            (List.length !matches, !matches, atom))
-          rels
-      in
-      let n, matches, ((vs, _) as atom) =
-        List.fold_left
-          (fun ((bn, _, _) as b) ((n, _, _) as x) -> if n < bn then x else b)
-          (List.hd scored) (List.tl scored)
-      in
-      n > 0
-      &&
-      let rest = List.filter (fun a -> not (a == atom)) rels in
-      List.exists
-        (fun tup ->
-          match extend binding vs tup with
-          | None -> false
-          | Some added ->
-              let hit = find_witness binding rest in
-              if not hit then List.iter (Hashtbl.remove binding) added;
-              hit)
-        matches
-
-(* Which rows of [cand_rel : keep] does the combo's body join still
-   derive?  Semijoin-reduce the body under the candidate pinning (one
-   pass against the candidates, then a forward/backward neighbor sweep
-   — linear in the slice sizes), then run {!find_witness} per row over
-   the reduced slices. *)
-let derivable_rows c ~keep cand_rel =
-  let rels = Array.of_list (List.map snd c.crel) in
-  (* pin the atoms that see candidate columns (one linear semijoin each);
-     atoms with no candidate column are shared by reference, not copied —
-     the witness search prunes them by match counting instead *)
-  let shares a b = Schema.inter (Relation.schema a) (Relation.schema b) <> [] in
-  Array.iteri
-    (fun i r -> if shares r cand_rel then rels.(i) <- Relation.semijoin r cand_rel)
-    rels;
-  let out = Relation.create (Schema.of_list keep) in
-  let any_empty = ref false in
-  Array.iter (fun r -> if Relation.is_empty r then any_empty := true) rels;
-  if not !any_empty then begin
-    let atoms =
-      Array.to_list
-        (Array.map (fun r -> (Schema.vars (Relation.schema r), r)) rels)
-    in
-    Relation.iter
-      (fun row ->
-        let binding = Hashtbl.create 16 in
-        List.iteri (fun i v -> Hashtbl.replace binding v row.(i)) keep;
-        if find_witness binding atoms then Relation.add out row)
-      cand_rel
-  end;
-  out
-
 (* a combo that was empty at build (never classified) just became
    non-empty: run the build's decision on its current leaves, at the
    true budget and flat sizes.  May raise [Failure] exactly like
@@ -980,8 +878,8 @@ let derivable_rows c ~keep cand_rel =
 let activate t m c out_events =
   settle t c
     (snd
-       (decide t.rule c.crel ~eval_budget:m.mbudget ~budget:m.mbudget
-          ~size:Relation.cardinal))
+       (decide t.rule (leaf_relations c) ~eval_budget:m.mbudget
+          ~budget:m.mbudget ~size:Relation.cardinal))
     out_events
 
 (* one leaf change of [atom] in combo [c], already applied to the leaf
@@ -1004,17 +902,22 @@ let propagate t m c atom tup sign out_events =
       patch d.sub.probe_plan d.probe_atoms;
       patch d.sub.safe_plan d.safe_atoms
   | M_stored b ->
+      (* the delta joins run as index probes from the pinned tuple over
+         the combo's other leaves, so they cost the tuple's
+         neighbourhood, not the leaves' size *)
       let single =
-        Relation.singleton (Relation.schema (List.assq atom c.crel)) tup
+        Relation.singleton
+          (Relation.schema (Live.relation (List.assq atom c.crel)))
+          tup
       in
       let others =
         List.filter_map
-          (fun (a, rel) -> if a == atom then None else Some rel)
+          (fun (a, l) -> if a == atom then None else Some l)
           c.crel
       in
       let keep = Varset.to_list b in
       if sign then
-        store_rows t b (Db.join_greedy (single :: others) ~keep) out_events
+        store_rows t b (Live.join_from single others ~keep) out_events
       else begin
         let union_rel = stored_rel_for t b in
         (* candidate rows that may have lost their last witness: exactly
@@ -1026,40 +929,33 @@ let propagate t m c atom tup sign out_events =
            stored row — either set over-approximates the victims. *)
         let limit = 4 * (1 + Relation.cardinal union_rel) in
         let cands =
-          match Db.join_greedy_bounded (single :: others) ~keep ~limit with
-          | Some delta -> Relation.to_list delta
-          | None -> Relation.to_list union_rel
+          match Live.join_from ~limit single others ~keep with
+          | delta -> Relation.to_list delta
+          | exception Live.Too_big -> Relation.to_list union_rel
         in
-        let victims =
-          (* last-witness check: a candidate row dies only if NO sibling
-             combo with the same target still derives it.  Each combo is
-             checked by semijoin reduction plus early-exit witness
-             search — never by enumerating the (degree-product many)
-             witnesses around a heavy key. *)
-          let cand_rel = Relation.create (Schema.of_list keep) in
-          List.iter
-            (fun row ->
-              if Relation.mem union_rel row then Relation.add cand_rel row)
-            cands;
-          let surviving = ref cand_rel in
-          List.iter
-            (fun c' ->
-              match c'.cdecision with
-              | M_stored b'
-                when Varset.equal b b'
-                     && not (Relation.is_empty !surviving) ->
-                  let derived = derivable_rows c' ~keep !surviving in
-                  surviving := Relation.antijoin !surviving derived
-              | _ -> ())
-            m.combos;
-          Relation.to_list !surviving
+        (* last-witness check: a candidate row dies only if NO sibling
+           combo with the same target still derives it — an early-exit
+           witness search per combo, never an enumeration of the
+           (degree-product many) witnesses around a heavy key *)
+        let derived row c' =
+          match c'.cdecision with
+          | M_stored b' when Varset.equal b b' ->
+              Live.exists
+                (List.combine keep (Array.to_list row))
+                (List.map snd c'.crel)
+          | _ -> false
         in
         List.iter
           (fun row ->
-            ignore (Relation.remove union_rel row);
-            t.space <- t.space - 1;
-            out_events := (b, row, false) :: !out_events)
-          victims
+            if
+              Relation.mem union_rel row
+              && not (List.exists (derived row) m.combos)
+            then begin
+              ignore (Relation.remove union_rel row);
+              t.space <- t.space - 1;
+              out_events := (b, row, false) :: !out_events
+            end)
+          cands
       end
 
 let apply_delta t ~atom ~tuple ~add =

@@ -24,12 +24,14 @@ open Stt_hypergraph
 type t
 
 val build :
-  ?counted:bool -> Rule.t -> base:(Cq.atom * Relation.t) list -> budget:int -> t
-(** [base] holds one relation per atom of the rule's query (the
-    engine's live copy, shared by every rule); the guide LP's [|D|] is
-    the largest of them.  The build only reads [base], so rules can be
-    built in parallel over one copy, and the leaves of atoms that no
-    split touches are the base relations themselves.
+  ?counted:bool -> Rule.t -> base:(Cq.atom * Live.t) list -> budget:int -> t
+(** [base] holds one live relation per atom of the rule's query (the
+    engine's copy, shared by every rule); the guide LP's [|D|] is the
+    largest of them.  The build only reads [base], so rules can be built
+    in parallel over one copy, and the leaves of atoms that no split
+    touches are the base relations themselves: the same {!Live.t}
+    values, so a delta patches their indexes once.  The heavy and light
+    leaves of a split are live relations of their own.
 
     Raises [Failure] if the rule has no T-targets and its S-targets do
     not actually fit in the budget (the rule is impossible at this
@@ -69,11 +71,13 @@ val rule : t -> Rule.t
     at its leaves.  The base relations belong to the caller.
     [apply_delta] routes a single-tuple base delta through the tree —
     re-classifying exactly the keys whose degree crossed the build-time
-    threshold — and patches each affected subproblem in place:
-    delegated plans get their step indexes updated, stored subproblems
-    get a pinned delta join (inserts) or a last-witness check (deletes)
-    against the combo's leaves.  Structures loaded from a snapshot are
-    static replicas: they answer but do not maintain. *)
+    threshold — writes each leaf with {!Live.add}/{!Live.remove}, and
+    patches each affected subproblem in place: delegated plans get
+    their step indexes updated, stored subproblems get a delta join
+    from the pinned tuple ({!Live.join_from}, inserts) or a last-witness
+    check ({!Live.exists}, deletes) against the combo's leaves, both run
+    as index probes.  Structures loaded from a snapshot are static
+    replicas: they answer but do not maintain. *)
 
 val supports_maintenance : t -> bool
 (** [true] for built structures, [false] for {!read} ones. *)

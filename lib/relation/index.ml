@@ -6,10 +6,12 @@
 
    Incremental maintenance works through a small mutable overlay on top
    of the frozen flat arrays: [extra] holds rows added since the last
-   compaction (grouped by key), [dead] marks flat rows deleted since.
-   Every read path keeps its zero-allocation fast path when the overlay
-   is empty; once the overlay outgrows a fraction of the flat storage it
-   is folded back into fresh flat arrays. *)
+   compaction (grouped by key), [dead] marks flat rows deleted since,
+   one byte per flat row, so a read skips a dead row by its slot
+   without copying or hashing it.  Every read path keeps its
+   zero-allocation fast path when the overlay is empty; once the overlay
+   outgrows a fraction of the flat storage it is folded back into fresh
+   flat arrays. *)
 type t = {
   key_vars : Schema.var list;
   source_schema : Schema.t;
@@ -21,7 +23,9 @@ type t = {
   mutable space : int;
   (* ---- overlay (empty in the common, static case) ---- *)
   mutable extra : Tuple.t list Tuple.Tbl.t; (* key -> rows added since build *)
-  mutable dead : unit Tuple.Tbl.t;          (* flat rows deleted since build *)
+  mutable dead : Bytes.t;   (* per flat row, non-zero = deleted;
+                               empty until the first delete *)
+  mutable n_dead : int;     (* flat rows marked in [dead] *)
   mutable dead_per_key : int Tuple.Tbl.t;   (* key -> deleted flat rows under it *)
   mutable overlay_rows : int;               (* |extra rows| + |dead rows| *)
 }
@@ -63,7 +67,7 @@ let build rel key_vars =
       {
         key_vars; source_schema; arity; key_pos = pos; table; data;
         flat_rows = n; space = n;
-        extra = Tuple.Tbl.create 8; dead = Tuple.Tbl.create 8;
+        extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
         dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
       })
 
@@ -71,6 +75,8 @@ let key_vars t = t.key_vars
 let source_schema t = t.source_schema
 
 let row t i = Array.sub t.data (i * t.arity) t.arity
+let[@inline] is_dead t i =
+  t.n_dead > 0 && Bytes.unsafe_get t.dead i <> '\000'
 
 (* fold the overlay back into fresh flat arrays; logical contents (and
    [space]) are unchanged, so snapshots and probes see the same rows *)
@@ -87,9 +93,8 @@ let compact t =
         in
         Tuple.Tbl.iter
           (fun key (start, len) ->
-            for i = 0 to len - 1 do
-              let r = row t (start + i) in
-              if not (Tuple.Tbl.mem t.dead r) then add_row key r
+            for i = start to start + len - 1 do
+              if not (is_dead t i) then add_row key (row t i)
             done)
           t.table;
         Tuple.Tbl.iter
@@ -116,7 +121,8 @@ let compact t =
         t.data <- data;
         t.flat_rows <- n;
         t.extra <- Tuple.Tbl.create 8;
-        t.dead <- Tuple.Tbl.create 8;
+        t.dead <- Bytes.empty;
+        t.n_dead <- 0;
         t.dead_per_key <- Tuple.Tbl.create 8;
         t.overlay_rows <- 0)
 
@@ -124,28 +130,28 @@ let maybe_compact t =
   if t.overlay_rows > max 64 (t.flat_rows / 4) then compact t
 
 let dead_under t key =
-  if Tuple.Tbl.length t.dead = 0 then 0
+  if t.n_dead = 0 then 0
   else Option.value ~default:0 (Tuple.Tbl.find_opt t.dead_per_key key)
 
 let extra_under t key =
   match Tuple.Tbl.find_opt t.extra key with Some rows -> rows | None -> []
 
-(* does the frozen flat bucket contain a row equal to [tup] (dead or
-   alive)?  Buckets hold distinct rows, so at most one matches. *)
-let flat_mem t key tup =
+(* the flat row equal to [tup] (dead or alive), or -1.  Buckets hold
+   distinct rows, so at most one matches. *)
+let flat_find t key tup =
   match Tuple.Tbl.find_opt t.table key with
-  | None -> false
+  | None -> -1
   | Some (start, len) ->
       let rec go i =
-        if i >= len then false
+        if i >= start + len then -1
         else
-          let base = (start + i) * t.arity in
+          let base = i * t.arity in
           let rec eq k =
             k >= t.arity || (t.data.(base + k) = tup.(k) && eq (k + 1))
           in
-          if eq 0 then true else go (i + 1)
+          if eq 0 then i else go (i + 1)
       in
-      go 0
+      go start
 
 let extra_mem t key tup = List.exists (Tuple.equal tup) (extra_under t key)
 
@@ -161,10 +167,12 @@ let insert t tup =
   if Tuple.arity tup <> t.arity then invalid_arg "Index.insert: arity mismatch";
   Cost.charge_probe ();
   let key = Tuple.project t.key_pos tup in
-  if flat_mem t key tup then
-    if Tuple.Tbl.mem t.dead tup then begin
+  let i = flat_find t key tup in
+  if i >= 0 then
+    if is_dead t i then begin
       (* resurrect a previously deleted flat row in place *)
-      Tuple.Tbl.remove t.dead tup;
+      Bytes.set t.dead i '\000';
+      t.n_dead <- t.n_dead - 1;
       bump_dead t key (-1);
       t.overlay_rows <- t.overlay_rows - 1;
       t.space <- t.space + 1;
@@ -196,15 +204,19 @@ let remove t tup =
     t.space <- t.space - 1;
     true
   end
-  else if flat_mem t key tup && not (Tuple.Tbl.mem t.dead tup) then begin
-    Tuple.Tbl.add t.dead (Array.copy tup) ();
-    bump_dead t key 1;
-    t.overlay_rows <- t.overlay_rows + 1;
-    t.space <- t.space - 1;
-    maybe_compact t;
-    true
-  end
-  else false
+  else
+    let i = flat_find t key tup in
+    if i >= 0 && not (is_dead t i) then begin
+      if Bytes.length t.dead = 0 then t.dead <- Bytes.make t.flat_rows '\000';
+      Bytes.set t.dead i '\001';
+      t.n_dead <- t.n_dead + 1;
+      bump_dead t key 1;
+      t.overlay_rows <- t.overlay_rows + 1;
+      t.space <- t.space - 1;
+      maybe_compact t;
+      true
+    end
+    else false
 
 let probe t key =
   Cost.charge_probe ();
@@ -217,21 +229,19 @@ let probe t key =
       match Tuple.Tbl.find_opt t.table key with
       | None -> []
       | Some (start, len) ->
-          List.filter
-            (fun r -> not (Tuple.Tbl.mem t.dead r))
-            (List.init len (fun i -> row t (start + i)))
+          List.filter_map
+            (fun i -> if is_dead t i then None else Some (row t i))
+            (List.init len (fun i -> start + i))
     in
     flat @ extra_under t key
 
 let probe_iter t key f =
   Cost.charge_probe ();
-  let no_dead = Tuple.Tbl.length t.dead = 0 in
   (match Tuple.Tbl.find_opt t.table key with
   | None -> ()
   | Some (start, len) ->
-      for i = 0 to len - 1 do
-        if no_dead || not (Tuple.Tbl.mem t.dead (row t (start + i))) then
-          f t.data ((start + i) * t.arity)
+      for i = start to start + len - 1 do
+        if not (is_dead t i) then f t.data (i * t.arity)
       done);
   if t.overlay_rows > 0 then List.iter (fun r -> f r 0) (extra_under t key)
 
@@ -320,7 +330,7 @@ let read d =
   {
     key_vars; source_schema; arity; key_pos; table; data;
     flat_rows = n; space = n;
-    extra = Tuple.Tbl.create 8; dead = Tuple.Tbl.create 8;
+    extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
     dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
   }
 
@@ -359,7 +369,6 @@ let join rel t =
   let out = Relation.create out_schema in
   let ra = Schema.arity rel_schema in
   let scratch = Array.make (Array.length key_pos) 0 in
-  let no_dead = Tuple.Tbl.length t.dead = 0 in
   Relation.iter
     (fun tup ->
       Cost.charge_scan ();
@@ -378,9 +387,8 @@ let join rel t =
       (match Tuple.Tbl.find_opt t.table scratch with
       | None -> ()
       | Some (start, len) ->
-          for i = 0 to len - 1 do
-            if no_dead || not (Tuple.Tbl.mem t.dead (row t (start + i))) then
-              emit t.data ((start + i) * t.arity)
+          for i = start to start + len - 1 do
+            if not (is_dead t i) then emit t.data (i * t.arity)
           done);
       if t.overlay_rows > 0 then
         List.iter (fun r -> emit r 0) (extra_under t scratch))

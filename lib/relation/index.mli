@@ -40,9 +40,10 @@ val space : t -> int
 (** {1 Incremental maintenance}
 
     Mutations land in a small overlay (rows added since the last
-    compaction, flat rows marked deleted); every read path merges the
-    overlay transparently and keeps its zero-allocation fast path while
-    the overlay is empty.  Once the overlay outgrows a fraction of the
+    compaction, and a per-row bitmap marking deleted flat rows); every
+    read path merges the overlay transparently, skips a deleted row by
+    its slot without copying it, and keeps its zero-allocation fast path
+    while the overlay is empty.  Once the overlay outgrows a fraction of the
     flat storage it is folded back into fresh flat arrays (an uncounted
     preprocessing-style pass, amortized O(1) per mutation). *)
 

@@ -1,8 +1,9 @@
 (* Churn differential for incremental index maintenance: interleaved
-   inserts, deletes and answers against one long-lived engine, checked
-   after every delta against (a) the brute-force reference evaluator
-   and (b) an engine rebuilt from scratch on the mutated database.
-   Everything derives from a fixed base seed.
+   inserts, deletes and answers against one long-lived engine with an
+   answer cache, checked after every delta against (a) the brute-force
+   reference evaluator, request by request, and (b) an engine rebuilt
+   from scratch on the mutated database.  Everything derives from a
+   fixed base seed.
 
    Also covers the edge cases a delta engine classically gets wrong —
    redundant inserts (the tuple is already there) and deleting the last
@@ -10,7 +11,8 @@
    that has absorbed deltas must save/load into an observationally
    identical replica (same answers, same op counts, same epoch), and
    the replica must reject further deltas.  A batch is checked whole
-   before any write, and COUNT answers follow the live base. *)
+   before any write, COUNT answers follow the live base, and a delta's
+   work follows the tuple's neighbourhood, not the relation's size. *)
 
 open Stt_relation
 open Stt_hypergraph
@@ -96,24 +98,41 @@ let run_one i =
                (fun (a : Cq.atom) -> (a.Cq.rel, List.length a.Cq.vars))
                inst.cqap.Cq.cq.Cq.atoms)
         in
-        let with_count e db =
+        (* COUNT tables and a cache: every answer below is also cached,
+           so a stale entry the delta failed to invalidate shows up as a
+           wrong answer after the next delta *)
+        let serving e db =
           Engine.enable_agg ~kinds:[ Semiring.Count ] e ~db ~budget:16;
+          Engine.attach_cache e ~budget:10_000;
           e
         in
-        let engine = ref (with_count idx inst.db) in
-        let check step =
+        let engine = ref (serving idx inst.db) in
+        let singles =
+          List.map
+            (Relation.singleton (Relation.schema inst.q_a))
+            (Relation.to_list inst.q_a)
+        in
+        (* the batch and each of its tuples as its own request *)
+        let check_answers step =
           let db' = db_of_mirror mirror in
-          let expected =
-            sorted (Db.eval_access db' inst.cqap ~q_a:inst.q_a)
-          in
+          List.iter
+            (fun q_a ->
+              let expected = sorted (Db.eval_access db' inst.cqap ~q_a) in
+              let got = sorted (Engine.answer !engine ~q_a) in
+              if got <> expected then
+                Alcotest.failf
+                  "instance %d (seed %d) after delta %d: maintained engine \
+                   disagrees with reference on %a@\n\
+                   query: %a@\nexpected %a@\ngot      %a"
+                  i seed step pp_tuples (sorted q_a) Cq.pp_cqap inst.cqap
+                  pp_tuples expected pp_tuples got)
+            (inst.q_a :: singles);
+          db'
+        in
+        ignore (check_answers 0);
+        let check step =
+          let db' = check_answers step in
           let got = sorted (Engine.answer !engine ~q_a:inst.q_a) in
-          if got <> expected then
-            Alcotest.failf
-              "instance %d (seed %d) after delta %d: maintained engine \
-               disagrees with reference@\n\
-               query: %a@\nexpected %a@\ngot      %a"
-              i seed step Cq.pp_cqap inst.cqap pp_tuples expected pp_tuples
-              got;
           (* COUNT over the live base against a brute-force fold over
              the mirror *)
           let count, _ =
@@ -193,7 +212,7 @@ let run_one i =
                  is poisoned, so rebuild and continue the stream *)
               let db' = db_of_mirror mirror in
               let rebuilt, _ = build_index { inst with db = db' } in
-              engine := with_count rebuilt db');
+              engine := serving rebuilt db');
           check step
         done
   in
@@ -343,7 +362,10 @@ let test_last_witness_delete () =
    and a self-loop serves both atoms of one derivation: deleting (v,v)
    must drop the answers whose only path is v -> v -> v.  Small dense
    graphs, every access pair, checked against the reference after every
-   delta (an impossible activation rebuilds, as in the churn test). *)
+   delta (an impossible activation rebuilds, as in the churn test).  A
+   cache holds the batch and every pair as its own request, so a delete
+   must invalidate before the base loses the tuple and an insert after
+   it has it, at both atoms. *)
 let test_self_join_deltas () =
   let q = Cq.Library.k_path 2 in
   List.iter
@@ -359,13 +381,17 @@ let test_self_join_deltas () =
         db
       in
       let build () =
-        Engine.build_auto ~max_pmtds:64 q ~db:(db_now ()) ~budget
+        let e = Engine.build_auto ~max_pmtds:64 q ~db:(db_now ()) ~budget in
+        Engine.attach_cache e ~budget:1_000;
+        e
       in
       let eng = ref (build ()) in
-      let q_a =
-        Relation.of_list (Engine.access_schema !eng)
-          (List.init 16 (fun i -> [| i / 4; i mod 4 |]))
+      let pairs = List.init 16 (fun i -> [| i / 4; i mod 4 |]) in
+      let q_a = Relation.of_list (Engine.access_schema !eng) pairs in
+      let requests =
+        q_a :: List.map (Relation.singleton (Engine.access_schema !eng)) pairs
       in
+      List.iter (fun q_a -> ignore (Engine.answer !eng ~q_a)) requests;
       for step = 1 to 16 do
         let ((u, v) as e) = (Rng.int rng 4, Rng.int rng 4) in
         let add = not (Hashtbl.mem edges e) in
@@ -377,17 +403,76 @@ let test_self_join_deltas () =
         | effective, _ ->
             Alcotest.(check bool) "every delta is effective" true effective
         | exception Failure _ -> eng := build ());
-        let expected = sorted (Db.eval_access (db_now ()) q ~q_a) in
-        let got = sorted (Engine.answer !eng ~q_a) in
-        if got <> expected then
-          Alcotest.failf
-            "seed %d budget %d, after %s (%d,%d) at step %d:@\n\
-             expected %a@\ngot      %a"
-            seed budget
-            (if add then "inserting" else "deleting")
-            u v step pp_tuples expected pp_tuples got
+        List.iter
+          (fun q_a ->
+            let expected = sorted (Db.eval_access (db_now ()) q ~q_a) in
+            let got = sorted (Engine.answer !eng ~q_a) in
+            if got <> expected then
+              Alcotest.failf
+                "seed %d budget %d, after %s (%d,%d) at step %d, request \
+                 %a:@\n\
+                 expected %a@\ngot      %a"
+                seed budget
+                (if add then "inserting" else "deleting")
+                u v step pp_tuples (sorted q_a) pp_tuples expected pp_tuples
+                got)
+          requests
       done)
     [ (1, 1); (2, 2); (3, 4); (4, 16); (5, 1000); (6, 1); (7, 4); (8, 1000) ]
+
+(* A delta's work follows the tuple's neighbourhood, not |R|: on 3-reach
+   over an 8,000-edge Zipf graph with a warm cache, deltas around a path
+   hanging off the graph (and one edge joining the path to itself) cost
+   a few hundred counted ops, where joining against whole base
+   relations costs tens of thousands. *)
+let test_neighbourhood_bound () =
+  let path = List.init 5 (fun i -> (10000 + i, 10001 + i)) in
+  let edges = Hashtbl.create 8192 in
+  List.iter
+    (fun e -> Hashtbl.replace edges e ())
+    (Graphs.zipf_both ~seed:131 ~vertices:400 ~edges:8000 ~s:1.1 @ path);
+  let db_now () =
+    let db = Db.create () in
+    Db.add_pairs db "R" (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+    db
+  in
+  let q = Cq.Library.k_path 3 in
+  let eng = Engine.build_auto ~max_pmtds:128 q ~db:(db_now ()) ~budget:1000 in
+  Engine.attach_cache eng ~budget:5000;
+  let request (u, v) =
+    Relation.singleton (Engine.access_schema eng) [| u; v |]
+  in
+  List.iter
+    (fun e -> ignore (Engine.answer eng ~q_a:(request e)))
+    [ (10000, 10003); (1, 2); (3, 4) ];
+  (* one insert/delete pair pays the thaw *)
+  ignore (Engine.insert eng "R" [| 10002; 10010 |]);
+  ignore (Engine.delete eng "R" [| 10002; 10010 |]);
+  let delta ((u, v), add) =
+    let effective, cost =
+      (if add then Engine.insert else Engine.delete) eng "R" [| u; v |]
+    in
+    let what =
+      Printf.sprintf "%s (%d,%d)" (if add then "insert" else "delete") u v
+    in
+    Alcotest.(check bool) (what ^ " is effective") true effective;
+    if Cost.total cost >= 500 then
+      Alcotest.failf "%s cost %d counted ops (probes %d, tuples %d, scans %d)"
+        what (Cost.total cost) cost.Cost.probes cost.Cost.tuples
+        cost.Cost.scans;
+    if add then Hashtbl.replace edges (u, v) ()
+    else Hashtbl.remove edges (u, v);
+    (* the cached path answer follows every delta *)
+    let q_a = request (10000, 10003) in
+    Alcotest.(check (list (list int)))
+      ("(10000,10003) after " ^ what)
+      (sorted (Db.eval_access (db_now ()) q ~q_a))
+      (sorted (Engine.answer eng ~q_a))
+  in
+  List.iter
+    (fun e -> List.iter delta [ (e, true); (e, false) ])
+    [ (10001, 10011); (10003, 10012); (10000, 10004); (10004, 10001) ];
+  List.iter (fun e -> List.iter delta [ (e, false); (e, true) ]) path
 
 let test_snapshot_after_deltas () =
   let _, _, eng =
@@ -451,6 +536,8 @@ let () =
             test_batch_checked_before_writes;
           Alcotest.test_case "self-joined deltas match the reference" `Quick
             test_self_join_deltas;
+          Alcotest.test_case "a delta costs its neighbourhood" `Quick
+            test_neighbourhood_bound;
         ] );
       ( "churn",
         [

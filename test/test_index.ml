@@ -1,6 +1,8 @@
 (* Direct tests for the flat-bucket hash index: build/probe/semijoin/
-   join/space, the O(1) [count] behavior the rework guarantees, and the
-   snapshot layout (rows sorted by key, buckets derived from the runs). *)
+   join/space, the O(1) [count] behavior the rework guarantees, the
+   snapshot layout (rows sorted by key, buckets derived from the runs),
+   and the live relations whose writes patch their indexes, with the
+   two delta kernels checked against plain joins. *)
 
 open Stt_relation
 module Codec = Stt_store.Codec
@@ -203,16 +205,24 @@ let test_snapshot_roundtrip () =
 
 let test_snapshot_overlay () =
   (* inserts and removes stay in the overlay (far below the compaction
-     threshold); the written rows are the live ones *)
+     threshold): the live index reads like a fresh build of its rows —
+     deleted flat rows skipped, a resurrected one back — and the written
+     rows are the live ones *)
   let rows = List.init 40 (fun i -> [| i mod 4; i |]) in
   let idx = Index.build (rel [ 0; 1 ] rows) [ 0 ] in
   let added = [ [| 1; 100 |]; [| 9; 101 |]; [| 2; 102 |] ] in
-  let removed = [ [| 1; 1 |]; [| 2; 102 |]; [| 3; 3 |] ] in
+  let removed = [ [| 1; 1 |]; [| 2; 102 |]; [| 3; 3 |]; [| 0; 8 |] ] in
   List.iter (fun r -> ignore (Index.insert idx r)) added;
   List.iter (fun r -> ignore (Index.remove idx r)) removed;
+  Alcotest.(check bool) "resurrect a deleted flat row" true
+    (Index.insert idx [| 0; 8 |]);
+  Alcotest.(check bool) "the resurrected row is present" false
+    (Index.insert idx [| 0; 8 |]);
+  let removed = List.filter (fun r -> r <> [| 0; 8 |]) removed in
   let live = List.filter (fun r -> not (List.mem r removed)) (rows @ added) in
-  check_alike "overlay" (Index.build (rel [ 0; 1 ] live) [ 0 ]) (reread idx)
-    ~rows:(rows @ added)
+  let fresh = Index.build (rel [ 0; 1 ] live) [ 0 ] in
+  check_alike "live overlay" fresh idx ~rows:(rows @ added);
+  check_alike "overlay" fresh (reread idx) ~rows:(rows @ added)
 
 let block ~key_vars ~vars rows =
   let e = Codec.encoder () in
@@ -239,6 +249,132 @@ let test_snapshot_rejects_disorder () =
   rejects "rows out of order under one key" [ [| 6; 1 |]; [| 5; 1 |] ];
   rejects "key variable outside the schema" ~key_vars:[ 7 ] [ [| 5; 1 |] ]
 
+(* ------------------------------------------------------------------ *)
+(* live relations and the delta kernels                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* the chain R(x0,x1) S(x2,x1) T(x2,x3) over a 6-value domain, so joins
+   fan out; S lists its variables out of order *)
+let chain_schemas = [ [ 0; 1 ]; [ 2; 1 ]; [ 2; 3 ] ]
+
+let random_pairs st n =
+  List.init n (fun _ -> [| Random.State.int st 6; Random.State.int st 6 |])
+
+let join_all seed rels = List.fold_left Relation.natural_join seed rels
+
+let test_live_kernels () =
+  let st = Random.State.make [| 20 |] in
+  for trial = 1 to 40 do
+    let plain =
+      List.map (fun vars -> rel vars (random_pairs st 10)) chain_schemas
+    in
+    let live = List.map (fun r -> Live.of_relation (Relation.copy r)) plain in
+    let check round =
+      let what = Printf.sprintf "trial %d, round %d" trial round in
+      let plain = List.map Live.relation live in
+      let r, s, t =
+        match plain with [ r; s; t ] -> (r, s, t) | _ -> assert false
+      in
+      (* {t}⋈S from each pinned tuple of S and one absent tuple *)
+      List.iter
+        (fun tup ->
+          let seed = Relation.singleton (Relation.schema s) tup in
+          let keep = [ 3; 0 ] in
+          let expected =
+            sorted (Relation.project (join_all seed [ r; t ]) keep)
+          in
+          let got =
+            Live.join_from seed [ List.nth live 0; List.nth live 2 ] ~keep
+          in
+          Alcotest.(check (list int))
+            (what ^ ": join_from schema") keep
+            (Schema.vars (Relation.schema got));
+          Alcotest.(check (list (list int)))
+            (what ^ ": join_from " ^ Tuple.to_string tup)
+            expected (sorted got))
+        ([| 7; 7 |] :: Relation.to_list s);
+      (* a witness for every (x0, x3) pair, and one pinned at S *)
+      let full = join_all r [ s; t ] in
+      for a = 0 to 5 do
+        for b = 0 to 5 do
+          let expected =
+            Relation.fold
+              (fun tup acc ->
+                acc
+                || tup.(Schema.position (Relation.schema full) 0) = a
+                   && tup.(Schema.position (Relation.schema full) 3) = b)
+              full false
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: exists x0=%d x3=%d" what a b)
+            expected
+            (Live.exists [ (0, a); (3, b) ] live);
+          let pinned = [ (2, a); (1, b) ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: exists x2=%d x1=%d" what a b)
+            (not
+               (Relation.is_empty
+                  (join_all
+                     (Relation.singleton (schema [ 2; 1 ]) [| a; b |])
+                     [ r; t ])))
+            (Live.exists pinned [ List.nth live 0; List.nth live 2 ])
+        done
+      done
+    in
+    check 0;
+    (* writes after the indexes exist must patch them *)
+    for round = 1 to 3 do
+      List.iter
+        (fun l ->
+          List.iter (fun tup -> ignore (Live.add l tup)) (random_pairs st 3);
+          List.iter
+            (fun tup -> ignore (Live.remove l tup))
+            (List.filteri
+               (fun i _ -> i mod 3 = 0)
+               (Relation.to_list (Live.relation l))))
+        live;
+      check round
+    done
+  done
+
+let test_live_writes () =
+  let l = Live.of_relation (rel [ 0; 1 ] [ [| 1; 2 |] ]) in
+  Alcotest.(check bool) "exists builds an index" true
+    (Live.exists [ (0, 1) ] [ l ]);
+  Alcotest.(check bool) "adding a present tuple is a no-op" false
+    (Live.add l [| 1; 2 |]);
+  Alcotest.(check bool) "add" true (Live.add l [| 1; 3 |]);
+  Alcotest.(check bool) "remove" true (Live.remove l [| 1; 2 |]);
+  Alcotest.(check bool) "removing an absent tuple is a no-op" false
+    (Live.remove l [| 1; 2 |]);
+  Alcotest.(check bool) "the index sees the add" true
+    (Live.exists [ (0, 1); (1, 3) ] [ l ]);
+  Alcotest.(check bool) "the index sees the remove" false
+    (Live.exists [ (0, 1); (1, 2) ] [ l ]);
+  Alcotest.(check bool) "a variable bound twice disagrees" false
+    (Live.exists [ (0, 1); (0, 2) ] [ l ]);
+  let seed = rel [ 0 ] [ [| 1 |] ] in
+  Alcotest.(check (list (list int))) "join_from within its limit"
+    [ [ 3 ] ]
+    (sorted (Live.join_from ~limit:1 seed [ l ] ~keep:[ 1 ]));
+  ignore (Live.add l [| 1; 4 |]);
+  (match Live.join_from ~limit:1 seed [ l ] ~keep:[ 1 ] with
+  | _ -> Alcotest.fail "join_from passed its limit"
+  | exception Live.Too_big -> ());
+  (* enough writes to compact the index's overlay, twice *)
+  for i = 0 to 299 do
+    ignore (Live.add l [| i mod 7; i |])
+  done;
+  for i = 0 to 299 do
+    if i mod 4 <> 0 then ignore (Live.remove l [| i mod 7; i |])
+  done;
+  for k = 0 to 6 do
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "bucket %d after compaction" k)
+      (sorted (Relation.select_eq (Live.relation l) 0 k))
+      (sorted (Live.join_from (rel [ 0 ] [ [| k |] ]) [ l ] ~keep:[ 0; 1 ]))
+  done
+
 let () =
   Alcotest.run "index"
     [
@@ -262,5 +398,11 @@ let () =
             test_snapshot_overlay;
           Alcotest.test_case "rows out of key order are corrupt" `Quick
             test_snapshot_rejects_disorder;
+        ] );
+      ( "live",
+        [
+          Alcotest.test_case "writes patch the indexes" `Quick test_live_writes;
+          Alcotest.test_case "join_from and exists match plain joins" `Quick
+            test_live_kernels;
         ] );
     ]

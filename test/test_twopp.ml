@@ -18,7 +18,9 @@ let db_of edges =
 
 (* one relation per atom of the 2-path, as the engine's base holds them *)
 let base_of db =
-  List.map (fun a -> (a, Db.relation db a)) path2.Cq.cq.Cq.atoms
+  List.map
+    (fun a -> (a, Live.of_relation (Db.relation db a)))
+    path2.Cq.cq.Cq.atoms
 
 let skewed = Graphs.zipf_both ~seed:11 ~vertices:200 ~edges:2000 ~s:1.1
 

@@ -1209,9 +1209,9 @@ let emp_agg () =
   (* same regime as emp-cache: 3-reach at a tight space budget keeps the
      materialized join expensive, so pushing the semiring fold through
      answering has real work to displace.  Two table budgets trace the
-     space-time tradeoff: a tight partial table (most requests fall back
-     to one online annotated elimination) and a complete one (every
-     request is pure probes). *)
+     space-time tradeoff: a tight partial table (most requests miss, and
+     their missed rows are answered online from their neighbourhood)
+     and a complete one (every request is pure probes). *)
   let vertices = 400 in
   let edges = Graphs.zipf_both ~seed:151 ~vertices ~edges:4_000 ~s:1.1 in
   let q = Cq.Library.k_path 3 in

@@ -12,8 +12,8 @@ module Agg_eval = Stt_semiring.Eval
 (* A per-kind aggregate table over the access variables.  [complete]
    means every access tuple with at least one derivation has an entry,
    so a miss soundly contributes the semiring zero; a partial table only
-   covers the heavy access keys and misses fall back to online
-   elimination. *)
+   covers the heavy access keys and misses fall back to the online
+   sum-product from the access rows. *)
 type agg_table = { complete : bool; entries : int Tuple.Tbl.t }
 
 type agg_state = {
@@ -28,8 +28,9 @@ type t = {
   mutable base : (Cq.atom * Live.t) list;
       (* the one live, annotated relation per atom, in atom order: split
          by every rule's 2PP structure, written once per delta through
-         [Live.add]/[remove], probed by cache invalidation and read as
-         the aggregate factors; empty when loaded without "agg" *)
+         [Live.add]/[remove], probed by cache invalidation and by the
+         aggregate fallback, read whole by the aggregate tables; empty
+         when loaded without "agg" *)
   structures : Twopp.t list;
   mutable preprocessed : (Pmtd.t * Online_yannakakis.preprocessed) list;
   mutable space : int;
@@ -416,8 +417,8 @@ let factors_of t k =
    per-key derivation counts are the work proxy that picks which access
    keys stay in the tables when the full table exceeds the budget (the
    heavy keys — exactly where online answering is expensive).  Partial
-   tables are marked incomplete so misses fall back to online
-   elimination instead of soundly-looking zeroes. *)
+   tables are marked incomplete so misses fall back to the online
+   sum-product instead of soundly-looking zeroes. *)
 let build_agg_tables t ~kinds =
   match t.agg with
   | None -> ()
@@ -484,16 +485,17 @@ let enable_agg ?(kinds = Semiring.all) t ~db ~budget =
 (* The online aggregate of canonical access rows.  A table hit charges
    one probe per request row plus one tuple per combined row — never
    less than what answering the same request from a materialized answer
-   would charge.  Rows missing from a partial table are collected and
-   answered by one annotated-elimination run (counted: it is online
-   work). *)
+   would charge.  Rows a dropped or partial table misses are collected
+   and answered by one sum-product from them over the live base's
+   indexes (counted: it is online work), so each costs its
+   neighbourhood, not a pass over the base. *)
 let answer_agg_scoped t k ~rows =
   let st = agg_state t in
   Cost.scoped (fun () ->
       let online light =
         let q = Relation.create (access_schema t) in
         List.iter (Relation.add q) light;
-        Agg_eval.aggregate k (factors_of t k) ~q_a:q
+        Live.agg_from (Semiring.live k) q (List.map snd t.base)
       in
       match List.assoc_opt k st.agg_tables with
       | Some { complete; entries } ->
@@ -695,10 +697,10 @@ let apply_one t ~rel ~tuple ~add =
       deletes;
     t.space <- views_space t.preprocessed;
     if add then invalidate_cache t ~rel ~tuple;
-    (* the aggregate factors are the base, already updated (a delta
-       carries no weight, so an inserted tuple takes the kind's default
+    (* the aggregates read the base, already updated (a delta carries
+       no weight, so an inserted tuple takes the kind's default
        annotation); the precomputed tables are dropped, and aggregate
-       requests fall back to online elimination until [enable_agg] *)
+       requests fall back to the online sum-product until [enable_agg] *)
     (match t.agg with
     | Some st when st.agg_tables <> [] ->
         st.agg_tables <- [];

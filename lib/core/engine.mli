@@ -92,10 +92,12 @@ val access_schema : t -> Schema.t
     precomputes per-kind aggregate tables over the access variables
     (uncounted, like the rest of preprocessing); when the full table
     exceeds the budget, only the heaviest access keys (by derivation
-    count) are kept and the rest are answered by online annotated
-    variable elimination.  Aggregate
-    answers are cached under kind-tagged keys and shipped in snapshots
-    (the ["agg"] section), so replicas serve aggregates too. *)
+    count) are kept.  A request row the table misses is answered online
+    by {!Stt_relation.Live.agg_from}: a sum-product from the row over
+    the live base's indexes, whose work is the row's neighbourhood.
+    Aggregate answers are cached under kind-tagged keys and shipped in
+    snapshots (the ["agg"] section), so replicas serve aggregates
+    too. *)
 
 val enable_agg :
   ?kinds:Stt_semiring.Semiring.kind list -> t -> db:Db.t -> budget:int -> unit
@@ -111,10 +113,12 @@ val answer_agg :
   t -> Stt_semiring.Semiring.kind -> q_a:Relation.t -> int * Cost.snapshot
 (** The aggregate of one (possibly multi-tuple) access request, with the
     online cost actually charged: a table hit costs one probe per
-    request row plus one tuple per combined row; misses against a
-    partial table are answered by one counted elimination run.  Raises
-    [Failure] when {!enable_agg} was never called (and the snapshot had
-    no agg section). *)
+    request row plus one tuple per combined row; the rows a partial
+    table misses, or every row once a delta has dropped the tables, are
+    answered by one counted {!Stt_relation.Live.agg_from} from those
+    rows, which costs their neighbourhood in the live base rather than
+    a pass over it.  Raises [Failure] when {!enable_agg} was never
+    called (and the snapshot had no agg section). *)
 
 val agg_baseline :
   t -> Stt_semiring.Semiring.kind -> q_a:Relation.t -> int * Cost.snapshot
@@ -127,8 +131,8 @@ val agg_enabled : t -> bool
 
 val agg_kinds : t -> Stt_semiring.Semiring.kind list
 (** Kinds with a precomputed table, in {!enable_agg} order; empty after
-    a delta dropped the tables (answers fall back to online
-    elimination). *)
+    a delta dropped the tables.  {!answer_agg} answers every kind
+    either way: without a table, from the request's rows. *)
 
 val agg_budget : t -> int
 (** Table budget passed to {!enable_agg}; 0 when aggregates are off. *)

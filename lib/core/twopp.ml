@@ -894,9 +894,8 @@ let propagate t m c atom tup sign out_events =
         List.iter2
           (fun (st : step) a ->
             if a == atom then
-              ignore
-                (if sign then Index.insert st.idx tup
-                 else Index.remove st.idx tup))
+              if sign then Index.insert st.idx tup
+              else ignore (Index.remove st.idx tup))
           plan atoms
       in
       patch d.sub.probe_plan d.probe_atoms;
@@ -969,7 +968,17 @@ let apply_delta t ~atom ~tuple ~add =
       if add then tree_insert m.tree atom tuple levs
       else tree_delete m.tree atom tuple levs;
       let out_events = ref [] in
+      (* a combo activated by one of these leaf changes is decided on its
+         leaves as they stand after all of them, so its later changes
+         are already in, and a step index must not take a row twice *)
+      let activated = ref [] in
       List.iter
-        (fun (c, tup, sign) -> propagate t m c atom tup sign out_events)
+        (fun (c, tup, sign) ->
+          if not (List.memq c !activated) then begin
+            let absent = c.cdecision = M_absent in
+            propagate t m c atom tup sign out_events;
+            if absent && c.cdecision <> M_absent then
+              activated := c :: !activated
+          end)
         (List.rev !levs);
       List.rev !out_events

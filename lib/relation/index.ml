@@ -155,40 +155,24 @@ let flat_find t key tup =
 
 let extra_mem t key tup = List.exists (Tuple.equal tup) (extra_under t key)
 
-let bump_dead t key by =
+let bump_dead t key =
   match Tuple.Tbl.find_opt t.dead_per_key key with
-  | Some v ->
-      let v' = v + by in
-      if v' = 0 then Tuple.Tbl.remove t.dead_per_key key
-      else Tuple.Tbl.replace t.dead_per_key key v'
-  | None -> if by <> 0 then Tuple.Tbl.add t.dead_per_key (Array.copy key) by
+  | Some v -> Tuple.Tbl.replace t.dead_per_key key (v + 1)
+  | None -> Tuple.Tbl.add t.dead_per_key (Array.copy key) 1
 
+(* the caller guarantees [tup] is absent, so the row goes straight to the
+   overlay without a bucket scan; a dead flat copy stays dead until
+   compaction drops it *)
 let insert t tup =
   if Tuple.arity tup <> t.arity then invalid_arg "Index.insert: arity mismatch";
   Cost.charge_probe ();
   let key = Tuple.project t.key_pos tup in
-  let i = flat_find t key tup in
-  if i >= 0 then
-    if is_dead t i then begin
-      (* resurrect a previously deleted flat row in place *)
-      Bytes.set t.dead i '\000';
-      t.n_dead <- t.n_dead - 1;
-      bump_dead t key (-1);
-      t.overlay_rows <- t.overlay_rows - 1;
-      t.space <- t.space + 1;
-      true
-    end
-    else false
-  else if extra_mem t key tup then false
-  else begin
-    (match Tuple.Tbl.find_opt t.extra key with
-    | Some rows -> Tuple.Tbl.replace t.extra key (Array.copy tup :: rows)
-    | None -> Tuple.Tbl.add t.extra key [ Array.copy tup ]);
-    t.overlay_rows <- t.overlay_rows + 1;
-    t.space <- t.space + 1;
-    maybe_compact t;
-    true
-  end
+  (match Tuple.Tbl.find_opt t.extra key with
+  | Some rows -> Tuple.Tbl.replace t.extra key (Array.copy tup :: rows)
+  | None -> Tuple.Tbl.add t.extra key [ Array.copy tup ]);
+  t.overlay_rows <- t.overlay_rows + 1;
+  t.space <- t.space + 1;
+  maybe_compact t
 
 let remove t tup =
   if Tuple.arity tup <> t.arity then invalid_arg "Index.remove: arity mismatch";
@@ -210,7 +194,7 @@ let remove t tup =
       if Bytes.length t.dead = 0 then t.dead <- Bytes.make t.flat_rows '\000';
       Bytes.set t.dead i '\001';
       t.n_dead <- t.n_dead + 1;
-      bump_dead t key 1;
+      bump_dead t key;
       t.overlay_rows <- t.overlay_rows + 1;
       t.space <- t.space - 1;
       maybe_compact t;

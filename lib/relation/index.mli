@@ -47,10 +47,11 @@ val space : t -> int
     flat storage it is folded back into fresh flat arrays (an uncounted
     preprocessing-style pass, amortized O(1) per mutation). *)
 
-val insert : t -> Tuple.t -> bool
-(** Add one tuple; [false] if it was already present (idempotent).  One
-    {!Cost} probe charged.  Raises [Invalid_argument] on arity
-    mismatch. *)
+val insert : t -> Tuple.t -> unit
+(** Add one tuple, which must be absent: the row goes straight to the
+    overlay, unchecked, so inserting a present tuple would index it
+    twice.  One {!Cost} probe charged.  Raises [Invalid_argument] on
+    arity mismatch. *)
 
 val remove : t -> Tuple.t -> bool
 (** Delete one tuple; [false] if it was absent.  One {!Cost} probe

@@ -14,7 +14,7 @@ let add t tup =
   if Relation.mem t.rel tup then false
   else begin
     Relation.add t.rel tup;
-    List.iter (fun (_, idx) -> ignore (Index.insert idx tup)) t.indexes;
+    List.iter (fun (_, idx) -> Index.insert idx tup) t.indexes;
     true
   end
 
@@ -25,19 +25,55 @@ let remove t tup =
        true
      end
 
+(* Aggregate requests read the base on several domains at once (a
+   server runs reads under a shared lock), so two of them may ask for
+   the same missing index: the build is re-checked and published under
+   a lock. *)
+let build_lock = Mutex.create ()
+
 (* the index on [key] (ascending), built on first use *)
 let index t key =
   match List.assoc_opt key t.indexes with
   | Some idx -> idx
   | None ->
-      let idx = Index.build t.rel key in
-      t.indexes <- (key, idx) :: t.indexes;
-      idx
+      Mutex.protect build_lock (fun () ->
+          match List.assoc_opt key t.indexes with
+          | Some idx -> idx
+          | None ->
+              let idx = Index.build t.rel key in
+              t.indexes <- (key, idx) :: t.indexes;
+              idx)
 
 (* [atoms] without the first atom physically equal to [l] *)
 let rec without l = function
   | [] -> []
   | x :: rest -> if x == l then rest else x :: without l rest
+
+(* The step planner of [join_from] and [agg_from]: from rows over [vars],
+   join next the atom with the most variables already bound (the first
+   on a tie), through its index on those variables, ascending.  Returns
+   the atom, that key — all of the atom's variables when it joins as a
+   membership test — and the atoms left after it. *)
+let next_step vars = function
+  | [] -> None
+  | first :: _ as atoms ->
+      let bound l = List.filter (fun v -> List.mem v vars) l.vars in
+      let pick, key =
+        List.fold_left
+          (fun ((_, bk) as best) l ->
+            let k = bound l in
+            if List.length k > List.length bk then (l, k) else best)
+          (first, bound first) atoms
+      in
+      Some (pick, List.sort Int.compare key, without pick atoms)
+
+let fully_bound l key = List.compare_lengths key l.vars = 0
+
+(* the variables of [vars] that [keep] or an atom of [rest] still needs *)
+let needed vars rest ~keep =
+  List.filter
+    (fun v -> List.mem v keep || List.exists (fun l -> List.mem v l.vars) rest)
+    vars
 
 exception Too_big
 
@@ -62,36 +98,24 @@ let join_from ?limit seed atoms ~keep =
     | Some l when Relation.cardinal r > l -> raise Too_big
     | _ -> ()
   in
-  let rec go acc = function
-    | [] -> acc
-    | _ when Relation.is_empty acc -> acc
-    | first :: _ as atoms ->
-        let s = Relation.schema acc in
-        let bound l = List.filter (fun v -> Schema.mem v s) l.vars in
-        let pick, key =
-          List.fold_left
-            (fun ((_, bk) as best) l ->
-              let k = bound l in
-              if List.length k > List.length bk then (l, k) else best)
-            (first, bound first) atoms
-        in
-        let joined =
-          if List.compare_lengths key pick.vars = 0 then
-            filter_mem acc pick
-          else Index.join acc (index pick (List.sort Int.compare key))
-        in
-        check joined;
-        let rest = without pick atoms in
-        let needed v =
-          List.mem v keep || List.exists (fun l -> List.mem v l.vars) rest
-        in
-        let vars = Schema.vars (Relation.schema joined) in
-        let kept = List.filter needed vars in
-        go
-          (if List.length kept < List.length vars then
-             Relation.project joined kept
-           else joined)
-          rest
+  let rec go acc atoms =
+    if Relation.is_empty acc then acc
+    else
+      match next_step (Schema.vars (Relation.schema acc)) atoms with
+      | None -> acc
+      | Some (pick, key, rest) ->
+          let joined =
+            if fully_bound pick key then filter_mem acc pick
+            else Index.join acc (index pick key)
+          in
+          check joined;
+          let vars = Schema.vars (Relation.schema joined) in
+          let kept = needed vars rest ~keep in
+          go
+            (if List.length kept < List.length vars then
+               Relation.project joined kept
+             else joined)
+            rest
   in
   let acc = go seed atoms in
   if Relation.is_empty acc then Relation.create (Schema.of_list keep)
@@ -100,6 +124,102 @@ let join_from ?limit seed atoms ~keep =
     check out;
     out
   end
+
+type semiring = {
+  zero : int;
+  one : int;
+  add : int -> int -> int;
+  mul : int -> int -> int;
+  default : int option;
+}
+
+(* ⊕-merge [v] into the row [scratch] of an annotated intermediate.  A
+   row's annotation is a cell updated in place, so the scratch buffer is
+   copied only when it becomes a new row. *)
+let merge sr rows scratch v =
+  match Tuple.Tbl.find_opt rows scratch with
+  | Some cell -> cell := sr.add !cell v
+  | None ->
+      Cost.charge_tuple ();
+      Tuple.Tbl.add rows (Array.copy scratch) (ref v)
+
+(* the annotation of [l]'s row at [src.(base) ..] *)
+let weight sr l =
+  match sr.default with
+  | None -> fun _ _ -> sr.one
+  | Some default ->
+      let row = Array.make (List.length l.vars) 0 in
+      fun src base ->
+        Array.blit src base row 0 (Array.length row);
+        Relation.annotation l.rel ~default row
+
+(* One join step of [agg_from]: every row over [vars] times the matching
+   rows of [pick], kept on the variables [rest] still needs. *)
+let agg_step sr vars rows (pick, key, rest) =
+  let s = Schema.of_list vars in
+  let fresh = List.filter (fun v -> not (Schema.mem v s)) pick.vars in
+  let out_vars = needed (vars @ fresh) rest ~keep:[] in
+  (* an output column is read off the accumulated row (>= 0) or off
+     column [-c - 1] of the atom's row *)
+  let src =
+    Array.of_list
+      (List.map
+         (fun v ->
+           if Schema.mem v s then Schema.position s v
+           else -Schema.position (Relation.schema pick.rel) v - 1)
+         out_vars)
+  in
+  let n = Array.length src in
+  (* [matches tup f] calls [f] on each row of [pick] that agrees with the
+     accumulated row [tup]; a fully bound atom is a membership test *)
+  let matches =
+    if fully_bound pick key then begin
+      let pos = Schema.positions s pick.vars in
+      let row = Array.make (Array.length pos) 0 in
+      fun tup f ->
+        Cost.charge_probe ();
+        Tuple.project_into pos tup row;
+        if Relation.mem pick.rel row then f row 0
+    end
+    else begin
+      let idx = index pick key and pos = Schema.positions s key in
+      let probe = Array.make (Array.length pos) 0 in
+      fun tup f ->
+        Tuple.project_into pos tup probe;
+        Index.probe_iter idx probe f
+    end
+  in
+  let w = weight sr pick in
+  let out = Tuple.Tbl.create 16 and scratch = Array.make n 0 in
+  Tuple.Tbl.iter
+    (fun tup v ->
+      Cost.charge_scan ();
+      matches tup (fun m base ->
+          Cost.charge_scan ();
+          for j = 0 to n - 1 do
+            let c = src.(j) in
+            scratch.(j) <- (if c >= 0 then tup.(c) else m.(base - c - 1))
+          done;
+          merge sr out scratch (sr.mul !v (w m base))))
+    rows;
+  (out_vars, out)
+
+let agg_from sr seed atoms =
+  let rows = Tuple.Tbl.create 16 in
+  Relation.iter (fun tup -> Tuple.Tbl.replace rows tup (ref sr.one)) seed;
+  let rec go vars rows atoms =
+    if Tuple.Tbl.length rows = 0 then rows
+    else
+      match next_step vars atoms with
+      | None -> rows
+      | Some ((_, _, rest) as step) ->
+          let vars, rows = agg_step sr vars rows step in
+          go vars rows rest
+  in
+  Tuple.Tbl.fold
+    (fun _ v acc -> sr.add acc !v)
+    (go (Schema.vars (Relation.schema seed)) rows atoms)
+    sr.zero
 
 exception Found
 

@@ -1,16 +1,20 @@
 (** Live relations: a {!Relation.t} that takes deltas, with the
-    persistent {!Index.t}s the delta path probes.
+    persistent {!Index.t}s the delta path and the aggregate fallback
+    probe.
 
     {!add} and {!remove} are the only writes, and they patch every index
     the relation has, so no index can drift from its rows.  An index is
     keyed by a set of variables and built with {!Index.build} the first
     time it is probed — an uncounted, preprocessing-style pass — so a
-    relation that never takes a delta never builds one.
+    relation that is never probed never builds one.  Readers may build
+    one concurrently; writers must exclude readers.
 
-    The two kernels below run a delta's joins as index probes from a
-    pinned tuple, so their work follows the tuple's neighbourhood rather
-    than the size of the relations (the "much smaller join" {t}⋈S of
-    delta maintenance).  Each relation passed to them stands for one
+    The kernels below run joins as index probes from a few pinned
+    tuples, so their work follows those tuples' neighbourhood rather
+    than the size of the relations: {!join_from} and {!exists} are the
+    "much smaller join" {t}⋈S of delta maintenance, and {!agg_from},
+    the annotated twin of {!join_from}, is the sum-product of access
+    rows that missed the aggregate table.  Each relation passed to them stands for one
     atom: its schema variables are the atom's variables. *)
 
 type t
@@ -43,6 +47,30 @@ val join_from :
     remaining atom needs.  Charges the {!Cost} counters like
     {!Index.join}.  Raises {!Too_big} as soon as an intermediate or the
     result holds more than [limit] tuples. *)
+
+type semiring = {
+  zero : int;  (** the identity of [add]: the aggregate of no rows *)
+  one : int;  (** the identity of [mul] *)
+  add : int -> int -> int;
+  mul : int -> int -> int;
+  default : int option;
+      (** the annotation of a row with no stored weight; [None] ignores
+          stored weights and annotates every row [one] (COUNT) *)
+}
+(** A commutative semiring over [int] annotations, passed as values. *)
+
+val agg_from : semiring -> Relation.t -> t list -> int
+(** [agg_from sr seed atoms] is the semiring sum, over every way to
+    extend a row of [seed] by one row of each atom, of the product of
+    those rows' annotations — [zero] when there is none.  It joins the
+    atoms one at a time in {!join_from}'s order, starting from the seed
+    rows annotated [one]; a step multiplies each matched row's
+    annotation into its accumulated row, and ⊕-merges the rows that
+    agree on the variables a remaining atom still needs, so no
+    intermediate holds a variable past its last atom.  Charges one probe
+    per index lookup or membership test, one scan per row visited (of
+    the intermediate and of each bucket) and one tuple per new merged
+    row. *)
 
 val exists : (Schema.var * int) list -> t list -> bool
 (** [exists binding atoms]: does some assignment that extends [binding]

@@ -1,15 +1,16 @@
-(* Annotated sum-product evaluation.
+(* Annotated sum-product evaluation over whole relations: the offline
+   side of aggregates.
 
-   A factor is a relation whose tuples carry semiring values; the
-   aggregate of an access request is computed by greedy variable
-   elimination over the base-atom factors plus the request itself (the
-   request is a factor annotated with [one], so filtering and summation
-   fall out of the same machinery).  A semijoin reduction pass runs
-   first — any factor row that matches nothing in a neighbouring factor
-   contributes nothing to the flat join, so dropping it is sound and
-   keeps the intermediate factors small (the Yannakakis idea, applied to
-   the factor set itself rather than to any one PMTD's views, whose
-   per-decomposition answer sets may be incomplete in isolation).
+   A factor is a relation whose tuples carry semiring values.  The
+   aggregate table over the access variables is computed by greedy
+   variable elimination over the base-atom factors.  A semijoin
+   reduction pass runs first — any factor row that matches nothing in a
+   neighbouring factor contributes nothing to the flat join, so dropping
+   it is sound and keeps the intermediate factors small (the Yannakakis
+   idea, applied to the factor set itself rather than to any one PMTD's
+   views, whose per-decomposition answer sets may be incomplete in
+   isolation).  A request that misses the table is answered online from
+   its own rows ([Stt_relation.Live.agg_from]), not here.
 
    Costs mirror Stt_relation: one scan per input row visited, one probe
    per hash lookup, one tuple per materialized output row. *)
@@ -189,16 +190,6 @@ let eliminate k factors ~keep =
         loop (project k joined vs :: rest)
   in
   loop factors
-
-(* the ⊕-fold of a zero-arity factor: zero when empty *)
-let scalar k f =
-  Tuple.Tbl.fold (fun _ v acc -> Semiring.add k acc v) f.vals (Semiring.zero k)
-
-let aggregate k factors ~q_a =
-  let factors = reduce (of_request k q_a :: factors) in
-  let residual = eliminate k factors ~keep:[] in
-  List.fold_left (fun acc f -> Semiring.mul k acc (scalar k f)) (Semiring.one k)
-    residual
 
 (* Precompute the aggregate table over the access variables: eliminate
    everything else, then join the residual factors into one map

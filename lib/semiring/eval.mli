@@ -1,14 +1,17 @@
-(** Annotated sum-product evaluation over semiring factors.
+(** Annotated sum-product evaluation over whole semiring factors.
 
     A factor is a set of tuples carrying semiring values; the base atoms
     of a CQAP become factors via {!of_relation} (annotations default per
     {!Semiring.default_annot}), an access request becomes a factor of
     [one]s, and the aggregate is the semiring sum over the flat join of
-    the product of annotations.  Evaluation runs a semijoin reduction
-    sweep followed by greedy variable elimination, so the join is never
-    materialized; {!brute} is the materialize-then-fold oracle.  All
-    operations charge the {!Stt_relation.Cost} counters (scan per input
-    row, probe per lookup, tuple per output row). *)
+    the product of annotations.  {!table} precomputes it for every
+    access tuple by a semijoin reduction sweep followed by greedy
+    variable elimination, so the join is never materialized; {!brute}
+    is the materialize-then-fold oracle.  Both read every row of every
+    factor: a single request is answered online from its own rows by
+    [Stt_relation.Live.agg_from] instead.  All operations charge the
+    {!Stt_relation.Cost} counters (scan per input row, probe per lookup,
+    tuple per output row). *)
 
 open Stt_relation
 
@@ -17,16 +20,6 @@ type factor
 val of_relation : Semiring.kind -> Relation.t -> factor
 (** Annotations are read from the relation's annotation column, falling
     back to {!Semiring.default_annot}. *)
-
-val of_request : Semiring.kind -> Relation.t -> factor
-(** Every request tuple annotated with [one]. *)
-
-val cardinal : factor -> int
-val join : Semiring.kind -> factor -> factor -> factor
-
-val aggregate : Semiring.kind -> factor list -> q_a:Relation.t -> int
-(** The aggregate of the request against the factor set, by reduction +
-    elimination.  [zero] when no valuation is consistent with [q_a]. *)
 
 val table : Semiring.kind -> factor list -> access:Schema.t -> int Tuple.Tbl.t
 (** Full offline elimination keeping the access variables: a map from

@@ -53,4 +53,14 @@ let mul k a b =
    is a zero-cost hop for the tropical kinds. *)
 let default_annot = function Count -> 1 | Sum -> 1 | Min -> 0 | Max -> 0
 
+(* COUNT counts derivations, so it ignores any stored weight column *)
+let live k =
+  {
+    Stt_relation.Live.zero = zero k;
+    one = one k;
+    add = add k;
+    mul = mul k;
+    default = (if k = Count then None else Some (default_annot k));
+  }
+
 let pp ppf k = Format.pp_print_string ppf (name k)

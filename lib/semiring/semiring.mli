@@ -35,4 +35,8 @@ val mul : kind -> int -> int -> int
 val default_annot : kind -> int
 (** Annotation of a base tuple with no stored weight. *)
 
+val live : kind -> Stt_relation.Live.semiring
+(** The kind as the values {!Stt_relation.Live.agg_from} takes.  COUNT
+    counts derivations, so it ignores stored weights. *)
+
 val pp : Format.formatter -> kind -> unit

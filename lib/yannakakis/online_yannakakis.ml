@@ -123,7 +123,7 @@ let insert_view_tuple t node row =
   else begin
     let idx = flat_index t node in
     Relation.add rel row;
-    ignore (Index.insert idx row);
+    Index.insert idx row;
     t.space <- t.space + 1;
     true
   end

@@ -11,7 +11,7 @@
    that has absorbed deltas must save/load into an observationally
    identical replica (same answers, same op counts, same epoch), and
    the replica must reject further deltas.  A batch is checked whole
-   before any write, COUNT answers follow the live base, and a delta's
+   before any write, aggregate answers follow the live base, and a delta's
    work follows the tuple's neighbourhood, not the relation's size. *)
 
 open Stt_relation
@@ -98,11 +98,11 @@ let run_one i =
                (fun (a : Cq.atom) -> (a.Cq.rel, List.length a.Cq.vars))
                inst.cqap.Cq.cq.Cq.atoms)
         in
-        (* COUNT tables and a cache: every answer below is also cached,
-           so a stale entry the delta failed to invalidate shows up as a
-           wrong answer after the next delta *)
+        (* aggregate tables and a cache: every answer below is also
+           cached, so a stale entry the delta failed to invalidate shows
+           up as a wrong answer after the next delta *)
         let serving e db =
-          Engine.enable_agg ~kinds:[ Semiring.Count ] e ~db ~budget:16;
+          Engine.enable_agg e ~db ~budget:16;
           Engine.attach_cache e ~budget:10_000;
           e
         in
@@ -133,22 +133,23 @@ let run_one i =
         let check step =
           let db' = check_answers step in
           let got = sorted (Engine.answer !engine ~q_a:inst.q_a) in
-          (* COUNT over the live base against a brute-force fold over
-             the mirror *)
-          let count, _ =
-            Engine.answer_agg !engine Semiring.Count ~q_a:inst.q_a
-          in
-          let brute =
-            Eval.brute Semiring.Count
-              (List.map
-                 (fun a -> Eval.of_relation Semiring.Count (Db.relation db' a))
-                 inst.cqap.Cq.cq.Cq.atoms)
-              ~q_a:inst.q_a
-          in
-          if count <> brute then
-            Alcotest.failf
-              "instance %d (seed %d) after delta %d: COUNT %d, brute fold %d"
-              i seed step count brute;
+          (* every aggregate over the live base against a brute-force
+             fold over the mirror *)
+          List.iter
+            (fun k ->
+              let got, _ = Engine.answer_agg !engine k ~q_a:inst.q_a in
+              let brute =
+                Eval.brute k
+                  (List.map
+                     (fun a -> Eval.of_relation k (Db.relation db' a))
+                     inst.cqap.Cq.cq.Cq.atoms)
+                  ~q_a:inst.q_a
+              in
+              if got <> brute then
+                Alcotest.failf
+                  "instance %d (seed %d) after delta %d: %s %d, brute fold %d"
+                  i seed step (Semiring.name k) got brute)
+            Semiring.all;
           (* from-scratch rebuild on the mutated database must agree *)
           let rebuilt, _ = build_index { inst with db = db' } in
           let fresh = sorted (Engine.answer rebuilt ~q_a:inst.q_a) in

@@ -2,7 +2,7 @@
    join/space, the O(1) [count] behavior the rework guarantees, the
    snapshot layout (rows sorted by key, buckets derived from the runs),
    and the live relations whose writes patch their indexes, with the
-   two delta kernels checked against plain joins. *)
+   delta kernels and the aggregate kernel checked against plain joins. *)
 
 open Stt_relation
 module Codec = Stt_store.Codec
@@ -206,18 +206,25 @@ let test_snapshot_roundtrip () =
 let test_snapshot_overlay () =
   (* inserts and removes stay in the overlay (far below the compaction
      threshold): the live index reads like a fresh build of its rows —
-     deleted flat rows skipped, a resurrected one back — and the written
-     rows are the live ones *)
+     deleted flat rows skipped, a re-inserted one back from the overlay
+     while its flat copy stays dead — and the written rows are the live
+     ones *)
   let rows = List.init 40 (fun i -> [| i mod 4; i |]) in
   let idx = Index.build (rel [ 0; 1 ] rows) [ 0 ] in
   let added = [ [| 1; 100 |]; [| 9; 101 |]; [| 2; 102 |] ] in
   let removed = [ [| 1; 1 |]; [| 2; 102 |]; [| 3; 3 |]; [| 0; 8 |] ] in
-  List.iter (fun r -> ignore (Index.insert idx r)) added;
-  List.iter (fun r -> ignore (Index.remove idx r)) removed;
-  Alcotest.(check bool) "resurrect a deleted flat row" true
-    (Index.insert idx [| 0; 8 |]);
-  Alcotest.(check bool) "the resurrected row is present" false
-    (Index.insert idx [| 0; 8 |]);
+  List.iter (Index.insert idx) added;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) ("remove " ^ Tuple.to_string r) true
+        (Index.remove idx r))
+    removed;
+  Index.insert idx [| 0; 8 |];
+  Alcotest.(check bool) "remove the re-inserted row" true
+    (Index.remove idx [| 0; 8 |]);
+  Alcotest.(check bool) "its dead flat copy stays dead" false
+    (Index.remove idx [| 0; 8 |]);
+  Index.insert idx [| 0; 8 |];
   let removed = List.filter (fun r -> r <> [| 0; 8 |]) removed in
   let live = List.filter (fun r -> not (List.mem r removed)) (rows @ added) in
   let fresh = Index.build (rel [ 0; 1 ] live) [ 0 ] in
@@ -262,19 +269,67 @@ let random_pairs st n =
 
 let join_all seed rels = List.fold_left Relation.natural_join seed rels
 
+module Semiring = Stt_semiring.Semiring
+
+(* the sum over the flat join of the product of each atom's annotation *)
+let brute_fold k seed rels =
+  let sr = Semiring.live k in
+  let full = join_all seed rels in
+  let weight r tup =
+    match sr.default with
+    | None -> sr.one
+    | Some default ->
+        Relation.annotation r ~default
+          (Tuple.project
+             (Schema.positions (Relation.schema full)
+                (Schema.vars (Relation.schema r)))
+             tup)
+  in
+  Relation.fold
+    (fun tup acc ->
+      sr.add acc
+        (List.fold_left (fun p r -> sr.mul p (weight r tup)) sr.one rels))
+    full sr.zero
+
 let test_live_kernels () =
   let st = Random.State.make [| 20 |] in
+  let weigh r =
+    Relation.iter
+      (fun tup -> Relation.annotate r tup (Random.State.int st 9))
+      r;
+    r
+  in
   for trial = 1 to 40 do
     let plain =
-      List.map (fun vars -> rel vars (random_pairs st 10)) chain_schemas
+      List.map (fun vars -> weigh (rel vars (random_pairs st 10))) chain_schemas
     in
     let live = List.map (fun r -> Live.of_relation (Relation.copy r)) plain in
+    (* U(x4) shares no variable with anything *)
+    let u =
+      Live.of_relation
+        (weigh (rel [ 4 ] (List.init 3 (fun _ -> [| Random.State.int st 6 |]))))
+    in
     let check round =
       let what = Printf.sprintf "trial %d, round %d" trial round in
       let plain = List.map Live.relation live in
       let r, s, t =
         match plain with [ r; s; t ] -> (r, s, t) | _ -> assert false
       in
+      (* the sum-product from each pinned tuple of S and one absent
+         tuple: S is fully bound from the start, U joins as a product *)
+      List.iter
+        (fun tup ->
+          let seed = Relation.singleton (Relation.schema s) tup in
+          List.iter
+            (fun k ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: agg_from %s %s" what (Semiring.name k)
+                   (Tuple.to_string tup))
+                (brute_fold k seed [ r; t; s; Live.relation u ])
+                (Live.agg_from (Semiring.live k) seed
+                   [ List.nth live 0; u; List.nth live 2; List.nth live 1 ]))
+            [ Semiring.Count; Semiring.Min ])
+        ([| 7; 7 |] :: Relation.to_list s);
       (* {t}⋈S from each pinned tuple of S and one absent tuple *)
       List.iter
         (fun tup ->

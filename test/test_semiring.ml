@@ -1,14 +1,13 @@
-(* Semiring aggregates: algebraic laws, the evaluator against a
-   flat-join oracle, the engine's table/online/cache paths, snapshot
-   round trips, and the three aggregate apps against naive
-   references. *)
+(* Semiring aggregates: algebraic laws, the engine's table/online/cache
+   paths, snapshot round trips, and the three aggregate apps against
+   naive references.  The online path against the flat-join oracle on
+   random instances is test_differential's aggregate arm. *)
 
 open Stt_relation
 open Stt_core
 open Stt_apps
 open Stt_workload
 module Semiring = Stt_semiring.Semiring
-module Eval = Stt_semiring.Eval
 
 (* --- semiring laws --- *)
 
@@ -60,30 +59,6 @@ let test_tags () =
   Alcotest.(check bool) "tag 0 reserved for tuples" true
     (Semiring.of_tag 0 = None);
   Alcotest.(check bool) "tag 5 unknown" true (Semiring.of_tag 5 = None)
-
-(* --- evaluator vs brute oracle on random instances --- *)
-
-let factors_of inst =
-  let cqap = inst.Diff_harness.cqap in
-  List.map
-    (fun (a : Stt_hypergraph.Cq.atom) -> Db.relation inst.Diff_harness.db a)
-    cqap.Stt_hypergraph.Cq.cq.Stt_hypergraph.Cq.atoms
-
-let test_eval_matches_brute () =
-  List.iter
-    (fun seed ->
-      let inst = Diff_harness.gen_instance seed in
-      let rels = factors_of inst in
-      List.iter
-        (fun k ->
-          let factors = List.map (Eval.of_relation k) rels in
-          let fast = Eval.aggregate k factors ~q_a:inst.Diff_harness.q_a in
-          let slow = Eval.brute k factors ~q_a:inst.Diff_harness.q_a in
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d %s" seed (Semiring.name k))
-            slow fast)
-        Semiring.all)
-    (List.init 40 (fun i -> 0xA11CE + i))
 
 (* --- engine: table path, online fallback, budget equivalence --- *)
 
@@ -315,11 +290,6 @@ let () =
           Alcotest.test_case "identities, comm, assoc, distrib" `Quick
             test_laws;
           Alcotest.test_case "tag/name round trips" `Quick test_tags;
-        ] );
-      ( "eval",
-        [
-          Alcotest.test_case "aggregate = brute on random instances" `Quick
-            test_eval_matches_brute;
         ] );
       ( "engine",
         [

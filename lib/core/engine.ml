@@ -112,11 +112,10 @@ let pmap f xs =
 
 (* One PMTD's Online Yannakakis state over the union of the rules'
    stored S-targets: semijoin-reduced (and possibly factorized) views at
-   build, plain ones once thawed for maintenance. *)
+   build, live ones once thawed for maintenance. *)
 let preprocess_pmtd ~thawed s_targets p =
   let s_views node = view_of_targets s_targets (Pmtd.view p node).Pmtd.vars in
-  let frozen = not thawed in
-  (p, Online_yannakakis.preprocess ~reduce:frozen ~factorize:frozen p ~s_views)
+  (p, Online_yannakakis.preprocess ~thawed p ~s_views)
 
 let views_space preprocessed =
   List.fold_left
@@ -634,16 +633,17 @@ let invalidate_cache t ~rel ~tuple =
       let n = Cache.invalidate cache stale in
       if n > 0 then Obs.incr ~by:n "cache.invalidate"
 
-(* S-view routing: an S-view row change for target [b] lands on every
-   materialized node whose view variables equal [b], across all PMTDs. *)
-let nodes_for t b =
+(* S-view routing: an S-view row change for target [b] lands on the live
+   view of every materialized node whose view variables equal [b],
+   across all PMTDs. *)
+let views_for t b =
   List.concat_map
     (fun (p, oy) ->
       List.filter_map
-        (fun node ->
-          if Varset.equal (Pmtd.view p node).Pmtd.vars b then Some (oy, node)
+        (fun (node, view) ->
+          if Varset.equal (Pmtd.view p node).Pmtd.vars b then Some view
           else None)
-        (Online_yannakakis.materialized_nodes oy))
+        (Online_yannakakis.live_views oy))
     t.preprocessed
 
 (* One validated delta.  A redundant one (inserting a present tuple,
@@ -678,10 +678,7 @@ let apply_one t ~rel ~tuple ~add =
     let inserts, deletes = List.partition (fun (_, _, sign) -> sign) events in
     List.iter
       (fun (b, row, _) ->
-        List.iter
-          (fun (oy, node) ->
-            ignore (Online_yannakakis.insert_view_tuple oy node row))
-          (nodes_for t b))
+        List.iter (fun view -> ignore (Live.add view row)) (views_for t b))
       inserts;
     List.iter
       (fun (b, row, _) ->
@@ -690,10 +687,7 @@ let apply_one t ~rel ~tuple ~add =
           not
             (List.exists (fun s -> Twopp.stored_mem s b row) t.structures)
         then
-          List.iter
-            (fun (oy, node) ->
-              ignore (Online_yannakakis.delete_view_tuple oy node row))
-            (nodes_for t b))
+          List.iter (fun view -> ignore (Live.remove view row)) (views_for t b))
       deletes;
     t.space <- views_space t.preprocessed;
     if add then invalidate_cache t ~rel ~tuple;
@@ -773,10 +767,10 @@ let delete t rel tuple =
 module Store = Stt_store.Store
 module C = Stt_store.Codec
 
-let format_version = 2
+let format_version = 3
 
 (* A snapshot holds rows and build decisions only: each structure writes
-   its own bytes ([Relation], [Index], [Twopp], [Online_yannakakis]) and
+   its own bytes ([Relation], [Twopp], [Online_yannakakis]) and
    the sections below are the engine's own.  A decoder that meets an
    impossible structure raises [Codec.Corrupt], which the store layer
    surfaces as [Malformed] — a CRC-valid file is rejected at load time

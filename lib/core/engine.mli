@@ -151,15 +151,16 @@ val agg_table_size : t -> int
     is written once to the live base relation of each atom it reaches
     ({!Stt_relation.Live}, whose writes patch its indexes), routes
     through each rule's heavy/light split tree (re-classifying exactly
-    the keys whose degree crossed the build threshold), patches the
-    affected subproblems — delegated plan indexes in place, stored
-    targets by delta joins from the pinned tuple and last-witness
-    checks, both run as index probes — and propagates the resulting
-    S-view row changes into the Yannakakis views.  A cached answer is
-    invalidated exactly when one of its access rows has a derivation
-    through the delta, found by a witness check per entry.  The
-    indexes are built on the first delta that probes them, uncounted;
-    an engine that never takes a delta builds none.  All of it is
+    the keys whose degree crossed the build threshold) into its live
+    leaves, patches the affected stored subproblems by delta joins from
+    the pinned tuple and last-witness checks, both run as index probes
+    — a delegated plan reads its leaves' own indexes, so it needs no
+    patch — and writes the resulting S-view row changes into the live
+    Yannakakis views.  A cached answer is invalidated exactly when one
+    of its access rows has a derivation through the delta, found by a
+    witness check per entry.  The indexes the delta kernels probe are
+    built on the first delta that probes them, uncounted; an engine
+    that never takes a delta builds none.  All of it is
     charged to the online cost counters and to
     the [maintain.probes] / [maintain.tuples] / [maintain.scans] Obs
     counters, with per-batch totals in the [engine.maintain.ops]
@@ -242,15 +243,16 @@ val total_space : t -> int
     database. *)
 
 val format_version : int
-(** Wire-format version written by {!save}, currently 2.  {!load}
+(** Wire-format version written by {!save}, currently 3.  {!load}
     rejects any other version with [Version_skew]. *)
 
 val save : t -> string -> (int, Stt_store.Store.error) result
 (** [save t path] writes the snapshot and returns its size in bytes.
     The sections, in order: "cqap" (query and access pattern), "pmtds"
     (trees, bags, materialization flags), "rules" (S-/T-targets),
-    "twopp" (per rule: stored S-target relations and the delegated
-    subproblems' plans, each step an index written as sorted rows),
+    "twopp" (per rule: stored S-target relations, each distinct leaf
+    the delegated plans read, once, and each plan as its ordered leaf
+    numbers),
     "yannakakis" (per PMTD: each materialized node's S-view relation
     and which nodes are held as d-representations) and "summary"
     (space and counts).  Optional sections follow: "epoch" once the
@@ -264,7 +266,10 @@ val save : t -> string -> (int, Stt_store.Store.error) result
 val load : string -> (t, Stt_store.Store.error) result
 (** [load path] validates the file strictly — magic, format version,
     section checksums, and the structural invariants of every decoded
-    component — and rebuilds the engine: link indexes with
-    [Index.build] and d-representations with [Frep.of_relation], as the
-    build does.  Any defect surfaces as a typed error, never a crash or
-    a silently wrong structure. *)
+    component — and rebuilds the engine as the build does: the 2PP
+    leaves and flat S-views as {!Stt_relation.Live} relations with the
+    indexes their plan steps and links probe, the plan steps with the
+    build's own step planner, and d-representations with
+    [Frep.of_relation].  Any defect surfaces as a typed error, never a
+    crash or a silently wrong structure; a plan whose leaves cannot
+    produce its T-target is such a defect. *)

@@ -7,8 +7,9 @@ module Fconfig = Stt_factorized.Config
 module Frep = Stt_factorized.Frep
 
 (* One probing step of an online plan: join the accumulator with the
-   indexed relation, then project to [keep]. *)
-type step = { idx : Index.t; keep : Schema.var list }
+   leaf's index on [key], then project to [keep].  The index is the
+   leaf's own, so a leaf write has already patched it. *)
+type step = { leaf : Live.t; key : Schema.var list; keep : Schema.var list }
 
 type subproblem = {
   t_target : Varset.t;
@@ -21,18 +22,10 @@ type subproblem = {
 (* incremental maintenance state                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A delegated combo remembers which atom each plan step indexes, so a
-   leaf delta can patch exactly the affected step indexes in place. *)
-type dsub = {
-  sub : subproblem;
-  probe_atoms : Cq.atom list; (* aligned with sub.probe_plan *)
-  safe_atoms : Cq.atom list;  (* aligned with sub.safe_plan *)
-}
-
 type decision =
   | M_absent (* some leaf empty at build (or never activated since) *)
   | M_stored of Varset.t
-  | M_delegated of dsub
+  | M_delegated
 
 type combo = {
   crel : (Cq.atom * Live.t) list;
@@ -177,7 +170,8 @@ let local_atoms rels ~access b =
 let order_cost ~access order =
   let rec go bound seen total = function
     | [] -> total
-    | (a, rel) :: rest ->
+    | (a, leaf) :: rest ->
+        let rel = Live.relation leaf in
         let shared =
           List.filter (fun v -> Varset.mem v seen)
             (Varset.to_list (Cq.atom_vars a))
@@ -208,19 +202,20 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         l
 
-(* materialize an ordered atom list into indexed steps with early
-   projection *)
+(* turn an ordered leaf list into probing steps with early projection,
+   building each leaf's index on its step key now rather than on the
+   first request *)
 let steps_of_order ~access ~target order =
   let acc_schema = ref (Varset.to_list access) in
   let steps = ref [] in
   List.iteri
-    (fun i (atom, rel) ->
+    (fun i (atom, leaf) ->
       let key =
         List.filter
           (fun v -> List.mem v !acc_schema)
           (Varset.to_list (Cq.atom_vars atom))
       in
-      let idx = Index.build rel key in
+      ignore (Live.index leaf key);
       acc_schema :=
         !acc_schema
         @ List.filter
@@ -237,7 +232,7 @@ let steps_of_order ~access ~target order =
       in
       let keep = List.filter (fun v -> Varset.mem v needed) !acc_schema in
       acc_schema := keep;
-      steps := { idx; keep } :: !steps)
+      steps := { leaf; key; keep } :: !steps)
     order;
   List.rev !steps
 
@@ -248,14 +243,14 @@ let greedy_order ~access atoms =
   let remaining = ref atoms in
   let out = ref [] in
   while !remaining <> [] do
-    let cost (a, rel) =
+    let cost (a, leaf) =
       let shared =
         List.filter (fun v -> Varset.mem v !seen)
           (Varset.to_list (Cq.atom_vars a))
       in
       match shared with
       | [] -> max_int
-      | sh -> Relation.max_degree rel sh
+      | sh -> Relation.max_degree (Live.relation leaf) sh
     in
     let best =
       List.fold_left
@@ -285,28 +280,20 @@ let safe_order ~access atoms =
             if order_cost ~access o < order_cost ~access best then o else best)
           first perms
 
-(* Build both plans for one subproblem; online execution runs the greedy
-   plan with the safe plan's worst-case estimate as an abort cap and
-   falls back when it trips — adaptive, at most ~2x the worst-case
-   bound, near-greedy on typical requests.  Also records the atom behind
-   each step, so incremental maintenance can patch step indexes. *)
-let build_plan rels ~access ~target =
+(* Build both plans for one subproblem over its leaves; online execution
+   runs the greedy plan with the safe plan's worst-case estimate as an
+   abort cap and falls back when it trips — adaptive, at most ~2x the
+   worst-case bound, near-greedy on typical requests. *)
+let build_plan leaves ~access ~target =
   Cost.with_counting false (fun () ->
-      let atoms = local_atoms rels ~access target in
+      let atoms = local_atoms leaves ~access target in
       let safe = safe_order ~access atoms in
       let greedy = greedy_order ~access atoms in
-      let sub =
-        {
-          t_target = target;
-          probe_plan = steps_of_order ~access ~target greedy;
-          safe_plan = steps_of_order ~access ~target safe;
-          cap = 2 * (1 + order_cost ~access safe);
-        }
-      in
       {
-        sub;
-        probe_atoms = List.map fst greedy;
-        safe_atoms = List.map fst safe;
+        t_target = target;
+        probe_plan = steps_of_order ~access ~target greedy;
+        safe_plan = steps_of_order ~access ~target safe;
+        cap = 2 * (1 + order_cost ~access safe);
       })
 
 (* evaluate the (partial) body join projected onto each target, giving
@@ -325,7 +312,7 @@ let eval_targets rels targets ~budget =
       | None -> None)
     targets
 
-type choice = Store of Varset.t * Relation.t | Delegate of dsub
+type choice = Store of Varset.t * Relation.t | Delegate of subproblem
 
 (* The one decision for a non-empty subproblem: evaluate the S-targets
    (bounded by [eval_budget]) and store the one of least [size] when it
@@ -333,8 +320,9 @@ type choice = Store of Varset.t * Relation.t | Delegate of dsub
    with its probe and safe plans.  Also returns the best candidate and
    its size, stored or not.  Raises [Failure] when the rule has no
    T-target to delegate to. *)
-let decide (r : Rule.t) rels ~eval_budget ~budget ~size =
+let decide (r : Rule.t) leaves ~eval_budget ~budget ~size =
   let cqap = r.Rule.cqap in
+  let rels = List.map (fun (a, l) -> (a, Live.relation l)) leaves in
   let candidates =
     match r.Rule.s_targets with
     | [] -> []
@@ -359,7 +347,7 @@ let decide (r : Rule.t) rels ~eval_budget ~budget ~size =
             let target =
               pick_target cqap.Cq.cq.Cq.n ~dc:(measured_dc rels) t_targets
             in
-            Delegate (build_plan rels ~access:cqap.Cq.access ~target))
+            Delegate (build_plan leaves ~access:cqap.Cq.access ~target))
   in
   (best, choice)
 
@@ -369,8 +357,6 @@ let decide (r : Rule.t) rels ~eval_budget ~budget ~size =
 
 let combo_nonempty c =
   List.for_all (fun (_, l) -> not (Relation.is_empty (Live.relation l))) c.crel
-
-let leaf_relations c = List.map (fun (a, l) -> (a, Live.relation l)) c.crel
 
 let rec combos_of = function
   | CLeaf c -> [ c ]
@@ -511,9 +497,9 @@ let settle t c choice out_events =
       t.stored_subs <- t.stored_subs + 1;
       c.cdecision <- M_stored b;
       store_rows t b rel out_events
-  | Delegate d ->
-      t.delegated <- t.delegated @ [ d.sub ];
-      c.cdecision <- M_delegated d
+  | Delegate sub ->
+      t.delegated <- t.delegated @ [ sub ];
+      c.cdecision <- M_delegated
 
 (* One materialization pass.  [budget_lp] drives the guide LP's space
    exponent and the candidate-evaluation limit — how aggressively the
@@ -708,7 +694,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
             incr n_live;
             Obs.span "twopp.subproblem" @@ fun () ->
             let best, choice =
-              decide r (leaf_relations c) ~eval_budget:budget_lp ~budget
+              decide r c.crel ~eval_budget:budget_lp ~budget
                 ~size:admission_size
             in
             (match best with
@@ -721,14 +707,14 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
                 Obs.set_attr "decision" (Json.String "stored");
                 Obs.set_attr "target" (Json.String (vs_str b));
                 Obs.set_attr "tuples" (Json.Int (Relation.cardinal rel))
-            | Delegate d ->
+            | Delegate sub ->
                 (match best with
                 | Some (_, _, eff) ->
                     (* best S-candidate existed but blew the budget *)
                     Obs.set_attr "best_eff" (Json.Int eff)
                 | None -> ());
                 Obs.set_attr "decision" (Json.String "delegated");
-                Obs.set_attr "target" (Json.String (vs_str d.sub.t_target)));
+                Obs.set_attr "target" (Json.String (vs_str sub.t_target)));
             settle t c choice (ref [])
           end)
         combos;
@@ -772,8 +758,8 @@ exception Plan_abort
 let run_plan ?cap q_a plan =
   let acc = ref q_a in
   List.iter
-    (fun { idx; keep } ->
-      acc := Index.join !acc idx;
+    (fun { leaf; key; keep } ->
+      acc := Index.join !acc (Live.index leaf key);
       (match cap with
       | Some c when Relation.cardinal !acc > c -> raise Plan_abort
       | _ -> ());
@@ -781,6 +767,8 @@ let run_plan ?cap q_a plan =
     plan;
   !acc
 
+(* Every plan covers its T-target: the build extends a plan's atoms
+   until they do, and [read] rejects a plan that does not. *)
 let online t ~q_a =
   let out : (Varset.t, Relation.t) Hashtbl.t = Hashtbl.create 4 in
   List.iter
@@ -791,16 +779,7 @@ let online t ~q_a =
         try run_plan ~cap:(sub.cap * max 1 (Relation.cardinal q_a)) q_a sub.probe_plan
         with Plan_abort -> run_plan q_a sub.safe_plan
       in
-      let acc = ref result_rel in
-      let target_vars = Varset.to_list sub.t_target in
-      let result =
-        if
-          List.for_all
-            (fun v -> Schema.mem v (Relation.schema !acc))
-            target_vars
-        then Relation.project !acc target_vars
-        else Relation.create (Schema.of_list target_vars)
-      in
+      let result = Relation.project result_rel (Varset.to_list sub.t_target) in
       let merged =
         match Hashtbl.find_opt out sub.t_target with
         | Some existing -> Relation.union existing result
@@ -816,6 +795,11 @@ let online t ~q_a =
 
 module C = Stt_store.Codec
 
+(* Snapshot layout: the stored S-target relations, then each distinct
+   leaf the delegated plans read, once, in first-use order, then each
+   delegated subproblem with its plans as ordered leaf numbers.  The
+   steps' keys and kept variables are a function of the leaf order, so
+   [read] recomputes them with the build's own [steps_of_order]. *)
 let write e t =
   C.write_uint e t.stored_subs;
   C.write_list e
@@ -823,20 +807,31 @@ let write e t =
       Varset.write e b;
       Relation.write e rel)
     (List.sort (fun (a, _) (b, _) -> Varset.compare a b) t.stored);
-  let write_step { idx; keep } =
-    Index.write e idx;
-    C.write_list e (C.write_uint e) keep
+  (* each distinct leaf, numbered in first-use order *)
+  let numbered =
+    List.fold_left
+      (fun acc { leaf; _ } ->
+        if List.mem_assq leaf acc then acc else (leaf, List.length acc) :: acc)
+      []
+      (List.concat_map (fun sub -> sub.probe_plan @ sub.safe_plan) t.delegated)
+    |> List.rev
+  in
+  C.write_list e (fun (l, _) -> Relation.write e (Live.relation l)) numbered;
+  let write_plan =
+    C.write_list e (fun st -> C.write_uint e (List.assq st.leaf numbered))
   in
   C.write_list e
     (fun sub ->
       Varset.write e sub.t_target;
       C.write_uint e sub.cap;
-      C.write_list e write_step sub.probe_plan;
-      C.write_list e write_step sub.safe_plan)
+      write_plan sub.probe_plan;
+      write_plan sub.safe_plan)
     t.delegated
 
 let read (rule : Rule.t) d =
-  let within = Varset.full rule.Rule.cqap.Cq.cq.Cq.n in
+  let cqap = rule.Rule.cqap in
+  let access = cqap.Cq.access in
+  let within = Varset.full cqap.Cq.cq.Cq.n in
   let stored_subs = C.read_uint d in
   let stored =
     C.read_list d (fun () ->
@@ -849,17 +844,48 @@ let read (rule : Rule.t) d =
         then C.corrupt "stored s-target: relation schema differs from target";
         (b, rel))
   in
-  let read_step () =
-    let idx = Index.read d in
-    { idx; keep = C.read_list d (fun () -> C.read_uint d) }
+  (* a leaf stands for an atom over the same variables; which of several
+     such atoms does not matter, since a step reads only the variables *)
+  let leaves =
+    Array.of_list
+      (C.read_list d (fun () ->
+           let rel = Relation.read d in
+           let vars = Varset.of_list (Schema.vars (Relation.schema rel)) in
+           match
+             List.find_opt
+               (fun a -> Varset.equal (Cq.atom_vars a) vars)
+               cqap.Cq.cq.Cq.atoms
+           with
+           | Some a -> (a, Live.of_relation rel)
+           | None -> C.corrupt "twopp leaf: its variables match no atom"))
   in
   let delegated =
     C.read_list d (fun () ->
-        let t_target = Varset.read ~within d in
+        let target = Varset.read ~within d in
+        if not (List.exists (Varset.equal target) rule.Rule.t_targets) then
+          C.corrupt "twopp plan: T-target %d is not one of the rule's"
+            (Varset.to_int target);
         let cap = C.read_uint d in
-        let probe_plan = C.read_list d read_step in
-        let safe_plan = C.read_list d read_step in
-        { t_target; probe_plan; safe_plan; cap })
+        let read_plan () =
+          let order =
+            C.read_list d (fun () ->
+                let i = C.read_uint d in
+                if i >= Array.length leaves then
+                  C.corrupt "twopp plan: leaf %d of %d" i (Array.length leaves);
+                leaves.(i))
+          in
+          let covered =
+            List.fold_left
+              (fun acc (a, _) -> Varset.union acc (Cq.atom_vars a))
+              access order
+          in
+          if not (Varset.subset target covered) then
+            C.corrupt "twopp plan: its leaves do not cover the T-target";
+          steps_of_order ~access ~target order
+        in
+        let probe_plan = read_plan () in
+        let safe_plan = read_plan () in
+        { t_target = target; probe_plan; safe_plan; cap })
   in
   let space =
     List.fold_left (fun acc (_, rel) -> acc + Relation.cardinal rel) 0 stored
@@ -878,28 +904,19 @@ let read (rule : Rule.t) d =
 let activate t m c out_events =
   settle t c
     (snd
-       (decide t.rule (leaf_relations c) ~eval_budget:m.mbudget
+       (decide t.rule c.crel ~eval_budget:m.mbudget
           ~budget:m.mbudget ~size:Relation.cardinal))
     out_events
 
-(* one leaf change of [atom] in combo [c], already applied to the leaf
-   relation; update the combo's decision artifacts and record the
-   stored-row (S-view) changes *)
+(* one leaf change of [atom] in combo [c], already written to the leaf
+   and so to every index of it, a delegated plan's steps included;
+   decide a newly non-empty combo and record the stored-row (S-view)
+   changes *)
 let propagate t m c atom tup sign out_events =
   match c.cdecision with
   | M_absent ->
       if sign && combo_nonempty c then activate t m c out_events
-  | M_delegated d ->
-      let patch plan atoms =
-        List.iter2
-          (fun (st : step) a ->
-            if a == atom then
-              if sign then Index.insert st.idx tup
-              else ignore (Index.remove st.idx tup))
-          plan atoms
-      in
-      patch d.sub.probe_plan d.probe_atoms;
-      patch d.sub.safe_plan d.safe_atoms
+  | M_delegated -> ()
   | M_stored b ->
       (* the delta joins run as index probes from the pinned tuple over
          the combo's other leaves, so they cost the tuple's
@@ -970,7 +987,7 @@ let apply_delta t ~atom ~tuple ~add =
       let out_events = ref [] in
       (* a combo activated by one of these leaf changes is decided on its
          leaves as they stand after all of them, so its later changes
-         are already in, and a step index must not take a row twice *)
+         are already in *)
       let activated = ref [] in
       List.iter
         (fun (c, tup, sign) ->

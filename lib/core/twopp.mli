@@ -8,10 +8,10 @@
 
     - {e stored}: the smallest S-target projection of the subproblem's
       body join fits in the budget and is materialized, or
-    - {e delegated}: the subproblem is kept as an index entry; [online]
-      evaluates its cheapest T-target (chosen by polymatroid bound under
-      the subproblem's measured degree constraints) against each access
-      request.
+    - {e delegated}: [online] evaluates its cheapest T-target (chosen
+      by polymatroid bound under the subproblem's measured degree
+      constraints) against each access request, through a plan whose
+      steps probe the subproblem's leaves ({!Live.index}).
 
     Differences from full PANDA are deliberate and documented in
     DESIGN.md: models place every tuple into a single best target per
@@ -31,7 +31,9 @@ val build :
     in parallel over one copy, and the leaves of atoms that no split
     touches are the base relations themselves: the same {!Live.t}
     values, so a delta patches their indexes once.  The heavy and light
-    leaves of a split are live relations of their own.
+    leaves of a split are live relations of their own.  Each delegated
+    plan step reads its leaf's index on the step's key, built here, so
+    steps of any rule that probe one leaf on one key share one index.
 
     Raises [Failure] if the rule has no T-targets and its S-targets do
     not actually fit in the budget (the rule is impossible at this
@@ -60,7 +62,8 @@ val stored_subproblems : t -> int
 
 val online : t -> q_a:Relation.t -> (Varset.t * Relation.t) list
 (** T-target relations computed from the delegated subproblems for this
-    access request.  Respects the global cost counters. *)
+    access request, one per T-target.  Respects the global cost
+    counters. *)
 
 val rule : t -> Rule.t
 
@@ -71,13 +74,13 @@ val rule : t -> Rule.t
     at its leaves.  The base relations belong to the caller.
     [apply_delta] routes a single-tuple base delta through the tree —
     re-classifying exactly the keys whose degree crossed the build-time
-    threshold — writes each leaf with {!Live.add}/{!Live.remove}, and
-    patches each affected subproblem in place: delegated plans get
-    their step indexes updated, stored subproblems get a delta join
-    from the pinned tuple ({!Live.join_from}, inserts) or a last-witness
-    check ({!Live.exists}, deletes) against the combo's leaves, both run
-    as index probes.  Structures loaded from a snapshot are static
-    replicas: they answer but do not maintain. *)
+    threshold — writes each leaf with {!Live.add}/{!Live.remove}, which
+    patches every index of the leaf, the delegated plans' step indexes
+    included, and patches each affected stored subproblem with a delta
+    join from the pinned tuple ({!Live.join_from}, inserts) or a
+    last-witness check ({!Live.exists}, deletes) against the combo's
+    leaves, both run as index probes.  Structures loaded from a snapshot
+    are static replicas: they answer but do not maintain. *)
 
 val supports_maintenance : t -> bool
 (** [true] for built structures, [false] for {!read} ones. *)
@@ -107,19 +110,26 @@ val stored_mem : t -> Varset.t -> Tuple.t -> bool
 (** {1 Snapshot codec}
 
     A built structure is pure data — stored S-target relations plus the
-    delegated subproblems' index-backed plans — so it round-trips
+    delegated subproblems' plans over their leaves — so it round-trips
     without re-running the LP, the heavy/light splits or the plan
     search. *)
 
 val write : Stt_store.Codec.encoder -> t -> unit
 (** The stored subproblem count, the stored S-target relations sorted
-    by target, then per delegated subproblem (in build order) its
-    T-target, cap, and probe and safe plans as (index, kept variables)
-    steps.  The maintenance state is not written. *)
+    by target, each distinct leaf the delegated plans read (its
+    relation), once, in first-use order, then per delegated subproblem
+    (in build order) its T-target, cap, and probe and safe plans as
+    ordered leaf numbers.  A step's key and kept variables follow from
+    the leaf order and are not written, nor is the maintenance
+    state. *)
 
 val read : Rule.t -> Stt_store.Codec.decoder -> t
 (** Inverse of {!write}: a static replica ({!supports_maintenance} is
-    [false]) whose [space] is recomputed from the stored relations.
-    Raises [Stt_store.Codec.Corrupt] on a target outside the query's
-    variables or a stored relation whose schema differs from its
-    target. *)
+    [false]) whose leaves are live relations and whose plan steps are
+    rebuilt by the build's own step planner; [space] is recomputed from
+    the stored relations.  Raises [Stt_store.Codec.Corrupt] on a target
+    outside the query's variables, a stored relation whose schema
+    differs from its target, a delegated T-target that is not one of
+    the rule's, a leaf whose variables match no atom, a leaf number out
+    of range, or a plan whose leaves plus the access variables do not
+    cover its T-target. *)

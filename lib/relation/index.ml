@@ -20,7 +20,6 @@ type t = {
   mutable table : (int * int) Tuple.Tbl.t; (* key -> (first row, row count) *)
   mutable data : int array;                (* row-major tuple values, key-grouped *)
   mutable flat_rows : int;
-  mutable space : int;
   (* ---- overlay (empty in the common, static case) ---- *)
   mutable extra : Tuple.t list Tuple.Tbl.t; (* key -> rows added since build *)
   mutable dead : Bytes.t;   (* per flat row, non-zero = deleted;
@@ -66,20 +65,17 @@ let build rel key_vars =
         rel;
       {
         key_vars; source_schema; arity; key_pos = pos; table; data;
-        flat_rows = n; space = n;
+        flat_rows = n;
         extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
         dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
       })
-
-let key_vars t = t.key_vars
-let source_schema t = t.source_schema
 
 let row t i = Array.sub t.data (i * t.arity) t.arity
 let[@inline] is_dead t i =
   t.n_dead > 0 && Bytes.unsafe_get t.dead i <> '\000'
 
-(* fold the overlay back into fresh flat arrays; logical contents (and
-   [space]) are unchanged, so snapshots and probes see the same rows *)
+(* fold the overlay back into fresh flat arrays; the logical contents
+   are unchanged, so probes see the same rows *)
 let compact t =
   if t.overlay_rows > 0 then
     Cost.with_counting false (fun () ->
@@ -171,7 +167,6 @@ let insert t tup =
   | Some rows -> Tuple.Tbl.replace t.extra key (Array.copy tup :: rows)
   | None -> Tuple.Tbl.add t.extra key [ Array.copy tup ]);
   t.overlay_rows <- t.overlay_rows + 1;
-  t.space <- t.space + 1;
   maybe_compact t
 
 let remove t tup =
@@ -185,7 +180,6 @@ let remove t tup =
     | [] -> Tuple.Tbl.remove t.extra key
     | rows -> Tuple.Tbl.replace t.extra key rows);
     t.overlay_rows <- t.overlay_rows - 1;
-    t.space <- t.space - 1;
     true
   end
   else
@@ -196,28 +190,10 @@ let remove t tup =
       t.n_dead <- t.n_dead + 1;
       bump_dead t key;
       t.overlay_rows <- t.overlay_rows + 1;
-      t.space <- t.space - 1;
       maybe_compact t;
       true
     end
     else false
-
-let probe t key =
-  Cost.charge_probe ();
-  if t.overlay_rows = 0 then
-    match Tuple.Tbl.find_opt t.table key with
-    | None -> []
-    | Some (start, len) -> List.init len (fun i -> row t (start + i))
-  else
-    let flat =
-      match Tuple.Tbl.find_opt t.table key with
-      | None -> []
-      | Some (start, len) ->
-          List.filter_map
-            (fun i -> if is_dead t i then None else Some (row t i))
-            (List.init len (fun i -> start + i))
-    in
-    flat @ extra_under t key
 
 let probe_iter t key f =
   Cost.charge_probe ();
@@ -228,15 +204,6 @@ let probe_iter t key f =
         if not (is_dead t i) then f t.data (i * t.arity)
       done);
   if t.overlay_rows > 0 then List.iter (fun r -> f r 0) (extra_under t key)
-
-let probe_mem t key =
-  Cost.charge_probe ();
-  if t.overlay_rows = 0 then Tuple.Tbl.mem t.table key
-  else
-    (match Tuple.Tbl.find_opt t.table key with
-    | None -> false
-    | Some (_, len) -> len - dead_under t key > 0)
-    || extra_under t key <> []
 
 let count t key =
   Cost.charge_probe ();
@@ -249,74 +216,6 @@ let count t key =
     | None -> 0
     | Some (_, len) -> len - dead_under t key)
     + List.length (extra_under t key)
-
-let space t = t.space
-
-(* Snapshot layout: key variables, schema, then the live rows sorted by
-   key columns, then by row.  A bucket is a maximal run of equal keys,
-   so no bucket key or offset is written, and no row can land under
-   another row's key. *)
-module C = Stt_store.Codec
-
-let compare_keys pos a b =
-  let rec go k =
-    if k = Array.length pos then 0
-    else
-      match Int.compare a.(pos.(k)) b.(pos.(k)) with 0 -> go (k + 1) | c -> c
-  in
-  go 0
-
-let write e t =
-  compact t;
-  C.write_list e (C.write_uint e) t.key_vars;
-  C.write_list e (C.write_uint e) (Schema.vars t.source_schema);
-  C.write_rows e ~arity:t.arity
-    (List.sort
-       (fun a b ->
-         match compare_keys t.key_pos a b with
-         | 0 -> Tuple.compare a b
-         | c -> c)
-       (List.init t.flat_rows (row t)))
-
-(* one pass over the sorted rows: one key comparison per row, one hash
-   insertion per bucket *)
-let read d =
-  let key_vars = C.read_list d (fun () -> C.read_uint d) in
-  let vars = C.read_list d (fun () -> C.read_uint d) in
-  let source_schema = C.guard "index schema" (fun () -> Schema.of_list vars) in
-  let key_pos =
-    C.guard "index key" (fun () -> Schema.positions source_schema key_vars)
-  in
-  let arity = Schema.arity source_schema in
-  let rows = C.read_rows d ~arity in
-  let n = List.length rows in
-  let data = Array.make (n * arity) 0 in
-  let table = Tuple.Tbl.create 16 in
-  let close first i last =
-    Tuple.Tbl.add table (Tuple.project key_pos last) (first, i - first)
-  in
-  let rec go first i prev = function
-    | [] -> close first i prev
-    | r :: rest -> (
-        Array.blit r 0 data (i * arity) arity;
-        match compare_keys key_pos prev r with
-        | 0 when Tuple.compare prev r < 0 -> go first (i + 1) r rest
-        | c when c < 0 ->
-            close first i prev;
-            go i (i + 1) r rest
-        | _ -> C.corrupt "index: row %d out of key order" i)
-  in
-  (match rows with
-  | [] -> ()
-  | r :: rest ->
-      Array.blit r 0 data 0 arity;
-      go 0 1 r rest);
-  {
-    key_vars; source_schema; arity; key_pos; table; data;
-    flat_rows = n; space = n;
-    extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
-    dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
-  }
 
 let semijoin rel t =
   let key_pos = Schema.positions (Relation.schema rel) t.key_vars in

@@ -13,32 +13,22 @@ type t
 val build : Relation.t -> Schema.var list -> t
 (** [build rel key_vars] indexes [rel] on [key_vars]. *)
 
-val key_vars : t -> Schema.var list
-val source_schema : t -> Schema.t
-
-val probe : t -> Tuple.t -> Tuple.t list
-(** Matching tuples for a key tuple (values in [key_vars] order). *)
-
 val probe_iter : t -> Tuple.t -> (int array -> int -> unit) -> unit
-(** [probe_iter t key f] calls [f src base] once per matching tuple,
-    whose values live at [src.(base + k)] for [k < arity].  On the
-    (common) overlay-free index this walks the flat backing array and
-    allocates nothing — the hot-path alternative to {!probe}, which
-    copies every matching row into a fresh list.  [src] aliases index
-    internals: read the row inside [f], do not stash [src]. *)
-
-val probe_mem : t -> Tuple.t -> bool
-(** Does any tuple match the key? *)
+(** [probe_iter t key f] calls [f src base] once per tuple matching the
+    key tuple [key] (values in [key_vars] order), whose values live at
+    [src.(base + k)] for [k < arity].  On the (common) overlay-free
+    index this walks the flat backing array and allocates nothing.
+    [src] aliases index internals: read the row inside [f], do not
+    stash [src]. *)
 
 val count : t -> Tuple.t -> int
 (** Number of matching tuples (degree of the key value).  O(1): the
     bucket length is stored, not recomputed. *)
 
-val space : t -> int
-(** Number of indexed tuples — the intrinsic space charged to this index. *)
-
 (** {1 Incremental maintenance}
 
+    {!Live.add} and {!Live.remove} are the only callers of {!insert} and
+    {!remove}, so an index always equals the rows of its live relation.
     Mutations land in a small overlay (rows added since the last
     compaction, and a per-row bitmap marking deleted flat rows); every
     read path merges the overlay transparently, skips a deleted row by
@@ -65,19 +55,3 @@ val semijoin : Relation.t -> t -> Relation.t
 val join : Relation.t -> t -> Relation.t
 (** [join rel idx] probes the index once per tuple of [rel] and extends
     with the matching tuples — cost [O(|rel| + output)]. *)
-
-(** {1 Snapshot codec} *)
-
-val write : Stt_store.Codec.encoder -> t -> unit
-(** Key variables, schema variables, then the live rows sorted by key
-    columns, then by {!Tuple.compare}.  A bucket is a maximal run of
-    equal keys, so no bucket key or offset is written and equal indexes
-    write equal bytes.  Folds a pending insert/remove overlay into the
-    flat arrays first, which leaves the contents unchanged. *)
-
-val read : Stt_store.Codec.decoder -> t
-(** Inverse of {!write}: finds the buckets in one pass over the rows —
-    one key comparison per row, one hash insertion per bucket, no
-    per-row hashing.  Raises [Stt_store.Codec.Corrupt] on a repeated
-    schema variable, a key variable outside the schema, or any row out
-    of that order, duplicates included. *)

@@ -26,12 +26,11 @@ let remove t tup =
      end
 
 (* Aggregate requests read the base on several domains at once (a
-   server runs reads under a shared lock), so two of them may ask for
-   the same missing index: the build is re-checked and published under
-   a lock. *)
+   server runs reads under a shared lock), and the rules' plans are
+   built in parallel over one base, so two of them may ask for the same
+   missing index: the build is re-checked and published under a lock. *)
 let build_lock = Mutex.create ()
 
-(* the index on [key] (ascending), built on first use *)
 let index t key =
   match List.assoc_opt key t.indexes with
   | Some idx -> idx

@@ -1,11 +1,12 @@
 (** Live relations: a {!Relation.t} that takes deltas, with the
-    persistent {!Index.t}s the delta path and the aggregate fallback
-    probe.
+    persistent {!Index.t}s that every index probe of it goes through —
+    from the delta path, the aggregate fallback, the steps of 2PP's
+    delegated plans and the S-view links of Online Yannakakis.
 
     {!add} and {!remove} are the only writes, and they patch every index
     the relation has, so no index can drift from its rows.  An index is
     keyed by a set of variables and built with {!Index.build} the first
-    time it is probed — an uncounted, preprocessing-style pass — so a
+    time it is asked for — an uncounted, preprocessing-style pass — so a
     relation that is never probed never builds one.  Readers may build
     one concurrently; writers must exclude readers.
 
@@ -33,6 +34,12 @@ val add : t -> Tuple.t -> bool
 
 val remove : t -> Tuple.t -> bool
 (** Delete a tuple and patch every index; [false] if it was absent. *)
+
+val index : t -> Schema.var list -> Index.t
+(** [index t key] is the relation's index on the variables [key]
+    (ascending), built on first use and shared by every caller that
+    asks for the same key.  The index is read-only to the caller: {!add}
+    and {!remove} keep it equal to the rows. *)
 
 exception Too_big
 (** Raised by {!join_from} past its limit. *)

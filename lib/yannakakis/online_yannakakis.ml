@@ -4,17 +4,18 @@ open Stt_decomp
 module Fconfig = Stt_factorized.Config
 module Frep = Stt_factorized.Frep
 
-(* How a materialized S-view is held: a flat hash index on its link
-   variables, or a d-representation whose probe prefix is those same
-   link variables.  Both sides answer the same probes at the same op
-   charges; they differ only in stored-singleton footprint. *)
-type storage = Flat of Index.t | Fact of Frep.t
+(* How a materialized S-view is held: a live relation probed through
+   its index on the link variables, or a d-representation whose probe
+   prefix is those same link variables.  Both sides answer the same
+   probes at the same op charges; they differ only in stored-singleton
+   footprint, and only a live view takes deltas. *)
+type storage =
+  | Flat of { view : Live.t; key : Schema.var list }
+  | Fact of Frep.t
 
 type preprocessed = {
   pmtd : Pmtd.t;
-  s_rels : (int, Relation.t) Hashtbl.t;
-  s_store : (int, storage) Hashtbl.t; (* keyed on common vars with parent view *)
-  mutable space : int;
+  s_store : (int, storage) Hashtbl.t; (* materialized node -> its view *)
 }
 
 let view_vars p node = (Pmtd.view p node).Pmtd.vars
@@ -28,45 +29,43 @@ let link_vars (p : Pmtd.t) node =
   | Some par -> Varset.inter (view_vars p node) (view_vars p par)
 
 let semijoin_via_storage rel = function
-  | Flat idx -> Index.semijoin rel idx
+  | Flat { view; key } -> Index.semijoin rel (Live.index view key)
   | Fact f -> Frep.semijoin rel f
 
 let join_via_storage rel = function
-  | Flat idx -> Index.join rel idx
+  | Flat { view; key } -> Index.join rel (Live.index view key)
   | Fact f -> Frep.join rel f
 
-(* the stored-singleton charge of a holder for [rows] flat tuples *)
-let storage_space ~rows = function
-  | Flat _ -> rows
-  | Fact f -> Frep.size f
+(* a live view with its link index built now, not on the first request *)
+let flat rel key =
+  let view = Live.of_relation rel in
+  ignore (Live.index view key);
+  Flat { view; key }
 
-(* Pick the cheaper holder for [rel] keyed on [key]: factorize when the
-   mode and measured ratio allow it, flat otherwise.  Never factorizes
-   under [~factorize:false] (maintainable engines need ±1-row deltas)
-   or mode [Off]; under [Auto] the d-rep is built, measured, and thrown
-   away if the compression does not clear the gate. *)
+(* Hold [rel] keyed on [key]: factorized when allowed and the mode and
+   measured ratio agree, flat otherwise.  Under [Auto] the d-rep is
+   built, measured, and thrown away if the compression does not clear
+   the gate. *)
 let store_of_rel ~factorize rel key =
   if factorize && Fconfig.mode () <> Fconfig.Off then begin
     let f = Frep.of_relation ~prefix:key rel in
     if Fconfig.eligible ~rows:(Relation.cardinal rel) ~size:(Frep.size f) then
       Fact f
-    else Flat (Index.build rel key)
+    else flat rel key
   end
-  else Flat (Index.build rel key)
+  else flat rel key
 
 (* per S-view: a probe structure on its link variables *)
 let assemble pmtd s_rels holder =
   let s_store = Hashtbl.create 8 in
-  let space = ref 0 in
   Hashtbl.iter
     (fun node rel ->
-      let st = holder node rel (Varset.to_list (link_vars pmtd node)) in
-      space := !space + storage_space ~rows:(Relation.cardinal rel) st;
-      Hashtbl.replace s_store node st)
+      Hashtbl.replace s_store node
+        (holder node rel (Varset.to_list (link_vars pmtd node))))
     s_rels;
-  { pmtd; s_rels; s_store; space = !space }
+  { pmtd; s_store }
 
-let preprocess ?(reduce = true) ?(factorize = true) pmtd ~s_views =
+let preprocess ?(thawed = false) pmtd ~s_views =
   Cost.with_counting false (fun () ->
       let tree = pmtd.Pmtd.td.Td.tree in
       let s_rels = Hashtbl.create 8 in
@@ -77,9 +76,9 @@ let preprocess ?(reduce = true) ?(factorize = true) pmtd ~s_views =
         (Rtree.nodes tree);
       (* bottom-up semijoin pass over SS-edges.  A pure space
          optimization (the top-down answer pass joins every S node
-         anyway), skipped for maintainable engines: reduced views cannot
-         absorb single-tuple deltas additively. *)
-      if reduce then
+         anyway), skipped for thawed views: reduced views cannot absorb
+         single-tuple deltas additively. *)
+      if not thawed then
         List.iter
           (fun node ->
             if materialized.(node) then
@@ -92,12 +91,16 @@ let preprocess ?(reduce = true) ?(factorize = true) pmtd ~s_views =
                   Hashtbl.replace s_rels par reduced
               | Some _ | None -> ())
           (Rtree.bottom_up tree);
-      assemble pmtd s_rels (fun _ -> store_of_rel ~factorize))
+      assemble pmtd s_rels (fun _ -> store_of_rel ~factorize:(not thawed)))
 
-let space t = t.space
+let sum_views f t = Hashtbl.fold (fun _ st acc -> acc + f st) t.s_store 0
+let flat_rows view = Relation.cardinal (Live.relation view)
 
-let logical_rows t =
-  Hashtbl.fold (fun _ rel acc -> acc + Relation.cardinal rel) t.s_rels 0
+let space =
+  sum_views (function Flat { view; _ } -> flat_rows view | Fact f -> Frep.size f)
+
+let logical_rows =
+  sum_views (function Flat { view; _ } -> flat_rows view | Fact f -> Frep.rows f)
 
 let factorized_views t =
   Hashtbl.fold
@@ -106,37 +109,13 @@ let factorized_views t =
     t.s_store []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let materialized_nodes t =
-  List.filter
-    (fun node -> t.pmtd.Pmtd.materialized.(node))
+let live_views t =
+  List.filter_map
+    (fun node ->
+      match Hashtbl.find_opt t.s_store node with
+      | Some (Flat { view; _ }) -> Some (node, view)
+      | Some (Fact _) | None -> None)
     (Rtree.nodes t.pmtd.Pmtd.td.Td.tree)
-
-let flat_index t node =
-  match Hashtbl.find t.s_store node with
-  | Flat idx -> idx
-  | Fact _ ->
-      invalid_arg "Online_yannakakis: factorized view cannot absorb deltas"
-
-let insert_view_tuple t node row =
-  let rel = Hashtbl.find t.s_rels node in
-  if Relation.mem rel row then false
-  else begin
-    let idx = flat_index t node in
-    Relation.add rel row;
-    Index.insert idx row;
-    t.space <- t.space + 1;
-    true
-  end
-
-let delete_view_tuple t node row =
-  let rel = Hashtbl.find t.s_rels node in
-  let idx = flat_index t node in
-  if Relation.remove rel row then begin
-    ignore (Index.remove idx row);
-    t.space <- t.space - 1;
-    true
-  end
-  else false
 
 (* Snapshot layout: each materialized node's stored S-view, by node id,
    then the increasing list of nodes held as d-representations.  The
@@ -144,12 +123,22 @@ let delete_view_tuple t node row =
    with the constructors [preprocess] uses. *)
 module C = Stt_store.Codec
 
+(* the rows of a view over its variables in ascending order, the schema
+   [read] expects; a d-rep lists its variables in level order *)
+let view_relation t node =
+  match Hashtbl.find t.s_store node with
+  | Flat { view; _ } -> Live.relation view
+  | Fact f ->
+      Relation.project (Frep.to_relation f)
+        (Varset.to_list (view_vars t.pmtd node))
+
 let write e t =
   C.write_list e
     (fun node ->
       C.write_uint e node;
-      Relation.write e (Hashtbl.find t.s_rels node))
-    (List.sort compare (materialized_nodes t));
+      Relation.write e (view_relation t node))
+    (List.sort compare
+       (Hashtbl.fold (fun node _ acc -> node :: acc) t.s_store []));
   C.write_list e (fun (node, _) -> C.write_uint e node) (factorized_views t)
 
 let read pmtd d =
@@ -188,7 +177,7 @@ let read pmtd d =
   Cost.with_counting false (fun () ->
       assemble pmtd s_rels (fun node rel key ->
           if List.mem node fact then Fact (Frep.of_relation ~prefix:key rel)
-          else Flat (Index.build rel key)))
+          else flat rel key))
 
 (* Per-call node state lives in flat arrays indexed by node id (tree
    nodes are [0 .. size-1]): the only per-answer setup allocation is the
@@ -201,11 +190,10 @@ let answer t ~t_views ~q_a =
   let n = Rtree.size tree in
   let rels = Array.make n (Relation.create (Schema.of_list [])) in
   let removed = Array.make n false in
+  (* a stored view is only probed through its holder, so only the
+     T-views are read whole *)
   List.iter
-    (fun node ->
-      rels.(node) <-
-        (if materialized.(node) then Hashtbl.find t.s_rels node
-         else t_views node))
+    (fun node -> if not materialized.(node) then rels.(node) <- t_views node)
     (Rtree.nodes tree);
   let head_covered ~child ~parent =
     Varset.subset

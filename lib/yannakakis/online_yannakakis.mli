@@ -17,22 +17,16 @@ open Stt_decomp
 type preprocessed
 
 val preprocess :
-  ?reduce:bool ->
-  ?factorize:bool ->
-  Pmtd.t ->
-  s_views:(int -> Relation.t) ->
-  preprocessed
+  ?thawed:bool -> Pmtd.t -> s_views:(int -> Relation.t) -> preprocessed
 (** [s_views node] must supply a relation over schema [v(node)] (any
-    variable order) for every materialized node.  [reduce] (default
-    [true]) runs the bottom-up SS semijoin pass — a pure space
-    optimization that {!answer} never depends on; pass [false] for
-    engines that will maintain the views incrementally, since reduced
-    views cannot absorb single-tuple deltas additively.  [factorize]
-    (default [true]) allows storing a view as a d-representation keyed
-    on its link variables when {!Stt_factorized.Config} deems it
-    eligible; pass [false] (like [reduce:false], for maintainable
-    engines) to force flat indexes — factorized views cannot absorb
-    ±1-row deltas either. *)
+    variable order) for every materialized node; the result owns it.
+    By default the views are frozen: the bottom-up SS semijoin pass runs
+    (a pure space optimization that {!answer} never depends on) and a
+    view may be stored as a d-representation keyed on its link
+    variables when {!Stt_factorized.Config} deems it eligible.
+    [~thawed:true] skips both and holds every view unreduced as a
+    {!Live.t} indexed on its link variables — the form that absorbs
+    single-row deltas, for engines that maintain their views. *)
 
 val space : preprocessed -> int
 (** Total stored singletons across S-views: flat views count one per
@@ -46,24 +40,13 @@ val logical_rows : preprocessed -> int
 val factorized_views : preprocessed -> (int * Stt_factorized.Frep.t) list
 (** The views currently held compressed, sorted by node id. *)
 
-(** {1 Incremental maintenance}
-
-    Single-row deltas against the stored S-views, keeping relation,
-    index and {!space} in lockstep.  Only meaningful on views built with
-    [~reduce:false] (unreduced): adding a row to a semijoin-reduced view
-    could not account for previously reduced-away parent rows. *)
-
-val materialized_nodes : preprocessed -> int list
-(** Nodes with a stored S-view, in tree order. *)
-
-val insert_view_tuple : preprocessed -> int -> Tuple.t -> bool
-(** [insert_view_tuple t node row] adds [row] (in the view's schema
-    order) to the node's S-view and its link index; [false] if already
-    present. *)
-
-val delete_view_tuple : preprocessed -> int -> Tuple.t -> bool
-(** Remove a row from the node's S-view and link index; [false] if it
-    was not present. *)
+val live_views : preprocessed -> (int * Live.t) list
+(** The views held flat, by node in tree order: every stored view of a
+    thawed structure.  A maintaining engine writes them with
+    {!Live.add}/{!Live.remove}, rows in the view's schema order
+    (ascending variables), which patches the link index {!answer}
+    probes; a write to a reduced (frozen) view could not account for
+    the rows the semijoin pass removed. *)
 
 (** {1 Snapshot codec} *)
 
@@ -73,13 +56,13 @@ val write : Stt_store.Codec.encoder -> preprocessed -> unit
     d-representations.  Link indexes and d-reps are not written. *)
 
 val read : Pmtd.t -> Stt_store.Codec.decoder -> preprocessed
-(** Inverse of {!write}: rebuilds each link index with [Index.build] and
-    each d-rep with [Frep.of_relation ~prefix:(link variables)], as
-    {!preprocess} does, so the loaded holders and {!space} equal the
-    saved ones.  Raises [Stt_store.Codec.Corrupt] on a node out of
-    range, not materialized, repeated or missing, a view whose schema
-    differs from the node's, or a d-rep node list that is not an
-    increasing list of stored views. *)
+(** Inverse of {!write}: rebuilds each flat view as a {!Live.t} with its
+    link index and each d-rep with [Frep.of_relation ~prefix:(link
+    variables)], as {!preprocess} does, so the loaded holders and
+    {!space} equal the saved ones.  Raises [Stt_store.Codec.Corrupt] on
+    a node out of range, not materialized, repeated or missing, a view
+    whose schema differs from the node's, or a d-rep node list that is
+    not an increasing list of stored views. *)
 
 val answer :
   preprocessed -> t_views:(int -> Relation.t) -> q_a:Relation.t -> Relation.t

@@ -475,6 +475,59 @@ let test_neighbourhood_bound () =
     [ (10001, 10011); (10003, 10012); (10000, 10004); (10004, 10001) ];
   List.iter (fun e -> List.iter delta [ (e, false); (e, true) ]) path
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* save [eng], load it back and save the replica again: the replica has
+   the same epoch and space, answers [reqs] with the same rows and op
+   counts, rejects further deltas, and re-saves to the same bytes *)
+let check_snapshot what eng ~epoch reqs =
+  let path = Filename.temp_file "stt_incr" ".snap" in
+  let again = Filename.temp_file "stt_incr" ".snap" in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove again)
+  @@ fun () ->
+  (match Engine.save eng path with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "%s: save failed" what);
+  let loaded =
+    match Engine.load path with
+    | Ok l -> l
+    | Error _ -> Alcotest.failf "%s: load failed" what
+  in
+  Alcotest.(check int) (what ^ ": epoch round-trips") epoch
+    (Engine.epoch loaded);
+  Alcotest.(check int) (what ^ ": space round-trips") (Engine.space eng)
+    (Engine.space loaded);
+  Alcotest.(check bool)
+    (what ^ ": loaded engine is a static replica")
+    false
+    (Engine.supports_maintenance loaded);
+  (* observationally identical: same answers and same op counts *)
+  let a = Engine.answer_batch eng reqs in
+  let b = Engine.answer_batch loaded reqs in
+  List.iteri
+    (fun j ((ra, ca), (rb, cb)) ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "%s, request %d: same answer" what j)
+        (sorted ra) (sorted rb);
+      if ca <> cb then
+        Alcotest.failf
+          "%s, request %d: op counts differ (probes %d/%d tuples %d/%d \
+           scans %d/%d)"
+          what j ca.Cost.probes cb.Cost.probes ca.Cost.tuples cb.Cost.tuples
+          ca.Cost.scans cb.Cost.scans)
+    (List.combine a b);
+  (match Engine.save loaded again with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "%s: re-save failed" what);
+  if not (String.equal (read_file path) (read_file again)) then
+    Alcotest.failf "%s: the replica re-saves to different bytes" what;
+  (* a replica must reject further deltas rather than drift silently *)
+  match Engine.insert loaded "R" [| 5; 5 |] with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.failf "%s: replica accepted a delta" what
+
 let test_snapshot_after_deltas () =
   let _, _, eng =
     build_path
@@ -485,42 +538,39 @@ let test_snapshot_after_deltas () =
   ignore (Engine.delete eng "S" [| 7; 8 |]);
   ignore (Engine.insert eng "S" [| 2; 9 |]);
   Alcotest.(check int) "epoch after deltas" 3 (Engine.epoch eng);
-  let path = Filename.temp_file "stt_incr" ".snap" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Engine.save eng path with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "save failed");
-  let loaded =
-    match Engine.load path with
-    | Ok l -> l
-    | Error _ -> Alcotest.fail "load failed"
+  check_snapshot "path" eng ~epoch:3 (List.map q_x [ 1; 6; 7 ]);
+  (* the point-2reach fixture after a few deltas: its delegated plans
+     read leaves whose indexes carry those writes in their overlays *)
+  let edges, eng = point_fixture () in
+  Alcotest.(check bool) "point fixture delegates" true
+    (List.exists
+       (fun s -> Twopp.delegated_subproblems s > 0)
+       (Engine.structures eng));
+  let present = Hashtbl.create 4096 in
+  List.iter (fun e -> Hashtbl.replace present e ()) edges;
+  let reversed =
+    List.filter_map
+      (fun (a, b) ->
+        if a <> b && not (Hashtbl.mem present (b, a)) then Some (b, a)
+        else None)
+      edges
   in
-  Alcotest.(check int) "epoch round-trips" 3 (Engine.epoch loaded);
-  Alcotest.(check int) "space round-trips" (Engine.space eng)
-    (Engine.space loaded);
-  Alcotest.(check bool)
-    "loaded engine is a static replica" false
-    (Engine.supports_maintenance loaded);
-  (* observationally identical: same answers and same op counts *)
-  let reqs = List.map q_x [ 1; 6; 7 ] in
-  let a = Engine.answer_batch eng reqs in
-  let b = Engine.answer_batch loaded reqs in
-  List.iteri
-    (fun j ((ra, ca), (rb, cb)) ->
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "request %d: same answer" j)
-        (sorted ra) (sorted rb);
-      if ca <> cb then
-        Alcotest.failf
-          "request %d: op counts differ (probes %d/%d tuples %d/%d scans \
-           %d/%d)"
-          j ca.Cost.probes cb.Cost.probes ca.Cost.tuples cb.Cost.tuples
-          ca.Cost.scans cb.Cost.scans)
-    (List.combine a b);
-  (* a replica must reject further deltas rather than drift silently *)
-  match Engine.insert loaded "R" [| 5; 5 |] with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "replica accepted a delta"
+  let deltas =
+    List.concat
+      (List.init 4 (fun i ->
+           let u, v = List.nth reversed i and x, y = List.nth edges (7 * i) in
+           [ ("R", [| u; v |], true); ("R", [| x; y |], false) ]))
+  in
+  let applied, _ = Engine.apply_deltas eng deltas in
+  Alcotest.(check int) "every delta is effective" 8 applied;
+  let access = Engine.access_schema eng in
+  let reqs =
+    List.map
+      (Relation.singleton access)
+      (Scenario.zipf_requests ~seed:7 ~n:400 ~requests:60 ~skew:1.5
+         ~arity:(Schema.arity access))
+  in
+  check_snapshot "point fixture" eng ~epoch:8 reqs
 
 let () =
   Alcotest.run "incremental"

@@ -1,17 +1,21 @@
 (* Direct tests for the flat-bucket hash index: build/probe/semijoin/
-   join/space, the O(1) [count] behavior the rework guarantees, the
-   snapshot layout (rows sorted by key, buckets derived from the runs),
-   and the live relations whose writes patch their indexes, with the
-   delta kernels and the aggregate kernel checked against plain joins. *)
+   join, the O(1) [count] behavior the rework guarantees, and the live
+   relations whose writes patch their indexes — a live index reads like
+   a fresh build of its rows — with the delta kernels and the aggregate
+   kernel checked against plain joins. *)
 
 open Stt_relation
-module Codec = Stt_store.Codec
 
 let schema = Schema.of_list
 let rel vars tuples = Relation.of_list (schema vars) tuples
 let sorted r = List.sort compare (List.map Array.to_list (Relation.to_list r))
 
-let sorted_tuples ts = List.sort compare (List.map Array.to_list ts)
+(* the rows under [key], copied out of [probe_iter]'s backing array *)
+let probe ~arity idx key =
+  let out = ref [] in
+  Index.probe_iter idx key (fun src base ->
+      out := Array.to_list (Array.sub src base arity) :: !out);
+  List.sort compare !out
 
 let test_build_probe () =
   (* R(x0, x1, x2) indexed on x1: buckets group by the middle column *)
@@ -26,21 +30,22 @@ let test_build_probe () =
       ]
   in
   let idx = Index.build r [ 1 ] in
-  Alcotest.(check (list int)) "key vars" [ 1 ] (Index.key_vars idx);
-  Alcotest.check Alcotest.int "space = indexed tuples" 3 (Index.space idx);
   Alcotest.(check (list (list int)))
     "bucket of 10"
     [ [ 1; 10; 100 ]; [ 2; 10; 200 ] ]
-    (sorted_tuples (Index.probe idx [| 10 |]));
+    (probe ~arity:3 idx [| 10 |]);
   Alcotest.(check (list (list int)))
     "bucket of 20"
     [ [ 3; 20; 300 ] ]
-    (sorted_tuples (Index.probe idx [| 20 |]));
+    (probe ~arity:3 idx [| 20 |]);
   Alcotest.(check (list (list int)))
-    "missing key" [] (sorted_tuples (Index.probe idx [| 99 |]));
-  Alcotest.check Alcotest.bool "probe_mem hit" true (Index.probe_mem idx [| 20 |]);
-  Alcotest.check Alcotest.bool "probe_mem miss" false
-    (Index.probe_mem idx [| 21 |])
+    "missing key" [] (probe ~arity:3 idx [| 99 |]);
+  Alcotest.check Alcotest.int "count hit" 1 (Index.count idx [| 20 |]);
+  Alcotest.check Alcotest.int "count miss" 0 (Index.count idx [| 21 |]);
+  (* one probe per lookup, nothing per row *)
+  let _, snap = Cost.scoped (fun () -> probe ~arity:3 idx [| 10 |]) in
+  Alcotest.check Alcotest.int "probe_iter charges one probe" 1
+    (Cost.total snap)
 
 let test_count () =
   let r =
@@ -116,14 +121,13 @@ let test_multi_var_key () =
   Alcotest.(check (list (list int)))
     "composite key (3, 1)"
     [ [ 1; 2; 3 ] ]
-    (sorted_tuples (Index.probe idx [| 3; 1 |]));
+    (probe ~arity:3 idx [| 3; 1 |]);
   Alcotest.check Alcotest.int "composite count" 1 (Index.count idx [| 4; 1 |])
 
 let test_empty_relation () =
   let idx = Index.build (rel [ 0; 1 ] []) [ 0 ] in
-  Alcotest.check Alcotest.int "empty space" 0 (Index.space idx);
   Alcotest.(check (list (list int)))
-    "empty probe" [] (sorted_tuples (Index.probe idx [| 1 |]));
+    "empty probe" [] (probe ~arity:2 idx [| 1 |]);
   Alcotest.check Alcotest.int "empty count" 0 (Index.count idx [| 1 |])
 
 let test_build_charges_nothing () =
@@ -133,26 +137,16 @@ let test_build_charges_nothing () =
     (Cost.total snap)
 
 (* ------------------------------------------------------------------ *)
-(* snapshot layout                                                      *)
+(* a live index equals a fresh build                                    *)
 (* ------------------------------------------------------------------ *)
 
-let reread idx =
-  let e = Codec.encoder () in
-  Index.write e idx;
-  let d = Codec.decoder (Codec.contents e) in
-  let loaded = Index.read d in
-  Codec.expect_end d "index";
-  loaded
-
-(* [loaded] answers probe, count, semijoin and join exactly like [idx],
-   on every key of [rows], an absent key, and a probe side over the key
-   variables plus a fresh one *)
-let check_alike what idx loaded ~rows =
-  let key_vars = Index.key_vars idx in
-  Alcotest.(check (list int)) (what ^ ": key vars") key_vars
-    (Index.key_vars loaded);
-  Alcotest.(check int) (what ^ ": space") (Index.space idx) (Index.space loaded);
-  let pos = Schema.positions (Index.source_schema idx) key_vars in
+(* [live] answers probe, count, semijoin and join exactly like [fresh],
+   both over [vars] keyed on [key_vars], on every key of [rows], an
+   absent key, and a probe side over the key variables plus a fresh
+   one *)
+let check_alike what fresh live ~vars ~key_vars ~rows =
+  let arity = List.length vars in
+  let pos = Schema.positions (schema vars) key_vars in
   let absent = Array.make (List.length key_vars) 777 in
   let keys =
     List.sort_uniq compare (absent :: List.map (Tuple.project pos) rows)
@@ -161,13 +155,9 @@ let check_alike what idx loaded ~rows =
     (fun k ->
       let what = what ^ ": key " ^ Tuple.to_string k in
       Alcotest.(check (list (list int)))
-        (what ^ " probe")
-        (sorted_tuples (Index.probe idx k))
-        (sorted_tuples (Index.probe loaded k));
-      Alcotest.(check int) (what ^ " count") (Index.count idx k)
-        (Index.count loaded k);
-      Alcotest.(check bool) (what ^ " probe_mem") (Index.probe_mem idx k)
-        (Index.probe_mem loaded k))
+        (what ^ " probe") (probe ~arity fresh k) (probe ~arity live k);
+      Alcotest.(check int) (what ^ " count") (Index.count fresh k)
+        (Index.count live k))
     keys;
   let probe_side =
     rel (key_vars @ [ 9 ])
@@ -177,84 +167,44 @@ let check_alike what idx loaded ~rows =
   in
   Alcotest.(check (list (list int)))
     (what ^ ": semijoin")
-    (sorted (Index.semijoin probe_side idx))
-    (sorted (Index.semijoin probe_side loaded));
+    (sorted (Index.semijoin probe_side fresh))
+    (sorted (Index.semijoin probe_side live));
   Alcotest.(check (list (list int)))
     (what ^ ": join")
-    (sorted (Index.join probe_side idx))
-    (sorted (Index.join probe_side loaded))
+    (sorted (Index.join probe_side fresh))
+    (sorted (Index.join probe_side live))
 
-let test_snapshot_roundtrip () =
-  let pairs = List.init 40 (fun i -> [| i; i mod 7 |]) in
-  let triples = List.init 60 (fun i -> [| i mod 5; i; i mod 3 |]) in
-  List.iter
-    (fun (what, vars, key_vars, rows) ->
-      let idx = Index.build (rel vars rows) key_vars in
-      check_alike what idx (reread idx) ~rows)
-    [
-      ("arity 0, no rows", [], [], []);
-      ("arity 0", [], [], [ [||] ]);
-      ("arity 1, empty key", [ 0 ], [], [ [| 3 |]; [| 1 |]; [| 2 |] ]);
-      ("arity 1", [ 0 ], [ 0 ], [ [| 3 |]; [| 1 |]; [| 2 |] ]);
-      ("arity 2, no rows", [ 0; 1 ], [ 1 ], []);
-      ("arity 2", [ 0; 1 ], [ 1 ], pairs);
-      ("arity 2, empty key", [ 0; 1 ], [], pairs);
-      ("arity 3, composite key", [ 0; 1; 2 ], [ 2; 0 ], triples);
-      ("arity 3, empty key", [ 0; 1; 2 ], [], triples);
-    ]
-
-let test_snapshot_overlay () =
-  (* inserts and removes stay in the overlay (far below the compaction
-     threshold): the live index reads like a fresh build of its rows —
-     deleted flat rows skipped, a re-inserted one back from the overlay
-     while its flat copy stays dead — and the written rows are the live
-     ones *)
+let test_overlay_live () =
+  (* writes through the live relation after its index exists stay in the
+     index's overlay (far below the compaction threshold): the index
+     reads like a fresh build of the rows — deleted flat rows skipped,
+     a re-inserted one back from the overlay while its flat copy stays
+     dead *)
   let rows = List.init 40 (fun i -> [| i mod 4; i |]) in
-  let idx = Index.build (rel [ 0; 1 ] rows) [ 0 ] in
+  let l = Live.of_relation (rel [ 0; 1 ] rows) in
+  let idx = Live.index l [ 0 ] in
   let added = [ [| 1; 100 |]; [| 9; 101 |]; [| 2; 102 |] ] in
   let removed = [ [| 1; 1 |]; [| 2; 102 |]; [| 3; 3 |]; [| 0; 8 |] ] in
-  List.iter (Index.insert idx) added;
+  List.iter (fun r -> ignore (Live.add l r)) added;
   List.iter
     (fun r ->
       Alcotest.(check bool) ("remove " ^ Tuple.to_string r) true
-        (Index.remove idx r))
+        (Live.remove l r))
     removed;
-  Index.insert idx [| 0; 8 |];
+  Alcotest.(check bool) "re-insert a removed flat row" true
+    (Live.add l [| 0; 8 |]);
   Alcotest.(check bool) "remove the re-inserted row" true
-    (Index.remove idx [| 0; 8 |]);
-  Alcotest.(check bool) "its dead flat copy stays dead" false
-    (Index.remove idx [| 0; 8 |]);
-  Index.insert idx [| 0; 8 |];
+    (Live.remove l [| 0; 8 |]);
+  Alcotest.(check bool) "re-insert it again" true (Live.add l [| 0; 8 |]);
+  Alcotest.(check bool) "the same index is handed out" true
+    (Live.index l [ 0 ] == idx);
   let removed = List.filter (fun r -> r <> [| 0; 8 |]) removed in
   let live = List.filter (fun r -> not (List.mem r removed)) (rows @ added) in
-  let fresh = Index.build (rel [ 0; 1 ] live) [ 0 ] in
-  check_alike "live overlay" fresh idx ~rows:(rows @ added);
-  check_alike "overlay" fresh (reread idx) ~rows:(rows @ added)
-
-let block ~key_vars ~vars rows =
-  let e = Codec.encoder () in
-  Codec.write_list e (Codec.write_uint e) key_vars;
-  Codec.write_list e (Codec.write_uint e) vars;
-  Codec.write_rows e ~arity:(List.length vars) rows;
-  Codec.contents e
-
-let test_snapshot_rejects_disorder () =
-  let read ?(key_vars = [ 1 ]) rows =
-    Index.read (Codec.decoder (block ~key_vars ~vars:[ 0; 1 ] rows))
-  in
-  (* keyed on variable 1: rows sorted by key, then by row *)
-  let ok = read [ [| 5; 1 |]; [| 6; 1 |]; [| 5; 2 |] ] in
-  Alcotest.(check int) "sorted block: bucket of 1" 2 (Index.count ok [| 1 |]);
-  Alcotest.(check int) "sorted block: bucket of 2" 1 (Index.count ok [| 2 |]);
-  let rejects what ?key_vars rows =
-    match read ?key_vars rows with
-    | _ -> Alcotest.failf "%s: loaded" what
-    | exception Codec.Corrupt _ -> ()
-  in
-  rejects "two rows swapped across keys" [ [| 5; 1 |]; [| 5; 2 |]; [| 6; 1 |] ];
-  rejects "duplicated row" [ [| 5; 1 |]; [| 5; 1 |]; [| 5; 2 |] ];
-  rejects "rows out of order under one key" [ [| 6; 1 |]; [| 5; 1 |] ];
-  rejects "key variable outside the schema" ~key_vars:[ 7 ] [ [| 5; 1 |] ]
+  Alcotest.(check (list (list int))) "the rows" (sorted (rel [ 0; 1 ] live))
+    (sorted (Live.relation l));
+  check_alike "live overlay"
+    (Index.build (rel [ 0; 1 ] live) [ 0 ])
+    idx ~vars:[ 0; 1 ] ~key_vars:[ 0 ] ~rows:(rows @ added)
 
 (* ------------------------------------------------------------------ *)
 (* live relations and the delta kernels                                 *)
@@ -447,12 +397,8 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "read (write i) answers like i" `Quick
-            test_snapshot_roundtrip;
           Alcotest.test_case "overlay rows are written live" `Quick
-            test_snapshot_overlay;
-          Alcotest.test_case "rows out of key order are corrupt" `Quick
-            test_snapshot_rejects_disorder;
+            test_overlay_live;
         ] );
       ( "live",
         [

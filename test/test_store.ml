@@ -291,12 +291,12 @@ let engine_rejects_damage () =
       | _ -> false)
     (Engine.load path);
   (* a file of the previous format (bytes 8-11 hold the version) *)
-  let v1 = Bytes.of_string whole in
-  Bytes.set_int32_le v1 8 1l;
-  write_file path (Bytes.to_string v1);
-  expect_error "format version 1"
+  let v2 = Bytes.of_string whole in
+  Bytes.set_int32_le v2 8 2l;
+  write_file path (Bytes.to_string v2);
+  expect_error "format version 2"
     (function
-      | Store.Version_skew { found = 1; expected = 2 } -> true | _ -> false)
+      | Store.Version_skew { found = 2; expected = 3 } -> true | _ -> false)
     (Engine.load path);
   write_file path whole;
   flip_byte path 3;
@@ -323,6 +323,89 @@ let engine_flip_sweep () =
       (Engine.load path);
     pos := !pos + 251
   done
+
+(* ------------------------------------------------------------------ *)
+(* hand-encoded 2PP sections                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* 3-reach, access {x0, x3}, one delegated subproblem for T-target
+   {x1, x2} *)
+let path3_rule =
+  lazy
+    (Rule.make (Cq.Library.k_path 3) ~s_targets:[]
+       ~t_targets:[ Varset.of_list [ 1; 2 ] ])
+
+(* a [Twopp.write] payload with no stored subproblem: the leaves as
+   (variables, rows), then per delegated subproblem its T-target and its
+   probe and safe plans as leaf numbers *)
+let twopp_payload ~leaves ~plans =
+  let e = Codec.encoder () in
+  Codec.write_uint e 0;
+  Codec.write_list e (fun _ -> ()) [];
+  Codec.write_list e
+    (fun (vars, rows) ->
+      Relation.write e (Relation.of_list (Schema.of_list vars) rows))
+    leaves;
+  Codec.write_list e
+    (fun (target, probe, safe) ->
+      Varset.write e (Varset.of_list target);
+      Codec.write_uint e 10;
+      Codec.write_list e (Codec.write_uint e) probe;
+      Codec.write_list e (Codec.write_uint e) safe)
+    plans;
+  Codec.contents e
+
+let read_twopp payload =
+  let d = Codec.decoder payload in
+  let t = Twopp.read (Lazy.force path3_rule) d in
+  Codec.expect_end d "twopp";
+  t
+
+let chain_leaves =
+  [
+    ([ 0; 1 ], [ [| 1; 2 |] ]);
+    ([ 1; 2 ], [ [| 2; 3 |] ]);
+    ([ 2; 3 ], [ [| 3; 4 |] ]);
+  ]
+
+let twopp_plans_checked () =
+  (* the well-formed payload loads and answers through its plans *)
+  let t =
+    read_twopp
+      (twopp_payload ~leaves:chain_leaves
+         ~plans:[ ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ])
+  in
+  Alcotest.(check int) "one delegated subproblem" 1
+    (Twopp.delegated_subproblems t);
+  let q_a = Relation.singleton (Schema.of_list [ 0; 3 ]) [| 1; 4 |] in
+  (match Twopp.online t ~q_a with
+  | [ (b, rel) ] ->
+      Alcotest.(check bool) "the T-target" true
+        (Varset.equal b (Varset.of_list [ 1; 2 ]));
+      Alcotest.(check (list (list int))) "its rows" [ [ 2; 3 ] ] (sorted rel)
+  | _ -> Alcotest.fail "one T-target relation expected");
+  List.iter
+    (fun (what, leaves, plans) ->
+      match read_twopp (twopp_payload ~leaves ~plans) with
+      | _ -> Alcotest.failf "%s: loaded" what
+      | exception Codec.Corrupt _ -> ())
+    [
+      ( "a leaf number out of range",
+        chain_leaves,
+        [ ([ 1; 2 ], [ 0; 1; 3 ], [ 2; 1; 0 ]) ] );
+      ( "a leaf whose variables match no atom",
+        chain_leaves @ [ ([ 0; 2 ], [ [| 1; 3 |] ]) ],
+        [ ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ] );
+      ( "a probe plan that misses x2 of its T-target",
+        chain_leaves,
+        [ ([ 1; 2 ], [ 0 ], [ 2; 1; 0 ]) ] );
+      ( "an empty safe plan",
+        chain_leaves,
+        [ ([ 1; 2 ], [ 0; 1; 2 ], []) ] );
+      ( "a T-target that is not the rule's",
+        chain_leaves,
+        [ ([ 0; 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* canonical bytes                                                      *)
@@ -453,6 +536,8 @@ let () =
             canonical_2reach;
           Alcotest.test_case "forced 3-reach re-saves to the same bytes"
             `Quick canonical_3reach_forced;
+          Alcotest.test_case "2PP plans that cannot produce their target"
+            `Quick twopp_plans_checked;
         ] );
       ( "differential",
         [

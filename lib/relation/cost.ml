@@ -59,6 +59,14 @@ let charge_scan () =
   let s = st () in
   if s.counting then s.scans <- s.scans + 1
 
+let charge_tuples n =
+  let s = st () in
+  if s.counting then s.tuples <- s.tuples + n
+
+let charge_scans n =
+  let s = st () in
+  if s.counting then s.scans <- s.scans + n
+
 let counting () = (st ()).counting
 let set_counting flag = (st ()).counting <- flag
 

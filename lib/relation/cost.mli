@@ -48,6 +48,11 @@ val charge_probe : unit -> unit
 val charge_tuple : unit -> unit
 val charge_scan : unit -> unit
 
+val charge_tuples : int -> unit
+val charge_scans : int -> unit
+(** [n] charges at once, for an operator that copies a whole table
+    instead of visiting and writing its tuples one by one. *)
+
 val counting : unit -> bool
 (** Whether charges are currently recorded in this domain.  Defaults to
     [true]; freshly spawned pool workers inherit the spawner's flag. *)

@@ -89,12 +89,15 @@ let fold f t init = Tuple.Tbl.fold (fun tup () acc -> f tup acc) t.data init
 let to_list t = fold List.cons t []
 
 let copy t =
-  let c = create t.schema in
-  iter (add c) t;
-  (match t.ann with
-  | None -> ()
-  | Some a -> Tuple.Tbl.iter (fun tup slot -> annotate c tup a.slots.(slot)) a.idx);
-  c
+  Cost.charge_tuples (cardinal t);
+  {
+    t with
+    data = Tuple.Tbl.copy t.data;
+    ann =
+      Option.map
+        (fun a -> { a with slots = Array.copy a.slots; idx = Tuple.Tbl.copy a.idx })
+        t.ann;
+  }
 
 let singleton schema tup =
   let t = create schema in
@@ -113,16 +116,27 @@ let equal a b =
   let pos = reorder_positions ~from:(schema a) ~into:(schema b) in
   fold (fun tup ok -> ok && mem b (Tuple.project pos tup)) a true
 
+(* A projection onto all of the schema, in its order, maps each tuple to
+   itself, so it copies the table: still one scan and one tuple charged
+   per tuple, but no tuple is built or hashed again.  2PP plan steps
+   that keep every variable take this path on every request. *)
 let project t vs =
   let out_schema = Schema.of_list vs in
   let pos = Schema.positions t.schema vs in
-  let out = create out_schema in
-  iter
-    (fun tup ->
-      Cost.charge_scan ();
-      add out (Tuple.project pos tup))
-    t;
-  out
+  if pos = Array.init (Schema.arity t.schema) Fun.id then begin
+    Cost.charge_scans (cardinal t);
+    Cost.charge_tuples (cardinal t);
+    { schema = out_schema; data = Tuple.Tbl.copy t.data; ann = None }
+  end
+  else begin
+    let out = create out_schema in
+    iter
+      (fun tup ->
+        Cost.charge_scan ();
+        add out (Tuple.project pos tup))
+      t;
+    out
+  end
 
 let select_eq t v value =
   let i = Schema.position t.schema v in

@@ -45,11 +45,17 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Tuple.t list
 val copy : t -> t
+(** A relation of its own with the same tuples and annotations, copied
+    table by table without hashing a tuple again; one [tuple] charged
+    per tuple. *)
+
 val equal : t -> t -> bool
 
 val project : t -> Schema.var list -> t
 (** [project t vs] projects onto the variables [vs] (in that order),
-    deduplicating.  Raises [Not_found] if some [v] is not in the schema. *)
+    deduplicating.  Onto all of the schema in its order it is a {!copy}
+    without the annotations, at the same charges.  Raises [Not_found] if
+    some [v] is not in the schema. *)
 
 val select_eq : t -> Schema.var -> int -> t
 val natural_join : t -> t -> t

@@ -34,7 +34,31 @@ let test_project () =
   let r = rel_of [ 0; 1; 2 ] [ [ 1; 2; 3 ]; [ 1; 5; 3 ]; [ 2; 2; 3 ] ] in
   check_tuples "project 0 2" [ [ 1; 3 ]; [ 2; 3 ] ] (Relation.project r [ 0; 2 ]);
   check_tuples "project reorder" [ [ 3; 1 ]; [ 3; 2 ] ] (Relation.project r [ 2; 0 ]);
-  check_tuples "project empty schema" [ [] ] (Relation.project r [])
+  check_tuples "project empty schema" [ [] ] (Relation.project r []);
+  (* onto the whole schema in its order: the same tuples and charges as
+     any projection, one scan and one tuple each, in a relation of its own *)
+  let id, c = Cost.measure (fun () -> Relation.project r [ 0; 1; 2 ]) in
+  check_tuples "project identity" (List.map Array.to_list (Relation.to_list r)) id;
+  Alcotest.check Alcotest.(pair int int) "identity charges" (3, 3)
+    (c.Cost.scans, c.Cost.tuples);
+  Relation.add id [| 9; 9; 9 |];
+  Alcotest.check Alcotest.int "identity is a copy" 3 (Relation.cardinal r)
+
+let test_copy () =
+  let r = rel_of [ 0; 1 ] [ [ 1; 2 ]; [ 3; 4 ] ] in
+  Relation.annotate r [| 1; 2 |] 7;
+  let c, cost = Cost.measure (fun () -> Relation.copy r) in
+  Alcotest.check Alcotest.int "one tuple charged per tuple" 2 cost.Cost.tuples;
+  Alcotest.check Alcotest.int "annotation carried" 7
+    (Relation.annotation c ~default:1 [| 1; 2 |]);
+  (* writes to the copy leave the source as it was *)
+  Relation.annotate c [| 1; 2 |] 5;
+  Relation.add c [| 5; 6 |];
+  ignore (Relation.remove c [| 3; 4 |]);
+  check_tuples "source rows" [ [ 1; 2 ]; [ 3; 4 ] ] r;
+  check_tuples "copy rows" [ [ 1; 2 ]; [ 5; 6 ] ] c;
+  Alcotest.check Alcotest.int "source annotation" 7
+    (Relation.annotation r ~default:1 [| 1; 2 |])
 
 let test_join () =
   let a = rel_of [ 0; 1 ] [ [ 1; 2 ]; [ 3; 4 ] ] in
@@ -262,6 +286,7 @@ let () =
           Alcotest.test_case "project" `Quick test_project;
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "semijoin/antijoin" `Quick test_semijoin_antijoin;
+          Alcotest.test_case "copy" `Quick test_copy;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "select" `Quick test_select;
           Alcotest.test_case "degrees" `Quick test_degrees;

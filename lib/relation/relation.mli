@@ -53,9 +53,10 @@ val equal : t -> t -> bool
 
 val project : t -> Schema.var list -> t
 (** [project t vs] projects onto the variables [vs] (in that order),
-    deduplicating.  Onto all of the schema in its order it is a {!copy}
-    without the annotations, at the same charges.  Raises [Not_found] if
-    some [v] is not in the schema. *)
+    deduplicating.  Onto all of the schema in its order it copies the
+    table like {!copy}, without the annotations, and still charges one
+    scan and one tuple per tuple.  Raises [Not_found] if some [v] is not
+    in the schema. *)
 
 val select_eq : t -> Schema.var -> int -> t
 val natural_join : t -> t -> t

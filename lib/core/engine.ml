@@ -88,7 +88,8 @@ let access_schema t = Schema.of_list (Varset.to_list t.cqap.Cq.access)
 
 let schema_of_set b = Schema.of_list (Varset.to_list b)
 
-(* union of target relations whose schema equals [b] *)
+(* union of the stored S-target relations whose schema equals [b], at
+   build and thaw *)
 let view_of_targets targets b =
   let empty = Relation.create (schema_of_set b) in
   List.fold_left
@@ -168,27 +169,30 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
 let build_auto ?counted ?max_pmtds cqap ~db ~budget =
   build ?counted cqap (Enum.pmtds ?max_pmtds cqap) ~db ~budget
 
-(* The online pipeline without observability wrapping: one 2PP online
-   pass per rule, T-views unioned per PMTD, Online Yannakakis per PMTD,
-   results unioned.  Returns the scoped online cost. *)
+(* The online pipeline without observability wrapping.  One
+   accumulator per T-target variable set: every rule's delegated
+   subproblems write their rows into it, and every PMTD whose T-node
+   has those variables reads it as that T-view.  Each PMTD's ψ goes
+   into the one answer relation.  Returns the scoped online cost. *)
 let answer_scoped t ~q_a =
   Cost.scoped (fun () ->
-      let all_t_targets =
-        List.concat_map (fun s -> Twopp.online s ~q_a) t.structures
+      let accs = ref [] in
+      let target b =
+        match List.assoc_opt b !accs with
+        | Some rel -> rel
+        | None ->
+            let rel = Relation.create (schema_of_set b) in
+            accs := (b, rel) :: !accs;
+            rel
       in
-      let head = t.cqap.Cq.cq.Cq.head in
-      let result =
-        ref (Relation.create (Schema.of_list (Varset.to_list head)))
-      in
+      List.iter (fun s -> Twopp.online_into s ~q_a ~target) t.structures;
+      let into = Relation.create (schema_of_set t.cqap.Cq.cq.Cq.head) in
       List.iter
         (fun (p, oy) ->
-          let t_views node =
-            view_of_targets all_t_targets (Pmtd.view p node).Pmtd.vars
-          in
-          let psi = Online_yannakakis.answer oy ~t_views ~q_a in
-          result := Relation.union !result psi)
+          let t_views node = target (Pmtd.view p node).Pmtd.vars in
+          ignore (Online_yannakakis.answer ~into oy ~t_views ~q_a))
         t.preprocessed;
-      !result)
+      into)
 
 (* ------------------------------------------------------------------ *)
 (* batched answering                                                    *)

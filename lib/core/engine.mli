@@ -3,10 +3,12 @@
     [build] generates the 2-phase disjunctive rules from the PMTD set,
     runs 2PP preprocessing for each rule under the space budget, unions
     same-schema S-targets into per-PMTD S-views and hands them to Online
-    Yannakakis.  [answer] runs 2PP online for each rule, unions T-targets
-    into T-views, evaluates every PMTD's free-connex CQ ψ_i with Online
-    Yannakakis and returns [⋃_i ψ_i] — the exact result of the access
-    CQ. *)
+    Yannakakis.  [answer] keeps one accumulator relation per T-target
+    variable set for the request: every rule's delegated subproblems
+    write their rows into it ({!Twopp.online_into}), and every PMTD
+    whose T-node has those variables reads it as that T-view.  Online
+    Yannakakis evaluates every PMTD's free-connex CQ ψ_i into one answer
+    relation, [⋃_i ψ_i] — the exact result of the access CQ. *)
 
 open Stt_relation
 open Stt_hypergraph
@@ -41,11 +43,15 @@ val factorized_views : t -> int
 
 val answer : t -> q_a:Relation.t -> Relation.t
 (** Result of the access CQ over the head variables: {!answer_batch} of
-    the one request.  Cost counters observe only the online work.  With
-    a cache attached the request is canonicalized and looked up first: a
-    hit costs one probe plus one tuple per answer row and returns a
-    bit-identical answer; a miss runs the 2PP online pipeline and offers
-    the result for admission. *)
+    the one request.  Cost counters observe only the online work: one
+    probe per lookup, one scan per row visited and one tuple per new row
+    of a plan intermediate, a T-target accumulator, an Online
+    Yannakakis relation or the answer; no T-target row is copied on its
+    way from its plan to Online Yannakakis.  With a cache attached the
+    request is canonicalized and looked up first: a hit costs one probe
+    plus one tuple per answer row and returns a bit-identical answer; a
+    miss runs the 2PP online pipeline and offers the result for
+    admission. *)
 
 val answer_tuple : t -> Tuple.t -> bool
 (** Boolean single-tuple access: is the access request (values of the

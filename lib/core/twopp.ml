@@ -755,39 +755,55 @@ let build ?(counted = false) (r : Rule.t) ~base ~budget =
 
 exception Plan_abort
 
-let run_plan ?cap q_a plan =
-  let acc = ref q_a in
-  List.iter
-    (fun { leaf; key; keep } ->
-      acc := Index.join !acc (Live.index leaf key);
-      (match cap with
-      | Some c when Relation.cardinal !acc > c -> raise Plan_abort
-      | _ -> ());
-      acc := Relation.project !acc keep)
-    plan;
-  !acc
+(* Run a plan from [q_a] into [into], the accumulator of its T-target.
+   A step whose kept variables are all of its join's makes no copy, and
+   the last step joins and projects onto the target in one pass
+   ({!Index.join_into}), so no row of the plan is copied on its way to
+   the accumulator.  Each step's match count is held to [cap]. *)
+let run_plan ~cap q_a plan ~into =
+  let rec go acc = function
+    | [] -> Relation.project_into acc ~into (* a plan with no step *)
+    | [ { leaf; key; _ } ] ->
+        if Index.join_into ~limit:cap acc (Live.index leaf key) ~into > cap
+        then raise Plan_abort
+    | { leaf; key; keep } :: rest ->
+        let joined = Index.join acc (Live.index leaf key) in
+        if Relation.cardinal joined > cap then raise Plan_abort;
+        let arity = Schema.arity (Relation.schema joined) in
+        go
+          (if List.compare_length_with keep arity < 0 then
+             Relation.project joined keep
+           else joined)
+          rest
+  in
+  go q_a plan
 
 (* Every plan covers its T-target: the build extends a plan's atoms
-   until they do, and [read] rejects a plan that does not. *)
-let online t ~q_a =
-  let out : (Varset.t, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+   until they do, and [read] rejects a plan that does not.  The rows a
+   greedy plan wrote before it tripped its cap are rows of the target,
+   and the accumulator is a set, so the safe plan reruns into it. *)
+let online_into t ~q_a ~target =
   List.iter
     (fun sub ->
-      let result_rel =
-        (* adaptive execution: greedy plan within the cap, safe plan on
-           overflow *)
-        try run_plan ~cap:(sub.cap * max 1 (Relation.cardinal q_a)) q_a sub.probe_plan
-        with Plan_abort -> run_plan q_a sub.safe_plan
-      in
-      let result = Relation.project result_rel (Varset.to_list sub.t_target) in
-      let merged =
-        match Hashtbl.find_opt out sub.t_target with
-        | Some existing -> Relation.union existing result
-        | None -> result
-      in
-      Hashtbl.replace out sub.t_target merged)
-    t.delegated;
-  Hashtbl.fold (fun b rel acc -> (b, rel) :: acc) out []
+      let into = target sub.t_target in
+      try
+        run_plan ~cap:(sub.cap * max 1 (Relation.cardinal q_a)) q_a
+          sub.probe_plan ~into
+      with Plan_abort ->
+        Obs.incr "twopp.plan_abort";
+        run_plan ~cap:max_int q_a sub.safe_plan ~into)
+    t.delegated
+
+let online t ~q_a =
+  let out = ref [] in
+  online_into t ~q_a ~target:(fun b ->
+      match List.assoc_opt b !out with
+      | Some rel -> rel
+      | None ->
+          let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
+          out := (b, rel) :: !out;
+          rel);
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* snapshot codec                                                       *)

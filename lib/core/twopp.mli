@@ -8,10 +8,11 @@
 
     - {e stored}: the smallest S-target projection of the subproblem's
       body join fits in the budget and is materialized, or
-    - {e delegated}: [online] evaluates its cheapest T-target (chosen
-      by polymatroid bound under the subproblem's measured degree
-      constraints) against each access request, through a plan whose
-      steps probe the subproblem's leaves ({!Live.index}).
+    - {e delegated}: [online_into] evaluates its cheapest T-target
+      (chosen by polymatroid bound under the subproblem's measured
+      degree constraints) against each access request, through a plan
+      whose steps probe the subproblem's leaves ({!Live.index}), into
+      the request's accumulator for that target.
 
     Differences from full PANDA are deliberate and documented in
     DESIGN.md: models place every tuple into a single best target per
@@ -60,10 +61,25 @@ val stored_subproblems : t -> int
     [space t <= stored_subproblems t * budget] — the budget-implied
     space bound checked by the differential test harness. *)
 
+val online_into :
+  t -> q_a:Relation.t -> target:(Varset.t -> Relation.t) -> unit
+(** Evaluate every delegated subproblem for this access request and add
+    its rows to [target b], the accumulator of its T-target [b] (a
+    relation over [b], any column order), which several subproblems
+    and rules may share.  A subproblem runs its greedy plan with an
+    abort cap on each step's match count; when a step passes the cap it
+    bumps the [twopp.plan_abort] Obs counter and reruns its safe plan
+    into the same accumulator, which keeps the rows already written —
+    all of them target rows.  Plan steps that keep every variable of
+    their join make no copy, and the last step joins and projects
+    straight into the accumulator ({!Stt_relation.Index.join_into}).
+    Charges the global cost counters: one probe per index lookup, one
+    scan per row visited, one tuple per new row of an intermediate or
+    an accumulator. *)
+
 val online : t -> q_a:Relation.t -> (Varset.t * Relation.t) list
-(** T-target relations computed from the delegated subproblems for this
-    access request, one per T-target.  Respects the global cost
-    counters. *)
+(** {!online_into} into fresh accumulators, one per T-target, over the
+    target's variables in ascending order. *)
 
 val rule : t -> Rule.t
 

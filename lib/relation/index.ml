@@ -1,8 +1,10 @@
 (* Flat-bucket layout: tuples are stored row-major in one contiguous int
-   array, grouped by key; the hash table maps a key to its (start row,
-   row count) range.  Building allocates one key tuple per distinct key
-   and nothing per row; probing a bucket walks the flat array with zero
-   allocation, and [count] is O(1) instead of a list walk.
+   array, grouped by key and sorted by row ({!Tuple.compare}) within a
+   bucket; the hash table maps a key to its (start row, row count)
+   range.  Building allocates one key tuple per distinct key and nothing
+   per row outside the bucket sort; probing a bucket walks the flat
+   array with zero allocation, [count] is O(1) instead of a list walk,
+   and [remove] finds its row by binary search.
 
    Incremental maintenance works through a small mutable overlay on top
    of the frozen flat arrays: [extra] holds rows added since the last
@@ -28,6 +30,38 @@ type t = {
   mutable dead_per_key : int Tuple.Tbl.t;   (* key -> deleted flat rows under it *)
   mutable overlay_rows : int;               (* |extra rows| + |dead rows| *)
 }
+
+(* lexicographic order, like {!Tuple.compare}, of the [arity] values
+   from [a.(i)] and from [b.(j)] *)
+let compare_at arity a i b j =
+  let rec go k =
+    if k >= arity then 0
+    else
+      let x = a.(i + k) and y = b.(j + k) in
+      if x < y then -1 else if x > y then 1 else go (k + 1)
+  in
+  go 0
+
+(* sort the [len] rows from row [start] of [data] in place.  The rows of
+   a bucket agree on its key, so with one column [free] outside the key
+   sorting that column's values sorts the rows. *)
+let sort_bucket data arity free start len =
+  if len > 1 then
+    match free with
+    | [| c |] ->
+        let vals = Array.init len (fun i -> data.(((start + i) * arity) + c)) in
+        Array.stable_sort Int.compare vals;
+        Array.iteri (fun i v -> data.(((start + i) * arity) + c) <- v) vals
+    | _ ->
+        let order = Array.init len (fun i -> start + i) in
+        Array.stable_sort
+          (fun r r' -> compare_at arity data (r * arity) data (r' * arity))
+          order;
+        let rows = Array.make (len * arity) 0 in
+        Array.iteri
+          (fun i r -> Array.blit data (r * arity) rows (i * arity) arity)
+          order;
+        Array.blit rows 0 data (start * arity) (len * arity)
 
 let build rel key_vars =
   let source_schema = Relation.schema rel in
@@ -63,6 +97,13 @@ let build rel key_vars =
           Array.blit tup 0 data (!cursor * arity) arity;
           incr cursor)
         rel;
+      let free =
+        Array.of_seq
+          (Seq.filter (fun c -> not (Array.mem c pos)) (Seq.init arity Fun.id))
+      in
+      Tuple.Tbl.iter
+        (fun _ (start, len) -> sort_bucket data arity free start len)
+        table;
       {
         key_vars; source_schema; arity; key_pos = pos; table; data;
         flat_rows = n;
@@ -104,7 +145,7 @@ let compact t =
         let next = ref 0 in
         Tuple.Tbl.iter
           (fun key l ->
-            let rows = !l in
+            let rows = List.sort Tuple.compare !l in
             let len = List.length rows in
             Tuple.Tbl.add table key (!next, len);
             List.iter
@@ -132,22 +173,23 @@ let dead_under t key =
 let extra_under t key =
   match Tuple.Tbl.find_opt t.extra key with Some rows -> rows | None -> []
 
-(* the flat row equal to [tup] (dead or alive), or -1.  Buckets hold
-   distinct rows, so at most one matches. *)
+(* the flat row equal to [tup] (dead or alive), or -1: a binary search
+   of its sorted bucket, which holds distinct rows *)
 let flat_find t key tup =
   match Tuple.Tbl.find_opt t.table key with
   | None -> -1
   | Some (start, len) ->
-      let rec go i =
-        if i >= start + len then -1
+      (* the row lies in [lo, hi) if anywhere *)
+      let rec search lo hi =
+        if lo >= hi then -1
         else
-          let base = i * t.arity in
-          let rec eq k =
-            k >= t.arity || (t.data.(base + k) = tup.(k) && eq (k + 1))
-          in
-          if eq 0 then i else go (i + 1)
+          let mid = (lo + hi) / 2 in
+          let c = compare_at t.arity tup 0 t.data (mid * t.arity) in
+          if c = 0 then mid
+          else if c < 0 then search lo mid
+          else search (mid + 1) hi
       in
-      go start
+      search start (start + len)
 
 let extra_mem t key tup = List.exists (Tuple.equal tup) (extra_under t key)
 
@@ -238,9 +280,21 @@ let semijoin rel t =
     rel;
   out
 
+(* [f tup src base] for each row [tup] of [rel] and each indexed row
+   matching it, at [src.(base) ..]: one scan and one probe charged per
+   row of [rel] *)
+let iter_matches rel t f =
+  let key_pos = Schema.positions (Relation.schema rel) t.key_vars in
+  let scratch = Array.make (Array.length key_pos) 0 in
+  Relation.iter
+    (fun tup ->
+      Cost.charge_scan ();
+      Tuple.project_into key_pos tup scratch;
+      probe_iter t scratch (f tup))
+    rel
+
 let join rel t =
   let rel_schema = Relation.schema rel in
-  let key_pos = Schema.positions rel_schema t.key_vars in
   let extra_vars =
     List.filter
       (fun v -> not (Schema.mem v rel_schema))
@@ -251,29 +305,44 @@ let join rel t =
   let out_schema = Schema.union rel_schema (Schema.of_list extra_vars) in
   let out = Relation.create out_schema in
   let ra = Schema.arity rel_schema in
-  let scratch = Array.make (Array.length key_pos) 0 in
-  Relation.iter
-    (fun tup ->
-      Cost.charge_scan ();
-      Cost.charge_probe ();
-      Tuple.project_into key_pos tup scratch;
-      let emit src base =
-        (* emit output rows straight from the backing array: the only
-           allocation per match is the output tuple itself *)
-        let out_tup = Array.make (ra + n_extra) 0 in
-        Array.blit tup 0 out_tup 0 ra;
-        for k = 0 to n_extra - 1 do
-          out_tup.(ra + k) <- src.(base + extra_pos.(k))
-        done;
-        Relation.add out out_tup
-      in
-      (match Tuple.Tbl.find_opt t.table scratch with
-      | None -> ()
-      | Some (start, len) ->
-          for i = start to start + len - 1 do
-            if not (is_dead t i) then emit t.data (i * t.arity)
-          done);
-      if t.overlay_rows > 0 then
-        List.iter (fun r -> emit r 0) (extra_under t scratch))
-    rel;
+  (* emit output rows straight from the backing array: the only
+     allocation per match is the output tuple itself *)
+  iter_matches rel t (fun tup src base ->
+      let out_tup = Array.make (ra + n_extra) 0 in
+      Array.blit tup 0 out_tup 0 ra;
+      for k = 0 to n_extra - 1 do
+        out_tup.(ra + k) <- src.(base + extra_pos.(k))
+      done;
+      Relation.add out out_tup);
   out
+
+(* [join] and a projection in one pass: each match is written straight
+   into [into] in [into]'s column order, through one scratch row, so a
+   match whose projection is already there allocates nothing. *)
+let join_into ?(limit = max_int) rel t ~into =
+  let rel_schema = Relation.schema rel in
+  (* an output column is read off the probing row (>= 0) or off column
+     [-c - 1] of the indexed row *)
+  let cols =
+    Array.of_list
+      (List.map
+         (fun v ->
+           if Schema.mem v rel_schema then Schema.position rel_schema v
+           else -Schema.position t.source_schema v - 1)
+         (Schema.vars (Relation.schema into)))
+  in
+  let row = Array.make (Array.length cols) 0 in
+  let matches = ref 0 in
+  let exception Past_limit in
+  (try
+     iter_matches rel t (fun tup src base ->
+         incr matches;
+         if !matches > limit then raise_notrace Past_limit;
+         Cost.charge_scan ();
+         for k = 0 to Array.length cols - 1 do
+           let c = cols.(k) in
+           row.(k) <- (if c >= 0 then tup.(c) else src.(base - c - 1))
+         done;
+         if not (Relation.mem into row) then Relation.add into (Array.copy row))
+   with Past_limit -> ());
+  !matches

@@ -2,11 +2,13 @@
 
     An index maps a key — the values of a chosen subset of the schema's
     variables — to the matching tuples.  Tuples are stored row-major in
-    one contiguous int array, grouped by key; the hash table maps each
-    key to a contiguous (offset, length) range, so bucket iteration is a
-    flat-array walk with zero allocation and {!count} is O(1).  Building
-    is free of online cost (it happens during preprocessing); probing
-    charges one {!Cost} probe per lookup. *)
+    one contiguous int array, grouped by key and sorted by
+    {!Tuple.compare} within a key; the hash table maps each key to a
+    contiguous (offset, length) range, so bucket iteration is a
+    flat-array walk with zero allocation, {!count} is O(1) and {!remove}
+    finds a row by binary search.  Building is free of online cost (it
+    happens during preprocessing); probing charges one {!Cost} probe per
+    lookup. *)
 
 type t
 
@@ -44,8 +46,9 @@ val insert : t -> Tuple.t -> unit
     arity mismatch. *)
 
 val remove : t -> Tuple.t -> bool
-(** Delete one tuple; [false] if it was absent.  One {!Cost} probe
-    charged.  Raises [Invalid_argument] on arity mismatch. *)
+(** Delete one tuple; [false] if it was absent.  A row of the flat
+    storage is found by binary search of its sorted bucket.  One {!Cost}
+    probe charged.  Raises [Invalid_argument] on arity mismatch. *)
 
 val semijoin : Relation.t -> t -> Relation.t
 (** [semijoin rel idx] keeps the tuples of [rel] whose key matches the
@@ -55,3 +58,13 @@ val semijoin : Relation.t -> t -> Relation.t
 val join : Relation.t -> t -> Relation.t
 (** [join rel idx] probes the index once per tuple of [rel] and extends
     with the matching tuples — cost [O(|rel| + output)]. *)
+
+val join_into : ?limit:int -> Relation.t -> t -> into:Relation.t -> int
+(** [join_into rel idx ~into] adds to [into] the projection of
+    [rel ⋈ idx] onto [into]'s schema, without materializing the join:
+    one scan and one probe per tuple of [rel], one scan per match and
+    one tuple per new row of [into].  Every variable of [into] must be
+    in [rel] or in the indexed relation.  Returns the number of matches
+    visited; past [limit] matches (default unbounded) it stops and
+    returns [limit + 1], leaving the rows of the earlier matches in
+    [into]. *)

@@ -138,6 +138,16 @@ let project t vs =
     out
   end
 
+let project_into t ~into =
+  let pos = reorder_positions ~from:t.schema ~into:into.schema in
+  let scratch = Array.make (Array.length pos) 0 in
+  iter
+    (fun tup ->
+      Cost.charge_scan ();
+      Tuple.project_into pos tup scratch;
+      if not (mem into scratch) then add into (Array.copy scratch))
+    t
+
 let select_eq t v value =
   let i = Schema.position t.schema v in
   let out = create t.schema in

@@ -58,6 +58,12 @@ val project : t -> Schema.var list -> t
     scan and one tuple per tuple.  Raises [Not_found] if some [v] is not
     in the schema. *)
 
+val project_into : t -> into:t -> unit
+(** [project_into t ~into] adds the projection of [t] onto [into]'s
+    schema to [into]: one scan per tuple of [t], one tuple per new row.
+    Raises [Not_found] if a variable of [into] is not in [t]'s
+    schema. *)
+
 val select_eq : t -> Schema.var -> int -> t
 val natural_join : t -> t -> t
 val semijoin : t -> t -> t

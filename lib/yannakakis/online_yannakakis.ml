@@ -182,10 +182,15 @@ let read pmtd d =
 (* Per-call node state lives in flat arrays indexed by node id (tree
    nodes are [0 .. size-1]): the only per-answer setup allocation is the
    three arrays themselves, no hash table and no per-node records. *)
-let answer t ~t_views ~q_a =
+let answer ?into t ~t_views ~q_a =
   let pmtd = t.pmtd in
   let tree = pmtd.Pmtd.td.Td.tree in
   let head = pmtd.Pmtd.cqap.Cq.cq.Cq.head in
+  let into =
+    match into with
+    | Some rel -> rel
+    | None -> Relation.create (Schema.of_list (Varset.to_list head))
+  in
   let materialized = pmtd.Pmtd.materialized in
   let n = Rtree.size tree in
   let rels = Array.make n (Relation.create (Schema.of_list [])) in
@@ -248,4 +253,5 @@ let answer t ~t_views ~q_a =
           result := join_via_storage !result (Hashtbl.find t.s_store node)
         else result := Relation.natural_join !result rels.(node))
     (Rtree.nodes tree);
-  Relation.project !result (Varset.to_list head)
+  Relation.project_into !result ~into;
+  into

@@ -65,8 +65,15 @@ val read : Pmtd.t -> Stt_store.Codec.decoder -> preprocessed
     not an increasing list of stored views. *)
 
 val answer :
-  preprocessed -> t_views:(int -> Relation.t) -> q_a:Relation.t -> Relation.t
+  ?into:Relation.t ->
+  preprocessed ->
+  t_views:(int -> Relation.t) ->
+  q_a:Relation.t ->
+  Relation.t
 (** [t_views node] must supply a relation over schema [v(node)] for every
-    non-materialized node; [q_a] is the access request over schema [A]
-    (in ascending variable order or any order containing exactly A).
-    Returns ψ over the head variables. *)
+    non-materialized node; it is only read, so several PMTDs may share
+    one.  [q_a] is the access request over schema [A] (in ascending
+    variable order or any order containing exactly A).  Adds ψ to
+    [into], a relation over the head variables (by default a fresh one,
+    in ascending order), and returns [into]: one scan per row of the
+    final join, one tuple per new row of [into]. *)

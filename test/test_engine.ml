@@ -4,6 +4,7 @@
 
 open Stt_relation
 open Stt_hypergraph
+open Stt_decomp
 open Stt_core
 open Stt_workload
 
@@ -147,6 +148,54 @@ let test_total_space () =
   Alcotest.(check bool) "strictly above intrinsic space" true
     (Engine.total_space idx > Engine.space idx)
 
+(* Answer op counts, pinned.  Each sum adds up the counted ops of
+   [Engine.answer] over a fixed key list on one of the two serving
+   fixtures (2-reach over graph 113 at budget 2,000, and 3-reach over
+   graph 131 at budget 1,000, built from at most 128 PMTDs), the second
+   time after an insert/delete pair has thawed the churn engine's
+   S-views.  The answers are checked elsewhere; these sums move only
+   when the answer path does a different amount of counted work, and a
+   change that moves them records the new values here. *)
+let fixture q ~graph ~budget =
+  let edges = Graphs.zipf_both ~seed:graph ~vertices:400 ~edges:4000 ~s:1.1 in
+  let pmtds = Enum.pmtds ~max_pmtds:128 q in
+  (Engine.build q pmtds ~db:(graph_db edges) ~budget, edges)
+
+let answers_and_ops e keys =
+  let acc = Engine.access_schema e in
+  List.fold_left
+    (fun (answers, ops) key ->
+      match Engine.answer_batch e [ Relation.singleton acc key ] with
+      | [ (r, c) ] -> (sorted r :: answers, ops + Cost.total c)
+      | _ -> Alcotest.fail "one answer per request")
+    ([], 0) keys
+
+let test_pinned_answer_ops () =
+  let point, _ = fixture (Cq.Library.k_path 2) ~graph:113 ~budget:2_000 in
+  let point_keys =
+    Scenario.zipf_requests ~seed:5 ~n:400 ~requests:2_000 ~skew:1.5 ~arity:2
+  in
+  Alcotest.(check int) "point fixture" 47_649
+    (snd (answers_and_ops point point_keys));
+  let churn, edges = fixture (Cq.Library.k_path 3) ~graph:131 ~budget:1_000 in
+  let churn_keys =
+    Scenario.zipf_requests ~seed:6 ~n:400 ~requests:300 ~skew:1.1 ~arity:2
+  in
+  let answers, ops = answers_and_ops churn churn_keys in
+  Alcotest.(check int) "churn fixture" 2_039_654 ops;
+  (* the first edge (0, v) the graph lacks: inserting and deleting it
+     leaves the graph as it was, with the S-views thawed *)
+  let v =
+    let rec from v = if List.mem (0, v) edges then from (v + 1) else v in
+    from 0
+  in
+  let edge = [| 0; v |] in
+  Alcotest.(check bool) "insert" true (fst (Engine.insert churn "R" edge));
+  Alcotest.(check bool) "delete" true (fst (Engine.delete churn "R" edge));
+  let answers', ops' = answers_and_ops churn churn_keys in
+  Alcotest.(check bool) "same answers once thawed" true (answers = answers');
+  Alcotest.(check int) "churn fixture, thawed" 2_039_654 ops'
+
 (* randomized integration sweep *)
 let digraph_gen =
   QCheck2.Gen.(
@@ -192,6 +241,7 @@ let () =
           Alcotest.test_case "space accounting" `Quick test_space_reported;
           Alcotest.test_case "total_space sums every store" `Quick
             test_total_space;
+          Alcotest.test_case "answer op counts" `Quick test_pinned_answer_ops;
         ] );
       ("random", qcheck_cases);
     ]

@@ -7,6 +7,7 @@ open Stt_hypergraph
 open Stt_decomp
 open Stt_core
 open Stt_workload
+module Obs = Stt_obs.Obs
 
 let path2 = Cq.Library.k_path 2
 let rule2 = List.hd (Rule.generate path2 (Enum.pmtds path2))
@@ -126,6 +127,80 @@ let test_impossible_rule () =
   let s = Twopp.build r ~base:(base_of (db_of edges)) ~budget:10_000_000 in
   Alcotest.check Alcotest.bool "stored" true (Twopp.space s > 0)
 
+(* A greedy plan holds each step's match count to a cap taken from the
+   build-time degrees, and deltas can grow a leaf past them.  The 2-path
+   from x1, with one T-target over all its variables and no S-target,
+   builds one unsplit subproblem whose plans both join R(x1,x2), then
+   R(x2,x3).  The build graph has out-degree 2, so the cap is
+   2 * (1 + 2 + 2 * 2) = 14 per request row, 28 for the two rows below.
+   Then a hub gets 6 out-neighbours with 6 out-neighbours each.  The
+   first step matches 6 + 2 rows, within the cap, and the last step
+   36 + 4, past it: the greedy plan trips in its last step, after
+   writing some rows, and the safe plan reruns into the same
+   accumulator. *)
+let test_cap_fallback () =
+  let cq =
+    Cq.create ~var_names:[| "x1"; "x2"; "x3" |] ~head:(Varset.of_list [ 0; 2 ])
+      [ { Cq.rel = "R"; vars = [ 0; 1 ] }; { Cq.rel = "R"; vars = [ 1; 2 ] } ]
+  in
+  let cqap = Cq.with_access cq (Varset.singleton 0) in
+  let target = Varset.of_list [ 0; 1; 2 ] in
+  let r = Rule.make cqap ~s_targets:[] ~t_targets:[ target ] in
+  let ring =
+    List.init 40 (fun i -> [ (i, (i + 1) mod 40); (i, (i + 7) mod 40) ])
+  in
+  let db = db_of (List.concat ring) in
+  let base =
+    List.map
+      (fun a -> (a, Live.of_relation (Db.relation db a)))
+      cqap.Cq.cq.Cq.atoms
+  in
+  let s = Twopp.build r ~base ~budget:10 in
+  let hub = 100 in
+  let fans = List.init 6 (fun i -> 200 + i) in
+  let added =
+    List.concat_map
+      (fun v -> (hub, v) :: List.init 6 (fun j -> (v, 300 + (10 * j) + v)))
+      fans
+  in
+  List.iter
+    (fun (u, v) ->
+      let tuple = [| u; v |] in
+      (* write the base, then route, one atom at a time in query order *)
+      List.iter
+        (fun (atom, l) ->
+          ignore (Live.add l tuple);
+          ignore (Twopp.apply_delta s ~atom ~tuple ~add:true))
+        base)
+    added;
+  let edges = List.concat ring @ added in
+  let q_a = Relation.of_list (Schema.of_list [ 0 ]) [ [| hub |]; [| 3 |] ] in
+  let reference =
+    List.concat_map
+      (fun (u, v) ->
+        if u = hub || u = 3 then
+          List.filter_map
+            (fun (v', w) -> if v' = v then Some [ u; v; w ] else None)
+            edges
+        else [])
+      edges
+    |> List.sort compare
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = Obs.counter_value "twopp.plan_abort" in
+  let online = Twopp.online s ~q_a in
+  let aborts = Obs.counter_value "twopp.plan_abort" - before in
+  Obs.set_enabled was;
+  Alcotest.(check bool) "the greedy plan tripped its cap" true (aborts > 0);
+  match online with
+  | [ (b, rel) ] ->
+      Alcotest.(check bool) "the T-target" true (Varset.equal b target);
+      Alcotest.(check (list (list int)))
+        "every 2-path from the request, once" reference
+        (List.sort compare (List.map Array.to_list (Relation.to_list rel)))
+  | _ -> Alcotest.fail "one T-target relation expected"
+
 let () =
   Alcotest.run "twopp"
     [
@@ -139,5 +214,7 @@ let () =
           Alcotest.test_case "online local soundness" `Quick
             test_online_soundness;
           Alcotest.test_case "impossible rule" `Quick test_impossible_rule;
+          Alcotest.test_case "cap fallback keeps the rows written" `Quick
+            test_cap_fallback;
         ] );
     ]

@@ -61,40 +61,9 @@ let relation t (atom : Cq.atom) =
         tuples);
   rel
 
-exception Too_big
-
-(* natural join that aborts as soon as the output exceeds [limit],
-   before the intermediate is fully materialized *)
-let bounded_join limit a b =
-  let a_schema = Relation.schema a and b_schema = Relation.schema b in
-  let common = Schema.inter a_schema b_schema in
-  let idx = Index.build b common in
-  let extra_vars =
-    List.filter (fun v -> not (Schema.mem v a_schema)) (Schema.vars b_schema)
-  in
-  let extra_pos = Schema.positions b_schema extra_vars in
-  let n_extra = Array.length extra_pos in
-  let key_pos = Schema.positions a_schema common in
-  let key_scratch = Array.make (Array.length key_pos) 0 in
-  let ra = Schema.arity a_schema in
-  let out = Relation.create (Schema.union a_schema (Schema.of_list extra_vars)) in
-  Relation.iter
-    (fun ta ->
-      Tuple.project_into key_pos ta key_scratch;
-      Index.probe_iter idx key_scratch (fun src base ->
-          let out_tup = Array.make (ra + n_extra) 0 in
-          Array.blit ta 0 out_tup 0 ra;
-          for k = 0 to n_extra - 1 do
-            out_tup.(ra + k) <- src.(base + extra_pos.(k))
-          done;
-          Relation.add out out_tup;
-          if Relation.cardinal out > limit then raise Too_big))
-    a;
-  out
-
 (* Greedy connected left-deep join with early projection.  When [limit]
-   is set, raises [Too_big] as soon as an intermediate result exceeds
-   it. *)
+   is set, raises [Relation.Too_big] as soon as an intermediate result
+   exceeds it, before the intermediate is fully materialized. *)
 let join_greedy_internal ?limit relations ~keep =
   match relations with
   | [] -> invalid_arg "Db.join_greedy: no relations"
@@ -127,10 +96,7 @@ let join_greedy_internal ?limit relations ~keep =
             (List.hd pool) pool
         in
         remaining := List.filter (fun r -> r != pick) !remaining;
-        (acc :=
-           match limit with
-           | None -> Relation.natural_join !acc pick
-           | Some l -> bounded_join l !acc pick);
+        acc := Relation.natural_join ?limit !acc pick;
         (* early projection *)
         let needed = needed_later () in
         let schema_vars = Schema.vars (Relation.schema !acc) in
@@ -148,7 +114,7 @@ let join_greedy_internal ?limit relations ~keep =
          never compared against the limit — check it explicitly so the
          [.mli] contract ("any intermediate or final relation") holds. *)
       (match limit with
-      | Some l when Relation.cardinal result > l -> raise Too_big
+      | Some l when Relation.cardinal result > l -> raise Relation.Too_big
       | _ -> ());
       result
 
@@ -156,7 +122,7 @@ let join_greedy relations ~keep = join_greedy_internal relations ~keep
 
 let join_greedy_bounded relations ~keep ~limit =
   try Some (join_greedy_internal ~limit relations ~keep)
-  with Too_big -> None
+  with Relation.Too_big -> None
 
 let eval t (cq : Cq.t) =
   Cost.with_counting false (fun () ->

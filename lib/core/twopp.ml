@@ -29,34 +29,34 @@ type decision =
 
 type combo = {
   crel : (Cq.atom * Live.t) list;
-      (* this combo's leaf per atom; an atom no split touches has the
-         engine's base relation itself as its leaf *)
+      (* this combo's leaf per atom, in atom order; an atom no split
+         touches has the engine's base relation itself as its leaf *)
   mutable cdecision : decision;
 }
 
-(* The heavy/light subproblem lattice as an explicit binary tree, one
-   node per split occurrence (exactly mirroring [expand]'s recursion).
-   Each node tracks the degree state deg(Y|X) of its input set so a
-   tuple delta re-routes — and, when a key crosses the threshold,
-   re-classifies — only the affected keys. *)
-type ctree =
-  | CLeaf of combo
-  | CNode of {
-      catom : Cq.atom;
-      x_pos : int array; (* positions in the atom schema *)
-      y_pos : int array;
-      cthreshold : int;
-      ycount : int Tuple.Tbl.t;  (* y-projection multiplicity *)
-      xdeg : int Tuple.Tbl.t;    (* distinct-y degree per x key *)
-      members : Tuple.t list ref Tuple.Tbl.t; (* x key -> input tuples *)
-      cheavy : ctree;
-      clight : ctree;
-    }
+(* The degree state deg(Y|X) of one split's input, so a tuple delta
+   re-routes — and, when a key crosses the threshold, re-classifies —
+   only the affected keys. *)
+type split = {
+  x_pos : int array; (* positions in the atom schema *)
+  y_pos : int array;
+  threshold : int;
+  ycount : int Tuple.Tbl.t;  (* y-projection multiplicity *)
+  xdeg : int Tuple.Tbl.t;    (* distinct-y degree per x key *)
+  members : Tuple.t list ref Tuple.Tbl.t; (* x key -> input tuples *)
+}
+
+(* One atom's heavy/light splits as a binary tree over its relation: a
+   later split of the same atom partitions each part of the earlier
+   one.  The leaves are the atom's leaves, heavy first. *)
+type tree =
+  | Leaf of Live.t
+  | Split of { split : split; heavy : tree; light : tree }
 
 type maint = {
   mbudget : int;
-  tree : ctree;
-  combos : combo list; (* leaves in canonical heavy-first order *)
+  trees : (Cq.atom * tree) list; (* one per atom, in atom order *)
+  combos : combo list; (* one per choice of a leaf for every atom *)
 }
 
 type t = {
@@ -352,113 +352,97 @@ let decide (r : Rule.t) leaves ~eval_budget ~budget ~size =
   (best, choice)
 
 (* ------------------------------------------------------------------ *)
-(* the split tree                                                       *)
+(* the split trees                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let combo_nonempty c =
   List.for_all (fun (_, l) -> not (Relation.is_empty (Live.relation l))) c.crel
 
-let rec combos_of = function
-  | CLeaf c -> [ c ]
-  | CNode n -> combos_of n.cheavy @ combos_of n.clight
+let rec leaves = function
+  | Leaf l -> [ l ]
+  | Split { heavy; light; _ } -> leaves heavy @ leaves light
 
-(* [tree_insert]/[tree_delete] keep the invariant that every tuple lives
-   in the branch matching its x key's *current* distinct-y degree, so
-   the leaves always equal what a batch rebuild of the splits would
-   produce.  Leaf changes are appended to [events] as
-   [(combo, tuple, added?)] — all for the same atom.  A leaf that is
-   the base relation already holds the delta, so its write is a
-   no-op. *)
-let rec tree_insert tr atom tup events =
-  match tr with
-  | CLeaf c ->
-      ignore (Live.add (List.assq atom c.crel) tup);
-      events := (c, tup, true) :: !events
-  | CNode n ->
-      if n.catom != atom then begin
-        (* a split of another atom: the tuple flows into both branches *)
-        tree_insert n.cheavy atom tup events;
-        tree_insert n.clight atom tup events
-      end
-      else begin
-        Cost.charge_probe ();
-        let y = Tuple.project n.y_pos tup in
-        let x = Tuple.project n.x_pos tup in
-        let yc =
-          Option.value ~default:0 (Tuple.Tbl.find_opt n.ycount y)
-        in
-        Tuple.Tbl.replace n.ycount y (yc + 1);
-        if yc = 0 then begin
-          let xd = Option.value ~default:0 (Tuple.Tbl.find_opt n.xdeg x) in
-          Tuple.Tbl.replace n.xdeg x (xd + 1);
-          if xd = n.cthreshold then begin
-            (* the key crossed upward: its resident tuples move
-               light -> heavy before the new tuple lands *)
-            let ms =
-              match Tuple.Tbl.find_opt n.members x with
-              | Some l -> !l
-              | None -> []
-            in
-            List.iter
-              (fun m ->
-                Cost.charge_scan ();
-                tree_delete n.clight atom m events;
-                tree_insert n.cheavy atom m events)
-              ms
-          end
-        end;
-        (match Tuple.Tbl.find_opt n.members x with
-        | Some l -> l := tup :: !l
-        | None -> Tuple.Tbl.add n.members x (ref [ tup ]));
-        let xd = Tuple.Tbl.find n.xdeg x in
-        if xd > n.cthreshold then tree_insert n.cheavy atom tup events
-        else tree_insert n.clight atom tup events
-      end
+(* Count [tup] into [s]'s degree state, the build's counting pass and an
+   insert alike.  Returns its x key and whether the key's distinct-y
+   degree has just passed the threshold; [tup] heads the key's
+   members. *)
+let count s tup =
+  let y = Tuple.project s.y_pos tup and x = Tuple.project s.x_pos tup in
+  let yc = Option.value ~default:0 (Tuple.Tbl.find_opt s.ycount y) in
+  Tuple.Tbl.replace s.ycount y (yc + 1);
+  let crossed =
+    if yc > 0 then false
+    else begin
+      let xd = Option.value ~default:0 (Tuple.Tbl.find_opt s.xdeg x) in
+      Tuple.Tbl.replace s.xdeg x (xd + 1);
+      xd = s.threshold
+    end
+  in
+  (match Tuple.Tbl.find_opt s.members x with
+  | Some l -> l := tup :: !l
+  | None -> Tuple.Tbl.add s.members x (ref [ tup ]));
+  (x, crossed)
 
-and tree_delete tr atom tup events =
-  match tr with
-  | CLeaf c ->
-      ignore (Live.remove (List.assq atom c.crel) tup);
-      events := (c, tup, false) :: !events
-  | CNode n ->
-      if n.catom != atom then begin
-        tree_delete n.cheavy atom tup events;
-        tree_delete n.clight atom tup events
-      end
-      else begin
-        Cost.charge_probe ();
-        let y = Tuple.project n.y_pos tup in
-        let x = Tuple.project n.x_pos tup in
-        let yc = Option.value ~default:0 (Tuple.Tbl.find_opt n.ycount y) in
-        let old_xd = Option.value ~default:0 (Tuple.Tbl.find_opt n.xdeg x) in
-        if yc <= 1 then Tuple.Tbl.remove n.ycount y
-        else Tuple.Tbl.replace n.ycount y (yc - 1);
-        let crossed_down = yc = 1 && old_xd = n.cthreshold + 1 in
-        if yc = 1 then
-          if old_xd <= 1 then Tuple.Tbl.remove n.xdeg x
-          else Tuple.Tbl.replace n.xdeg x (old_xd - 1);
-        (match Tuple.Tbl.find_opt n.members x with
-        | Some l ->
-            l := List.filter (fun m -> not (Tuple.equal m tup)) !l;
-            if !l = [] then Tuple.Tbl.remove n.members x
-        | None -> ());
-        (* the tuple lives in the branch of its old classification *)
-        let was_heavy = old_xd > n.cthreshold in
-        tree_delete (if was_heavy then n.cheavy else n.clight) atom tup events;
-        if crossed_down then begin
-          let ms =
-            match Tuple.Tbl.find_opt n.members x with
-            | Some l -> !l
-            | None -> []
-          in
-          List.iter
-            (fun m ->
-              Cost.charge_scan ();
-              tree_delete n.cheavy atom m events;
-              tree_insert n.clight atom m events)
-            ms
-        end
-      end
+(* [part_insert]/[part_delete] route one tuple of the tree's atom and
+   keep the invariant that every tuple lives in the branch matching its
+   x key's *current* distinct-y degree, so the leaves always equal what
+   a batch rebuild of the splits would produce.  Leaf changes are
+   appended to [events] as [(leaf, tuple, added?)].  A leaf that is the
+   base relation already holds the delta, so its write is a no-op. *)
+let rec part_insert tree tup events =
+  match tree with
+  | Leaf l ->
+      ignore (Live.add l tup);
+      events := (l, tup, true) :: !events
+  | Split { split = s; heavy; light } ->
+      Cost.charge_probe ();
+      let x, crossed = count s tup in
+      if crossed then
+        (* the key crossed upward: its resident tuples move light ->
+           heavy before the new tuple lands *)
+        List.iter
+          (fun m ->
+            Cost.charge_scan ();
+            part_delete light m events;
+            part_insert heavy m events)
+          (List.tl !(Tuple.Tbl.find s.members x));
+      part_insert
+        (if Tuple.Tbl.find s.xdeg x > s.threshold then heavy else light)
+        tup events
+
+and part_delete tree tup events =
+  match tree with
+  | Leaf l ->
+      ignore (Live.remove l tup);
+      events := (l, tup, false) :: !events
+  | Split { split = s; heavy; light } ->
+      Cost.charge_probe ();
+      let y = Tuple.project s.y_pos tup in
+      let x = Tuple.project s.x_pos tup in
+      let yc = Option.value ~default:0 (Tuple.Tbl.find_opt s.ycount y) in
+      let old_xd = Option.value ~default:0 (Tuple.Tbl.find_opt s.xdeg x) in
+      if yc <= 1 then Tuple.Tbl.remove s.ycount y
+      else Tuple.Tbl.replace s.ycount y (yc - 1);
+      let crossed_down = yc = 1 && old_xd = s.threshold + 1 in
+      if yc = 1 then
+        if old_xd <= 1 then Tuple.Tbl.remove s.xdeg x
+        else Tuple.Tbl.replace s.xdeg x (old_xd - 1);
+      (match Tuple.Tbl.find_opt s.members x with
+      | Some l ->
+          l := List.filter (fun m -> not (Tuple.equal m tup)) !l;
+          if !l = [] then Tuple.Tbl.remove s.members x
+      | None -> ());
+      (* the tuple lives in the branch of its old classification *)
+      part_delete (if old_xd > s.threshold then heavy else light) tup events;
+      if crossed_down then
+        List.iter
+          (fun m ->
+            Cost.charge_scan ();
+            part_delete heavy m events;
+            part_insert light m events)
+          (match Tuple.Tbl.find_opt s.members x with
+          | Some l -> !l
+          | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* build                                                                *)
@@ -603,67 +587,69 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
                 Some (atom, x, y, max 1 (int_of_float (Float.round t))))
           (List.sort_uniq compare point.Jointflow.split_pairs)
       in
-      (* subproblems: every heavy/light choice over the split pairs,
-         materialized as an explicit tree whose nodes carry the degree
-         state needed to re-route tuple deltas later.  The node's
-         distinct-y degree per x key, deg(Y | X), is also what splits
-         the input: keys above the threshold go heavy.  The leaves of
-         atoms no split touches are the base relations themselves. *)
-      let rec expand_tree rels = function
-        | [] -> CLeaf { crel = rels; cdecision = M_absent }
-        | (atom, x, y, threshold) :: rest ->
-            let rel = Live.relation (List.assq atom rels) in
+      (* each atom's splits, in split order, as a tree whose nodes carry
+         the degree state needed to re-route tuple deltas later.  The
+         node's distinct-y degree per x key, deg(Y | X), is also what
+         splits the input: keys above the threshold go heavy.  An atom
+         no split touches is a leaf: the base relation itself. *)
+      let atom_str (atom : Cq.atom) =
+        let names = List.map (fun v -> cq.Cq.var_names.(v)) atom.Cq.vars in
+        atom.Cq.rel ^ "(" ^ String.concat "," names ^ ")"
+      in
+      let rec split_tree atom l = function
+        | [] -> Leaf l
+        | (x, y, threshold) :: rest ->
+            let rel = Live.relation l in
             let schema = Relation.schema rel in
-            let x_pos = Schema.positions schema (Varset.to_list x) in
-            let y_pos = Schema.positions schema (Varset.to_list y) in
-            let ycount = Tuple.Tbl.create 64 in
-            let xdeg = Tuple.Tbl.create 64 in
-            let members = Tuple.Tbl.create 64 in
+            let s =
+              {
+                x_pos = Schema.positions schema (Varset.to_list x);
+                y_pos = Schema.positions schema (Varset.to_list y);
+                threshold;
+                ycount = Tuple.Tbl.create 64;
+                xdeg = Tuple.Tbl.create 64;
+                members = Tuple.Tbl.create 64;
+              }
+            in
             let heavy = Relation.create schema in
             let light = Relation.create schema in
             Obs.span "twopp.split" (fun () ->
+                Relation.iter (fun tup -> ignore (count s tup)) rel;
                 Relation.iter
                   (fun tup ->
-                    let yk = Tuple.project y_pos tup in
-                    let xk = Tuple.project x_pos tup in
-                    (match Tuple.Tbl.find_opt ycount yk with
-                    | Some c -> Tuple.Tbl.replace ycount yk (c + 1)
-                    | None ->
-                        Tuple.Tbl.add ycount yk 1;
-                        (match Tuple.Tbl.find_opt xdeg xk with
-                        | Some d -> Tuple.Tbl.replace xdeg xk (d + 1)
-                        | None -> Tuple.Tbl.add xdeg xk 1));
-                    match Tuple.Tbl.find_opt members xk with
-                    | Some l -> l := tup :: !l
-                    | None -> Tuple.Tbl.add members xk (ref [ tup ]))
-                  rel;
-                Relation.iter
-                  (fun tup ->
-                    if Tuple.Tbl.find xdeg (Tuple.project x_pos tup) > threshold
-                    then Relation.add heavy tup
+                    let x = Tuple.project s.x_pos tup in
+                    if Tuple.Tbl.find s.xdeg x > threshold then
+                      Relation.add heavy tup
                     else Relation.add light tup)
                   rel;
-                Obs.set_attr "atom" (Json.String atom.Cq.rel);
+                Obs.set_attr "atom" (Json.String (atom_str atom));
                 Obs.set_attr "x" (Json.String (vs_str x));
                 Obs.set_attr "y" (Json.String (vs_str y));
                 Obs.set_attr "threshold" (Json.Int threshold);
                 Obs.set_attr "heavy" (Json.Int (Relation.cardinal heavy));
                 Obs.set_attr "light" (Json.Int (Relation.cardinal light)));
-            let with_rel repl =
-              List.map
-                (fun (a, r0) -> if a == atom then (a, repl) else (a, r0))
-                rels
-            in
-            let cheavy = expand_tree (with_rel (Live.of_relation heavy)) rest in
-            let clight = expand_tree (with_rel (Live.of_relation light)) rest in
-            CNode
-              {
-                catom = atom; x_pos; y_pos; cthreshold = threshold;
-                ycount; xdeg; members; cheavy; clight;
-              }
+            let heavy = split_tree atom (Live.of_relation heavy) rest in
+            let light = split_tree atom (Live.of_relation light) rest in
+            Split { split = s; heavy; light }
       in
-      let tree = expand_tree base splits in
-      let combos = combos_of tree in
+      let trees =
+        List.map
+          (fun (atom, l) ->
+            let own (a, x, y, th) = if a == atom then Some (x, y, th) else None in
+            (atom, split_tree atom l (List.filter_map own splits)))
+          base
+      in
+      (* subproblems: every choice of one leaf per atom, the first atom's
+         choice varying slowest *)
+      let combos =
+        List.fold_right
+          (fun (atom, tree) rest ->
+            List.concat_map
+              (fun l -> List.map (fun crel -> (atom, l) :: crel) rest)
+              (leaves tree))
+          trees [ [] ]
+        |> List.map (fun crel -> { crel; cdecision = M_absent })
+      in
       let t =
         {
           rule = r;
@@ -671,7 +657,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
           space = 0;
           delegated = [];
           stored_subs = 0;
-          maint = Some { mbudget = budget; tree; combos };
+          maint = Some { mbudget = budget; trees; combos };
         }
       in
       (* admission charges a candidate at the stored-singleton size it
@@ -963,7 +949,7 @@ let propagate t m c atom tup sign out_events =
         let cands =
           match Live.join_from ~limit single others ~keep with
           | delta -> Relation.to_list delta
-          | exception Live.Too_big -> Relation.to_list union_rel
+          | exception Relation.Too_big -> Relation.to_list union_rel
         in
         (* last-witness check: a candidate row dies only if NO sibling
            combo with the same target still derives it — an early-exit
@@ -998,20 +984,25 @@ let apply_delta t ~atom ~tuple ~add =
          a static snapshot)"
   | Some m ->
       let levs = ref [] in
-      if add then tree_insert m.tree atom tuple levs
-      else tree_delete m.tree atom tuple levs;
+      (if add then part_insert else part_delete)
+        (List.assq atom m.trees) tuple levs;
       let out_events = ref [] in
-      (* a combo activated by one of these leaf changes is decided on its
-         leaves as they stand after all of them, so its later changes
-         are already in *)
+      (* each leaf change goes to every combo with that leaf for [atom];
+         a combo activated by one of them is decided on its leaves as
+         they stand after all of them, so its later changes are already
+         in *)
       let activated = ref [] in
       List.iter
-        (fun (c, tup, sign) ->
-          if not (List.memq c !activated) then begin
-            let absent = c.cdecision = M_absent in
-            propagate t m c atom tup sign out_events;
-            if absent && c.cdecision <> M_absent then
-              activated := c :: !activated
-          end)
+        (fun (leaf, tup, sign) ->
+          List.iter
+            (fun c ->
+              if List.assq atom c.crel == leaf && not (List.memq c !activated)
+              then begin
+                let absent = c.cdecision = M_absent in
+                propagate t m c atom tup sign out_events;
+                if absent && c.cdecision <> M_absent then
+                  activated := c :: !activated
+              end)
+            m.combos)
         (List.rev !levs);
       List.rev !out_events

@@ -4,7 +4,9 @@
     [build] solves the joint Shannon-flow LP at the given budget, reads
     the split pairs with positive dual and the primal [h_S] values, and
     partitions each guard relation into heavy/light at the implied degree
-    threshold.  Each of the (at most [2^p]) subproblems is then either
+    threshold.  The subproblems are the combinations of those parts, one
+    part per atom.  Each of the (at most [2^p]) subproblems is then
+    either
 
     - {e stored}: the smallest S-target projection of the subproblem's
       body join fits in the budget and is materialized, or
@@ -40,6 +42,12 @@ val build :
     not actually fit in the budget (the rule is impossible at this
     budget; the worst-case LP prediction alone does not fail the build —
     real data often fits well below the bound).
+
+    Each atom has one split tree: a split partitions the atom's
+    relation, and a later split of the same atom partitions each part
+    of the earlier one, so every split is made once per atom, however
+    many other atoms the rule splits.  The subproblems are every choice
+    of one leaf per atom, with their atoms in query order.
 
     [counted] (default [false]) runs the build's data work — split-tree
     expansion and subproblem joins — under cost counting instead of the
@@ -85,17 +93,20 @@ val rule : t -> Rule.t
 
 (** {1 Incremental maintenance}
 
-    A freshly built structure keeps its maintenance state: the
-    heavy/light split tree with per-key degree counters, and the combos
-    at its leaves.  The base relations belong to the caller.
-    [apply_delta] routes a single-tuple base delta through the tree —
-    re-classifying exactly the keys whose degree crossed the build-time
-    threshold — writes each leaf with {!Live.add}/{!Live.remove}, which
-    patches every index of the leaf, the delegated plans' step indexes
-    included, and patches each affected stored subproblem with a delta
-    join from the pinned tuple ({!Live.join_from}, inserts) or a
-    last-witness check ({!Live.exists}, deletes) against the combo's
-    leaves, both run as index probes.  Structures loaded from a snapshot
+    A freshly built structure keeps its maintenance state: each atom's
+    heavy/light split tree with per-key degree counters, and the
+    subproblems over the trees' leaves.  The base relations belong to
+    the caller.  [apply_delta] routes a single-tuple base delta through
+    its own atom's tree only — re-classifying exactly the keys whose
+    degree crossed the build-time threshold — and writes each leaf it
+    reaches with {!Live.add}/{!Live.remove}, which patches every index
+    of the leaf, the delegated plans' step indexes included.  Each leaf
+    change then goes to every subproblem with that leaf, in order: a
+    stored one patches its rows with a delta join from the pinned tuple
+    ({!Live.join_from}, inserts) or a last-witness check
+    ({!Live.exists}, deletes) against its other leaves, both run as
+    index probes, and an empty-at-build one that the change fills is
+    decided on its leaves as they stand after the whole delta.  Structures loaded from a snapshot
     are static replicas: they answer but do not maintain. *)
 
 val supports_maintenance : t -> bool
@@ -104,7 +115,8 @@ val supports_maintenance : t -> bool
 val apply_delta :
   t -> atom:Cq.atom -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
 (** Route one effective base-tuple delta of [atom] (physically one of
-    the atoms of the base passed to {!build}) through the split tree.
+    the atoms of the base passed to {!build}) through that atom's split
+    tree.
     Returns the resulting stored-target (S-view) row changes as
     [(target, row, added?)], rows in ascending-variable order — the
     engine feeds these to the Yannakakis views.

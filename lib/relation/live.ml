@@ -74,8 +74,6 @@ let needed vars rest ~keep =
     (fun v -> List.mem v keep || List.exists (fun l -> List.mem v l.vars) rest)
     vars
 
-exception Too_big
-
 (* the tuples of [acc] whose projection onto [l]'s variables is a row of
    [l]: a fully bound atom joins as a membership test *)
 let filter_mem acc l =
@@ -94,7 +92,7 @@ let filter_mem acc l =
 let join_from ?limit seed atoms ~keep =
   let check r =
     match limit with
-    | Some l when Relation.cardinal r > l -> raise Too_big
+    | Some l when Relation.cardinal r > l -> raise Relation.Too_big
     | _ -> ()
   in
   let rec go acc atoms =

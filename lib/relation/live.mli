@@ -41,9 +41,6 @@ val index : t -> Schema.var list -> Index.t
     asks for the same key.  The index is read-only to the caller: {!add}
     and {!remove} keep it equal to the rows. *)
 
-exception Too_big
-(** Raised by {!join_from} past its limit. *)
-
 val join_from :
   ?limit:int -> Relation.t -> t list -> keep:Schema.var list -> Relation.t
 (** [join_from seed atoms ~keep] joins [seed] (typically one pinned
@@ -52,8 +49,8 @@ val join_from :
     index on those variables (a fully bound atom is a membership
     filter), then projects away the variables that neither [keep] nor a
     remaining atom needs.  Charges the {!Cost} counters like
-    {!Index.join}.  Raises {!Too_big} as soon as an intermediate or the
-    result holds more than [limit] tuples. *)
+    {!Index.join}.  Raises [Relation.Too_big] as soon as an
+    intermediate or the result holds more than [limit] tuples. *)
 
 type semiring = {
   zero : int;  (** the identity of [add]: the aggregate of no rows *)

@@ -56,8 +56,6 @@ let annotation_opt t tup =
       | Some slot -> Some a.slots.(slot)
       | None -> None)
 
-let annotated t = t.ann <> None
-
 let add t tup =
   if Tuple.arity tup <> Schema.arity t.schema then
     invalid_arg "Relation.add: arity mismatch";
@@ -148,16 +146,6 @@ let project_into t ~into =
       if not (mem into scratch) then add into (Array.copy scratch))
     t
 
-let select_eq t v value =
-  let i = Schema.position t.schema v in
-  let out = create t.schema in
-  iter
-    (fun tup ->
-      Cost.charge_scan ();
-      if Tuple.get tup i = value then add out tup)
-    t;
-  out
-
 (* A one-shot flat hash index: common-variable key -> a contiguous
    (start row, row count) range into a row-major int array.  Build
    allocates one key tuple per distinct key and nothing per row; probe
@@ -207,7 +195,9 @@ let build_key_set rel key_positions =
     rel;
   keys
 
-let natural_join a b =
+exception Too_big
+
+let natural_join ?(limit = max_int) a b =
   let common = Schema.inter a.schema b.schema in
   let out_schema = Schema.union a.schema b.schema in
   let key_a = Schema.positions a.schema common in
@@ -238,7 +228,8 @@ let natural_join a b =
             for k = 0 to n_extra - 1 do
               out_tup.(ra + k) <- data.(base + extra_b.(k))
             done;
-            add out out_tup
+            add out out_tup;
+            if cardinal out > limit then raise Too_big
           done)
     a;
   out
@@ -259,22 +250,6 @@ let semijoin a b =
     a;
   out
 
-let antijoin a b =
-  let common = Schema.inter a.schema b.schema in
-  let key_a = Schema.positions a.schema common in
-  let key_b = Schema.positions b.schema common in
-  let keys = build_key_set b key_b in
-  let scratch = Array.make (Array.length key_a) 0 in
-  let out = create a.schema in
-  iter
-    (fun ta ->
-      Cost.charge_scan ();
-      Cost.charge_probe ();
-      Tuple.project_into key_a ta scratch;
-      if not (Tuple.Tbl.mem keys scratch) then add out ta)
-    a;
-  out
-
 let union a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Relation.union: schemas differ";
@@ -287,26 +262,13 @@ let union a b =
     b;
   out
 
-let product a b =
-  if Schema.inter a.schema b.schema <> [] then
-    invalid_arg "Relation.product: schemas overlap";
-  let out = create (Schema.union a.schema b.schema) in
-  iter
-    (fun ta ->
-      iter
-        (fun tb ->
-          Cost.charge_scan ();
-          add out (Tuple.concat ta tb))
-        b)
-    a;
-  out
-
 (* Tuple.Tbl, not the polymorphic Hashtbl: the polymorphic hash samples
    only a prefix of wide tuples (see Tuple.hash), which degenerates the
    degree table to a few buckets on high-arity keys.  The scratch buffer
    keeps the counting pass allocation-free except one tuple per distinct
    key. *)
-let degree_refs t pos =
+let max_degree t vs =
+  let pos = Schema.positions t.schema vs in
   let counts = Tuple.Tbl.create (max 16 (cardinal t)) in
   let scratch = Array.make (Array.length pos) 0 in
   iter
@@ -316,32 +278,7 @@ let degree_refs t pos =
       | Some r -> incr r
       | None -> Tuple.Tbl.add counts (Array.copy scratch) (ref 1))
     t;
-  counts
-
-let degrees t vs =
-  let refs = degree_refs t (Schema.positions t.schema vs) in
-  let out = Tuple.Tbl.create (max 16 (Tuple.Tbl.length refs)) in
-  Tuple.Tbl.iter (fun key r -> Tuple.Tbl.add out key !r) refs;
-  out
-
-let max_degree t vs =
-  Tuple.Tbl.fold
-    (fun _ r acc -> max !r acc)
-    (degree_refs t (Schema.positions t.schema vs))
-    0
-
-let split_heavy_light t vs ~threshold =
-  let pos = Schema.positions t.schema vs in
-  let counts = degree_refs t pos in
-  let scratch = Array.make (Array.length pos) 0 in
-  let heavy = create t.schema and light = create t.schema in
-  iter
-    (fun tup ->
-      Tuple.project_into pos tup scratch;
-      let c = !(Tuple.Tbl.find counts scratch) in
-      if c > threshold then add heavy tup else add light tup)
-    t;
-  (heavy, light)
+  Tuple.Tbl.fold (fun _ r acc -> max !r acc) counts 0
 
 module C = Stt_store.Codec
 
@@ -359,8 +296,3 @@ let read d =
   let t = create (C.guard "relation schema" (fun () -> Schema.of_list vars)) in
   List.iter (add t) (C.read_rows d ~arity:(List.length vars));
   t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a |%d|" Schema.pp t.schema (cardinal t);
-  iter (fun tup -> Format.fprintf ppf "@ %a" Tuple.pp tup) t;
-  Format.fprintf ppf "@]"

@@ -26,7 +26,9 @@ val annotate : t -> Tuple.t -> int -> unit
 (** Attach (or overwrite) a semiring annotation on a present tuple.
     Annotations live in a flat slot array plus a tuple → slot index, so
     an annotated relation costs one int cell per annotated tuple.
-    Raises [Invalid_argument] if the tuple is not in the relation. *)
+    Relational operators ignore annotations; only {!copy} carries them
+    over, and {!remove} drops the removed tuple's entry.  Raises
+    [Invalid_argument] if the tuple is not in the relation. *)
 
 val annotation : t -> default:int -> Tuple.t -> int
 (** The tuple's annotation, or [default] when the tuple was never
@@ -35,11 +37,6 @@ val annotation : t -> default:int -> Tuple.t -> int
 val annotation_opt : t -> Tuple.t -> int option
 (** The tuple's annotation, or [None] when it was never annotated —
     used where the absence itself matters (e.g. snapshot writing). *)
-
-val annotated : t -> bool
-(** Whether an annotation column exists.  Relational operators ignore
-    annotations; only {!copy} carries them over, and {!remove} drops the
-    removed tuple's entry. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -64,33 +61,30 @@ val project_into : t -> into:t -> unit
     Raises [Not_found] if a variable of [into] is not in [t]'s
     schema. *)
 
-val select_eq : t -> Schema.var -> int -> t
-val natural_join : t -> t -> t
+exception Too_big
+(** Raised by {!natural_join} and [Live.join_from] past their limit. *)
+
+val natural_join : ?limit:int -> t -> t -> t
+(** [natural_join a b] joins on the common variables (a product when
+    there are none) through a one-shot hash index of [b]: one scan per
+    row of [b] to build it, one scan and one probe per row of [a], one
+    tuple per new output row.  Raises {!Too_big} as soon as the output holds
+    more than [limit] rows (default: no limit). *)
+
 val semijoin : t -> t -> t
 (** [semijoin a b] keeps the tuples of [a] that join with [b] on their
     common variables (all of [a] if there are none and [b] is non-empty). *)
 
-val antijoin : t -> t -> t
 val union : t -> t -> t
 (** Set union.  Schemas must be equal as variable sets; the second
     relation's tuples are reordered to the first schema. *)
 
-val product : t -> t -> t
-(** Cartesian product; schemas must be disjoint. *)
-
 val singleton : Schema.t -> Tuple.t -> t
 
-val degrees : t -> Schema.var list -> int Tuple.Tbl.t
-(** Number of tuples per distinct value of the given variables.  Keyed
-    with {!Tuple.hash} (full-width FNV), not the polymorphic hash that
-    samples only a prefix of wide tuples. *)
-
 val max_degree : t -> Schema.var list -> int
-(** Maximum of {!degrees} over all keys; 0 when empty. *)
-
-val split_heavy_light : t -> Schema.var list -> threshold:int -> t * t
-(** [(heavy, light)]: tuples whose key-group size exceeds [threshold] go
-    to [heavy]; the rest to [light]. *)
+(** The largest number of tuples that agree on the given variables; 0
+    when empty.  Keyed with {!Tuple.hash} (full-width FNV), not the
+    polymorphic hash that samples only a prefix of wide tuples. *)
 
 (** {1 Snapshot codec} *)
 
@@ -101,5 +95,3 @@ val write : Stt_store.Codec.encoder -> t -> unit
 val read : Stt_store.Codec.decoder -> t
 (** Inverse of {!write}.  Raises [Stt_store.Codec.Corrupt] on a
     repeated schema variable. *)
-
-val pp : Format.formatter -> t -> unit

@@ -196,6 +196,33 @@ let test_pinned_answer_ops () =
   Alcotest.(check bool) "same answers once thawed" true (answers = answers');
   Alcotest.(check int) "churn fixture, thawed" 2_039_654 ops'
 
+(* Update op counts, pinned.  Each sum adds up the counted ops of
+   [Engine.insert]/[Engine.delete] over the deltas among the first 200
+   operations of the fixture graph's churn stream ([Scenario.churn_ops]
+   with the graph's seed, so deletes hit its edges), from a fresh build;
+   the first effective delta also thaws the S-views.  A delta writes
+   each split leaf its tuple reaches, so these sums move when the split
+   trees hold more or fewer leaves; a change that moves them records the
+   new values here. *)
+let update_ops e ~graph =
+  List.fold_left
+    (fun ops op ->
+      match op with
+      | Scenario.Insert (u, v) ->
+          ops + Cost.total (snd (Engine.insert e "R" [| u; v |]))
+      | Scenario.Delete (u, v) ->
+          ops + Cost.total (snd (Engine.delete e "R" [| u; v |]))
+      | Scenario.Query _ -> ops)
+    0
+    (Scenario.churn_ops ~seed:graph ~vertices:400 ~edges:4000 ~ops:200
+       ~arity:2)
+
+let test_pinned_update_ops () =
+  let point, _ = fixture (Cq.Library.k_path 2) ~graph:113 ~budget:2_000 in
+  Alcotest.(check int) "point fixture" 16_253 (update_ops point ~graph:113);
+  let churn, _ = fixture (Cq.Library.k_path 3) ~graph:131 ~budget:1_000 in
+  Alcotest.(check int) "churn fixture" 14_985 (update_ops churn ~graph:131)
+
 (* randomized integration sweep *)
 let digraph_gen =
   QCheck2.Gen.(
@@ -242,6 +269,7 @@ let () =
           Alcotest.test_case "total_space sums every store" `Quick
             test_total_space;
           Alcotest.test_case "answer op counts" `Quick test_pinned_answer_ops;
+          Alcotest.test_case "update op counts" `Quick test_pinned_update_ops;
         ] );
       ("random", qcheck_cases);
     ]

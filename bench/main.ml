@@ -67,6 +67,12 @@ let json_snapshot (s : Cost.snapshot) =
       ("total", Json.Int (Cost.total s));
     ]
 
+let json_answering e =
+  Json.List
+    (List.map
+       (fun p -> Json.String (Format.asprintf "%a" Pmtd.pp p))
+       (Engine.answering_pmtds e))
+
 let json_logs_curve rows =
   Json.List
     (List.map
@@ -256,6 +262,7 @@ let tab1 () =
                       ("space", Json.Int s);
                     ])
                 (Engine.per_pmtd_space engine)) );
+         ("answering_pmtds", json_answering engine);
          ("build_wall_s", Json.Float build_wall);
          ("requests", Json.Int (Relation.cardinal q_a));
          ("answers", Json.Int (Relation.cardinal result));
@@ -595,7 +602,7 @@ let emp_reach () =
     List.init 300 (fun _ -> (Rng.int rng0 vertices, Rng.int rng0 vertices))
   in
   let rows = ref [] in
-  let run name space query =
+  let run ?(extra = []) name space query =
     let total = ref 0 and worst = ref 0 in
     let (), wall =
       timed (fun () ->
@@ -612,13 +619,14 @@ let emp_reach () =
       !worst;
     rows :=
       Json.Obj
-        [
-          ("variant", Json.String name);
-          ("space", Json.Int space);
-          ("avg_ops", Json.Int (!total / List.length queries));
-          ("worst_ops", Json.Int !worst);
-          ("query_wall_s", Json.Float wall);
-        ]
+        ([
+           ("variant", Json.String name);
+           ("space", Json.Int space);
+           ("avg_ops", Json.Int (!total / List.length queries));
+           ("worst_ops", Json.Int !worst);
+           ("query_wall_s", Json.Float wall);
+         ]
+        @ extra)
       :: !rows;
     (space, !worst)
   in
@@ -640,6 +648,11 @@ let emp_reach () =
           let f = Stt_apps.Reach.Framework.build ~k edges ~budget in
           fw_points :=
             run
+              ~extra:
+                [
+                  ( "answering_pmtds",
+                    json_answering (Stt_apps.Reach.Framework.engine f) );
+                ]
               (Printf.sprintf "framework @%d" budget)
               (Stt_apps.Reach.Framework.space f)
               (fun u v -> Stt_apps.Reach.Framework.query f u v)

@@ -413,6 +413,11 @@ let demo_cmd =
                    ("space", Json.Int s);
                  ])
              (Engine.per_pmtd_space idx)) );
+      ( "answering_pmtds",
+        Json.List
+          (List.map
+             (fun p -> Json.String (Format.asprintf "%a" Pmtd.pp p))
+             (Engine.answering_pmtds idx)) );
       ("queries", Json.Int queries);
       ("hits", Json.Int !hits);
       ("avg_ops", Json.Int (!total / queries));

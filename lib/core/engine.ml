@@ -21,6 +21,22 @@ type agg_state = {
   mutable agg_tables : (Semiring.kind * agg_table) list;
 }
 
+(* What an answer runs.  A PMTD answers when every S-view holds a row
+   and some delegated plan writes each of its T-targets; any other PMTD
+   adds nothing to any answer (Online Yannakakis joins every view).  The
+   wanted T-targets are the ones answering PMTDs read, one accumulator
+   slot each, and only plans into them run. *)
+type serving = {
+  answering : (Pmtd.t * Online_yannakakis.preprocessed * int array) list;
+      (* with each T-node's accumulator slot, by node id *)
+  slots : Schema.t array; (* the wanted T-targets' schemas *)
+  runs : (Twopp.plan * int) list; (* a plan into a wanted target, its slot *)
+  head_schema : Schema.t;
+  n_plans : int; (* every plan of every rule, run or not *)
+  empty_views : (Online_yannakakis.preprocessed * bool) list;
+      (* each PMTD's [has_empty_view] when the plan was made *)
+}
+
 type t = {
   cqap : Cq.cqap;
   pmtds : Pmtd.t list;
@@ -46,6 +62,10 @@ type t = {
   mutable agg : agg_state option;
       (* semiring aggregate answering over [base]; None until
          [enable_agg] (or a snapshot with an "agg" section) *)
+  mutable serving : serving;
+      (* made at build, load and thaw, and again after a delta that
+         delegates a new plan or changes whether a PMTD has an empty
+         S-view *)
 }
 
 (* Carry the per-domain simplex pivot counter across the pool's worker
@@ -87,6 +107,80 @@ let factorized_views t =
 let access_schema t = Schema.of_list (Varset.to_list t.cqap.Cq.access)
 
 let schema_of_set b = Schema.of_list (Varset.to_list b)
+
+let serving_of cqap structures preprocessed =
+  let plans = List.concat_map Twopp.plans structures in
+  let delegated b =
+    List.exists (fun p -> Varset.equal (Twopp.plan_target p) b) plans
+  in
+  let t_vars p =
+    List.map (fun (v : Pmtd.view) -> v.Pmtd.vars) (Pmtd.t_views p)
+  in
+  let answering =
+    List.filter
+      (fun (p, oy) ->
+        (not (Online_yannakakis.has_empty_view oy))
+        && List.for_all delegated (t_vars p))
+      preprocessed
+  in
+  let wanted =
+    List.sort_uniq Varset.compare
+      (List.concat_map (fun (p, _) -> t_vars p) answering)
+  in
+  let slot b =
+    let rec find i = function
+      | [] -> None
+      | b' :: rest -> if Varset.equal b b' then Some i else find (i + 1) rest
+    in
+    find 0 wanted
+  in
+  {
+    answering =
+      List.map
+        (fun (p, oy) ->
+          ( p,
+            oy,
+            Array.init (Td.size p.Pmtd.td) (fun node ->
+                Option.value ~default:(-1)
+                  (slot (Pmtd.view p node).Pmtd.vars)) ))
+        answering;
+    slots = Array.of_list (List.map schema_of_set wanted);
+    runs =
+      List.filter_map
+        (fun p -> Option.map (fun i -> (p, i)) (slot (Twopp.plan_target p)))
+        plans;
+    head_schema = schema_of_set cqap.Cq.cq.Cq.head;
+    n_plans = List.length plans;
+    empty_views =
+      List.map
+        (fun (_, oy) -> (oy, Online_yannakakis.has_empty_view oy))
+        preprocessed;
+  }
+
+let refresh_serving t =
+  t.serving <- serving_of t.cqap t.structures t.preprocessed
+
+(* A delta changes which PMTDs answer only by delegating a new plan or
+   by filling or emptying a PMTD's last empty S-view (or its first) *)
+let serving_stale t =
+  let sv = t.serving in
+  List.fold_left (fun n s -> n + List.length (Twopp.plans s)) 0 t.structures
+  <> sv.n_plans
+  || List.exists
+       (fun (oy, empty) -> Online_yannakakis.has_empty_view oy <> empty)
+       sv.empty_views
+
+let answering_pmtds t = List.map (fun (p, _, _) -> p) t.serving.answering
+let plans_per_answer t = List.length t.serving.runs
+
+(* the serving plan as span attributes *)
+let serving_attrs t =
+  Obs.set_attr "answering_pmtds"
+    (Json.List
+       (List.map
+          (fun p -> Json.String (Format.asprintf "%a" Pmtd.pp p))
+          (answering_pmtds t)));
+  Obs.set_attr "plans_per_answer" (Json.Int (plans_per_answer t))
 
 (* union of the stored S-target relations whose schema equals [b], at
    build and thaw *)
@@ -152,46 +246,46 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
        (List.map
           (fun (_, oy) -> Json.Int (Online_yannakakis.space oy))
           preprocessed));
-  {
-    cqap;
-    pmtds = pmtd_list;
-    rules;
-    base;
-    structures;
-    preprocessed;
-    space;
-    cache = None;
-    epoch = 0;
-    thawed = false;
-    agg = None;
-  }
+  let t =
+    {
+      cqap;
+      pmtds = pmtd_list;
+      rules;
+      base;
+      structures;
+      preprocessed;
+      space;
+      cache = None;
+      epoch = 0;
+      thawed = false;
+      agg = None;
+      serving = serving_of cqap structures preprocessed;
+    }
+  in
+  serving_attrs t;
+  t
 
 let build_auto ?counted ?max_pmtds cqap ~db ~budget =
   build ?counted cqap (Enum.pmtds ?max_pmtds cqap) ~db ~budget
 
 (* The online pipeline without observability wrapping.  One
-   accumulator per T-target variable set: every rule's delegated
-   subproblems write their rows into it, and every PMTD whose T-node
-   has those variables reads it as that T-view.  Each PMTD's ψ goes
-   into the one answer relation.  Returns the scoped online cost. *)
+   accumulator per wanted T-target: the plans into it write their rows
+   there, and every answering PMTD whose T-node has those variables
+   reads it as that T-view.  Each PMTD's ψ goes into the one answer
+   relation.  Returns the scoped online cost. *)
 let answer_scoped t ~q_a =
+  let sv = t.serving in
   Cost.scoped (fun () ->
-      let accs = ref [] in
-      let target b =
-        match List.assoc_opt b !accs with
-        | Some rel -> rel
-        | None ->
-            let rel = Relation.create (schema_of_set b) in
-            accs := (b, rel) :: !accs;
-            rel
-      in
-      List.iter (fun s -> Twopp.online_into s ~q_a ~target) t.structures;
-      let into = Relation.create (schema_of_set t.cqap.Cq.cq.Cq.head) in
+      let accs = Array.map Relation.create sv.slots in
+      List.iter (fun (p, i) -> Twopp.run_into p ~q_a ~into:accs.(i)) sv.runs;
+      let into = Relation.create sv.head_schema in
       List.iter
-        (fun (p, oy) ->
-          let t_views node = target (Pmtd.view p node).Pmtd.vars in
-          ignore (Online_yannakakis.answer ~into oy ~t_views ~q_a))
-        t.preprocessed;
+        (fun (_, oy, slot) ->
+          ignore
+            (Online_yannakakis.answer ~into oy
+               ~t_views:(fun node -> accs.(slot.(node)))
+               ~q_a))
+        sv.answering;
       into)
 
 (* ------------------------------------------------------------------ *)
@@ -595,6 +689,7 @@ let thaw t =
     done;
     t.space <- space;
     t.thawed <- true;
+    refresh_serving t;
     Obs.incr "maintain.thaw"
   end
 
@@ -693,6 +788,7 @@ let apply_one t ~rel ~tuple ~add =
         then
           List.iter (fun view -> ignore (Live.remove view row)) (views_for t b))
       deletes;
+    if serving_stale t then refresh_serving t;
     t.space <- views_space t.preprocessed;
     if add then invalidate_cache t ~rel ~tuple;
     (* the aggregates read the base, already updated (a delta carries
@@ -1138,7 +1234,7 @@ let load path =
   in
   Obs.set_attr "space" (Json.Int space);
   Obs.set_attr "epoch" (Json.Int epoch);
-  Ok
+  let t =
     {
       cqap;
       pmtds;
@@ -1154,4 +1250,8 @@ let load path =
          structures reject anyway *)
       thawed = epoch > 0;
       agg;
+      serving = serving_of cqap structures preprocessed;
     }
+  in
+  serving_attrs t;
+  Ok t

@@ -3,12 +3,15 @@
     [build] generates the 2-phase disjunctive rules from the PMTD set,
     runs 2PP preprocessing for each rule under the space budget, unions
     same-schema S-targets into per-PMTD S-views and hands them to Online
-    Yannakakis.  [answer] keeps one accumulator relation per T-target
-    variable set for the request: every rule's delegated subproblems
-    write their rows into it ({!Twopp.online_into}), and every PMTD
-    whose T-node has those variables reads it as that T-view.  Online
-    Yannakakis evaluates every PMTD's free-connex CQ ψ_i into one answer
-    relation, [⋃_i ψ_i] — the exact result of the access CQ. *)
+    Yannakakis.  The answer of the access CQ is [⋃_i ψ_i], each PMTD's
+    free-connex CQ over its S-views and T-views; [answer] evaluates only
+    the part of it that can hold rows ({!answering_pmtds}).  It keeps one
+    accumulator relation per T-target those PMTDs read: every delegated
+    plan into that target writes its rows there ({!Twopp.run_into}),
+    and every answering PMTD whose T-node has those variables reads it
+    as that T-view.  Online Yannakakis evaluates each answering PMTD's
+    ψ_i into one answer relation — the exact result of the access
+    CQ. *)
 
 open Stt_relation
 open Stt_hypergraph
@@ -43,15 +46,16 @@ val factorized_views : t -> int
 
 val answer : t -> q_a:Relation.t -> Relation.t
 (** Result of the access CQ over the head variables: {!answer_batch} of
-    the one request.  Cost counters observe only the online work: one
-    probe per lookup, one scan per row visited and one tuple per new row
-    of a plan intermediate, a T-target accumulator, an Online
-    Yannakakis relation or the answer; no T-target row is copied on its
-    way from its plan to Online Yannakakis.  With a cache attached the
-    request is canonicalized and looked up first: a hit costs one probe
-    plus one tuple per answer row and returns a bit-identical answer; a
-    miss runs the 2PP online pipeline and offers the result for
-    admission. *)
+    the one request.  Runs the {!plans_per_answer} plans and Online
+    Yannakakis over the {!answering_pmtds}.  Cost counters observe only
+    the online work: one probe per lookup, one scan per row visited and
+    one tuple per new row of a plan intermediate, a T-target
+    accumulator, an Online Yannakakis relation or the answer; no
+    T-target row is copied on its way from its plan to Online
+    Yannakakis.  With a cache attached the request is canonicalized and
+    looked up first: a hit costs one probe plus one tuple per answer
+    row and returns a bit-identical answer; a miss runs the 2PP online
+    pipeline and offers the result for admission. *)
 
 val answer_tuple : t -> Tuple.t -> bool
 (** Boolean single-tuple access: is the access request (values of the
@@ -83,6 +87,23 @@ val structures : t -> Twopp.t list
 val per_pmtd_space : t -> (Pmtd.t * int) list
 (** Stored S-view tuples per PMTD (the summands of {!space}), as
     reported in the benchmark artifacts. *)
+
+val answering_pmtds : t -> Pmtd.t list
+(** The PMTDs an answer runs Online Yannakakis over, in {!pmtds} order:
+    those whose every S-view holds a row and each of whose T-node
+    variable sets is the T-target of some delegated plan.  Any other
+    PMTD adds nothing to any answer, since ψ joins every view and an
+    empty view — stored, or a T-view no plan writes — empties it.
+    Recomputed at build, load and thaw, and after a delta that
+    delegates a new plan or changes whether a PMTD has an empty
+    S-view.  The [engine.build] and [engine.load] spans record them as
+    [answering_pmtds] (each printed by {!Pmtd.pp}), next to
+    [plans_per_answer]. *)
+
+val plans_per_answer : t -> int
+(** The delegated plans an answer runs: the distinct plans
+    ({!Twopp.plans}) whose T-target an answering PMTD reads.  A rule
+    with none of them runs no 2PP pass. *)
 
 val access_schema : t -> Schema.t
 

@@ -11,7 +11,8 @@ module Frep = Stt_factorized.Frep
    leaf's own, so a leaf write has already patched it. *)
 type step = { leaf : Live.t; key : Schema.var list; keep : Schema.var list }
 
-type subproblem = {
+(* the online plan of a delegated subproblem *)
+type plan = {
   t_target : Varset.t;
   probe_plan : step list; (* greedy degree order: great average case *)
   safe_plan : step list;  (* min worst-case-estimate order *)
@@ -55,7 +56,8 @@ type tree =
 
 type maint = {
   mbudget : int;
-  trees : (Cq.atom * tree) list; (* one per atom, in atom order *)
+  trees : (Cq.atom * (Live.t * tree)) list;
+      (* one per atom, in atom order, with the base relation it splits *)
   combos : combo list; (* one per choice of a leaf for every atom *)
 }
 
@@ -63,7 +65,7 @@ type t = {
   rule : Rule.t;
   mutable stored : (Varset.t * Relation.t) list;
   mutable space : int;
-  mutable delegated : subproblem list;
+  mutable delegated : plan list; (* distinct plans, in build order *)
   mutable stored_subs : int; (* subproblems materialized within the budget *)
   maint : maint option; (* None for snapshot-loaded (static) structures *)
 }
@@ -71,7 +73,8 @@ type t = {
 let rule t = t.rule
 let s_targets t = t.stored
 let space t = t.space
-let delegated_subproblems t = List.length t.delegated
+let plans t = t.delegated
+let plan_target p = p.t_target
 let stored_subproblems t = t.stored_subs
 let supports_maintenance t = t.maint <> None
 
@@ -187,7 +190,9 @@ let order_cost ~access order =
           else bound * step_factor
         in
         let seen' = Varset.union seen (Cq.atom_vars a) in
-        let total' = if total > max_int - bound' then max_int / 2 else total + bound' in
+        let total' =
+          if total >= max_int - bound' then max_int / 2 else total + bound'
+        in
         go bound' seen' total' rest
 
   in
@@ -280,10 +285,15 @@ let safe_order ~access atoms =
             if order_cost ~access o < order_cost ~access best then o else best)
           first perms
 
+(* [a * b] for non-negative [a] and [b], saturating at [max_int]: a
+   cap past [max_int] is no cap, where a wrapped one would be negative *)
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
 (* Build both plans for one subproblem over its leaves; online execution
    runs the greedy plan with the safe plan's worst-case estimate as an
    abort cap and falls back when it trips — adaptive, at most ~2x the
-   worst-case bound, near-greedy on typical requests. *)
+   worst-case bound, near-greedy on typical requests.  [order_cost] is
+   below [max_int], so the [1 +] cannot wrap. *)
 let build_plan leaves ~access ~target =
   Cost.with_counting false (fun () ->
       let atoms = local_atoms leaves ~access target in
@@ -293,8 +303,21 @@ let build_plan leaves ~access ~target =
         t_target = target;
         probe_plan = steps_of_order ~access ~target greedy;
         safe_plan = steps_of_order ~access ~target safe;
-        cap = 2 * (1 + order_cost ~access safe);
+        cap = sat_mul 2 (1 + order_cost ~access safe);
       })
+
+(* Two plans that read the same leaves (physically) in the same order,
+   on the same keys, keeping the same variables, into the same target
+   write the same rows: a plan joins only its [local_atoms]. *)
+let same_steps a b =
+  List.equal
+    (fun s s' -> s.leaf == s'.leaf && s.key = s'.key && s.keep = s'.keep)
+    a b
+
+let same_plan a b =
+  Varset.equal a.t_target b.t_target
+  && same_steps a.probe_plan b.probe_plan
+  && same_steps a.safe_plan b.safe_plan
 
 (* evaluate the (partial) body join projected onto each target, giving
    up early on any materialization that cannot fit the budget; joins are
@@ -312,7 +335,7 @@ let eval_targets rels targets ~budget =
       | None -> None)
     targets
 
-type choice = Store of Varset.t * Relation.t | Delegate of subproblem
+type choice = Store of Varset.t * Relation.t | Delegate of plan
 
 (* The one decision for a non-empty subproblem: evaluate the S-targets
    (bounded by [eval_budget]) and store the one of least [size] when it
@@ -444,6 +467,103 @@ and part_delete tree tup events =
           | Some l -> !l
           | None -> [])
 
+(* The invariant of [part_insert]/[part_delete], recomputed from the
+   rows: each split's counters and member lists agree with its input,
+   and the leaves hold exactly what splitting the atom's base relation
+   now would give — every tuple in one leaf, on the side of its x key's
+   current distinct-y degree at each split above it. *)
+exception Split_mismatch of string
+
+let check_tree (atom : Cq.atom) base tree =
+  let bad depth what =
+    raise
+      (Split_mismatch
+         (Printf.sprintf "atom %s(%s), split depth %d: %s" atom.Cq.rel
+            (String.concat "," (List.map string_of_int atom.Cq.vars))
+            depth what))
+  in
+  (* the multiplicity of each key among [rows] *)
+  let counts key rows =
+    let tbl = Tuple.Tbl.create 64 in
+    List.iter
+      (fun tup ->
+        let k = key tup in
+        Tuple.Tbl.replace tbl k
+          (1 + Option.value ~default:0 (Tuple.Tbl.find_opt tbl k)))
+      rows;
+    tbl
+  in
+  let agree depth what stored computed =
+    if
+      Tuple.Tbl.length stored <> Tuple.Tbl.length computed
+      || not
+           (Tuple.Tbl.fold
+              (fun k v ok -> ok && Tuple.Tbl.find_opt stored k = Some v)
+              computed true)
+    then bad depth (what ^ " disagree with the rows")
+  in
+  let rec go depth tree rows =
+    match tree with
+    | Leaf l ->
+        let rel = Live.relation l in
+        if
+          Relation.cardinal rel <> List.length rows
+          || not (List.for_all (Relation.mem rel) rows)
+        then
+          bad depth
+            (Printf.sprintf "a leaf holds %d rows where the split gives %d"
+               (Relation.cardinal rel) (List.length rows))
+    | Split { split = s; heavy; light } ->
+        let x_of = Tuple.project s.x_pos in
+        (* distinct-y degree: the distinct (x, y) keys, counted per x *)
+        let pairs =
+          counts (Tuple.project (Array.append s.x_pos s.y_pos)) rows
+        in
+        let deg =
+          counts
+            (Tuple.project (Array.init (Array.length s.x_pos) Fun.id))
+            (Tuple.Tbl.fold (fun k _ acc -> k :: acc) pairs [])
+        in
+        agree depth "y counts" s.ycount (counts (Tuple.project s.y_pos) rows);
+        agree depth "x degrees" s.xdeg deg;
+        let members = Tuple.Tbl.create 64 and seen = Tuple.Tbl.create 64 in
+        Tuple.Tbl.iter
+          (fun x l ->
+            Tuple.Tbl.replace members x (List.length !l);
+            List.iter
+              (fun m ->
+                if Tuple.Tbl.mem seen m || not (Tuple.equal (x_of m) x) then
+                  bad depth
+                    "a member list repeats a row or files it under another key";
+                Tuple.Tbl.add seen m ())
+              !l)
+          s.members;
+        agree depth "member lists" members (counts x_of rows);
+        if not (List.for_all (Tuple.Tbl.mem seen) rows) then
+          bad depth "a row is missing from its key's members";
+        let up, down =
+          List.partition
+            (fun tup -> Tuple.Tbl.find deg (x_of tup) > s.threshold)
+            rows
+        in
+        go (depth + 1) heavy up;
+        go (depth + 1) light down
+  in
+  go 0 tree (Relation.to_list (Live.relation base))
+
+let check_splits t =
+  match t.maint with
+  | None -> Ok ()
+  | Some m -> (
+      match
+        Cost.with_counting false (fun () ->
+            List.iter
+              (fun (atom, (base, tree)) -> check_tree atom base tree)
+              m.trees)
+      with
+      | () -> Ok ()
+      | exception Split_mismatch what -> Error what)
+
 (* ------------------------------------------------------------------ *)
 (* build                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -482,7 +602,8 @@ let settle t c choice out_events =
       c.cdecision <- M_stored b;
       store_rows t b rel out_events
   | Delegate sub ->
-      t.delegated <- t.delegated @ [ sub ];
+      if not (List.exists (same_plan sub) t.delegated) then
+        t.delegated <- t.delegated @ [ sub ];
       c.cdecision <- M_delegated
 
 (* One materialization pass.  [budget_lp] drives the guide LP's space
@@ -636,14 +757,14 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
         List.map
           (fun (atom, l) ->
             let own (a, x, y, th) = if a == atom then Some (x, y, th) else None in
-            (atom, split_tree atom l (List.filter_map own splits)))
+            (atom, (l, split_tree atom l (List.filter_map own splits))))
           base
       in
       (* subproblems: every choice of one leaf per atom, the first atom's
          choice varying slowest *)
       let combos =
         List.fold_right
-          (fun (atom, tree) rest ->
+          (fun (atom, (_, tree)) rest ->
             List.concat_map
               (fun l -> List.map (fun crel -> (atom, l) :: crel) rest)
               (leaves tree))
@@ -672,6 +793,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
           Fconfig.effective_size ~rows ~size:(Frep.size (Frep.of_relation rel))
       in
       let n_live = ref 0 in
+      let n_delegated = ref 0 in
       let cand_rows = ref 0 in
       let cand_eff = ref 0 in
       List.iter
@@ -699,6 +821,7 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
                     (* best S-candidate existed but blew the budget *)
                     Obs.set_attr "best_eff" (Json.Int eff)
                 | None -> ());
+                incr n_delegated;
                 Obs.set_attr "decision" (Json.String "delegated");
                 Obs.set_attr "target" (Json.String (vs_str sub.t_target)));
             settle t c choice (ref [])
@@ -706,7 +829,8 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
         combos;
       Obs.set_attr "subproblems" (Json.Int !n_live);
       Obs.set_attr "stored" (Json.Int t.stored_subs);
-      Obs.set_attr "delegated" (Json.Int (List.length t.delegated));
+      Obs.set_attr "delegated" (Json.Int !n_delegated);
+      Obs.set_attr "plans" (Json.Int (List.length t.delegated));
       Obs.set_attr "space" (Json.Int t.space);
       (t, !cand_rows, !cand_eff))
 
@@ -768,28 +892,29 @@ let run_plan ~cap q_a plan ~into =
    until they do, and [read] rejects a plan that does not.  The rows a
    greedy plan wrote before it tripped its cap are rows of the target,
    and the accumulator is a set, so the safe plan reruns into it. *)
-let online_into t ~q_a ~target =
-  List.iter
-    (fun sub ->
-      let into = target sub.t_target in
-      try
-        run_plan ~cap:(sub.cap * max 1 (Relation.cardinal q_a)) q_a
-          sub.probe_plan ~into
-      with Plan_abort ->
-        Obs.incr "twopp.plan_abort";
-        run_plan ~cap:max_int q_a sub.safe_plan ~into)
-    t.delegated
+let run_into p ~q_a ~into =
+  try
+    run_plan ~cap:(sat_mul p.cap (max 1 (Relation.cardinal q_a))) q_a
+      p.probe_plan ~into
+  with Plan_abort ->
+    Obs.incr "twopp.plan_abort";
+    run_plan ~cap:max_int q_a p.safe_plan ~into
 
 let online t ~q_a =
-  let out = ref [] in
-  online_into t ~q_a ~target:(fun b ->
-      match List.assoc_opt b !out with
-      | Some rel -> rel
-      | None ->
-          let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
-          out := (b, rel) :: !out;
-          rel);
-  List.rev !out
+  List.fold_left
+    (fun out p ->
+      let b = p.t_target in
+      let into, out =
+        match List.assoc_opt b out with
+        | Some rel -> (rel, out)
+        | None ->
+            let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
+            (rel, (b, rel) :: out)
+      in
+      run_into p ~q_a ~into;
+      out)
+    [] t.delegated
+  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* snapshot codec                                                       *)
@@ -799,7 +924,7 @@ module C = Stt_store.Codec
 
 (* Snapshot layout: the stored S-target relations, then each distinct
    leaf the delegated plans read, once, in first-use order, then each
-   delegated subproblem with its plans as ordered leaf numbers.  The
+   plan with its probe and safe orders as leaf numbers.  The
    steps' keys and kept variables are a function of the leaf order, so
    [read] recomputes them with the build's own [steps_of_order]. *)
 let write e t =
@@ -888,6 +1013,12 @@ let read (rule : Rule.t) d =
         let probe_plan = read_plan () in
         let safe_plan = read_plan () in
         { t_target = target; probe_plan; safe_plan; cap })
+    (* a plan that repeats an earlier one writes no other row *)
+    |> List.fold_left
+         (fun kept p ->
+           if List.exists (same_plan p) kept then kept else p :: kept)
+         []
+    |> List.rev
   in
   let space =
     List.fold_left (fun acc (_, rel) -> acc + Relation.cardinal rel) 0 stored
@@ -985,7 +1116,8 @@ let apply_delta t ~atom ~tuple ~add =
   | Some m ->
       let levs = ref [] in
       (if add then part_insert else part_delete)
-        (List.assq atom m.trees) tuple levs;
+        (snd (List.assq atom m.trees))
+        tuple levs;
       let out_events = ref [] in
       (* each leaf change goes to every combo with that leaf for [atom];
          a combo activated by one of them is decided on its leaves as

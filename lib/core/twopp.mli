@@ -10,11 +10,12 @@
 
     - {e stored}: the smallest S-target projection of the subproblem's
       body join fits in the budget and is materialized, or
-    - {e delegated}: [online_into] evaluates its cheapest T-target
-      (chosen by polymatroid bound under the subproblem's measured
-      degree constraints) against each access request, through a plan
-      whose steps probe the subproblem's leaves ({!Live.index}), into
-      the request's accumulator for that target.
+    - {e delegated}: its cheapest T-target (chosen by polymatroid bound
+      under the subproblem's measured degree constraints) is evaluated
+      against each access request ({!run_into}), through a plan whose
+      steps probe the subproblem's leaves ({!Live.index}), into the
+      request's accumulator for that target.  Subproblems whose plans
+      are step for step equal share one plan.
 
     Differences from full PANDA are deliberate and documented in
     DESIGN.md: models place every tuple into a single best target per
@@ -61,7 +62,6 @@ val s_targets : t -> (Varset.t * Relation.t) list
 val space : t -> int
 (** Tuples across all stored S-targets. *)
 
-val delegated_subproblems : t -> int
 val stored_subproblems : t -> int
 (** Number of heavy/light subproblems whose best S-target fit the budget
     and was materialized.  Every one of them contributed at most
@@ -69,25 +69,48 @@ val stored_subproblems : t -> int
     [space t <= stored_subproblems t * budget] — the budget-implied
     space bound checked by the differential test harness. *)
 
-val online_into :
-  t -> q_a:Relation.t -> target:(Varset.t -> Relation.t) -> unit
-(** Evaluate every delegated subproblem for this access request and add
-    its rows to [target b], the accumulator of its T-target [b] (a
-    relation over [b], any column order), which several subproblems
-    and rules may share.  A subproblem runs its greedy plan with an
-    abort cap on each step's match count; when a step passes the cap it
-    bumps the [twopp.plan_abort] Obs counter and reruns its safe plan
-    into the same accumulator, which keeps the rows already written —
-    all of them target rows.  Plan steps that keep every variable of
-    their join make no copy, and the last step joins and projects
-    straight into the accumulator ({!Stt_relation.Index.join_into}).
-    Charges the global cost counters: one probe per index lookup, one
-    scan per row visited, one tuple per new row of an intermediate or
-    an accumulator. *)
+type plan
+(** The online plan of a delegated subproblem: a greedy probe plan, a
+    safe plan and the probe plan's abort cap, into one T-target. *)
+
+val plans : t -> plan list
+(** The distinct plans of the delegated subproblems, in build order,
+    then in the order deltas delegated more.  A subproblem whose
+    T-target, probe plan and safe plan equal an earlier one's — the
+    same leaves ([==]) in the same order on the same keys, keeping the
+    same variables — adds no plan: a plan joins only the leaves of its
+    local atoms, so the two would write the same rows.  A snapshot
+    holds these plans only. *)
+
+val plan_target : plan -> Varset.t
+
+val run_into : plan -> q_a:Relation.t -> into:Relation.t -> unit
+(** Evaluate the plan for this access request and add its rows to
+    [into], the accumulator of its T-target (a relation over the
+    target, any column order), which other plans and rules may share.
+    The greedy plan runs with an abort cap on each step's match count:
+    the plan's cap times [|q_a|], saturating at [max_int]
+    ({!sat_mul}).  When a step passes the cap it bumps the
+    [twopp.plan_abort] Obs counter and reruns the safe plan into the
+    same accumulator, which keeps the rows already written — all of
+    them target rows.  Plan steps that keep every variable of their
+    join make no copy, and the last step joins and projects straight
+    into the accumulator ({!Stt_relation.Index.join_into}).  Charges
+    the global cost counters: one probe per index lookup, one scan per
+    row visited, one tuple per new row of an intermediate or an
+    accumulator. *)
+
+val sat_mul : int -> int -> int
+(** [sat_mul a b] is [a * b] for non-negative [a] and [b], or [max_int]
+    when the product would pass it.  A plan's cap is
+    [sat_mul 2 (1 + c)] for the safe plan's worst-case estimate [c],
+    which stays below [max_int] and saturates at [max_int / 2]; a
+    wrapped cap would be negative, abort every greedy plan at its first
+    step and make the snapshot writer reject it. *)
 
 val online : t -> q_a:Relation.t -> (Varset.t * Relation.t) list
-(** {!online_into} into fresh accumulators, one per T-target, over the
-    target's variables in ascending order. *)
+(** {!run_into} of every plan into fresh accumulators, one per
+    T-target, over the target's variables in ascending order. *)
 
 val rule : t -> Rule.t
 
@@ -112,6 +135,17 @@ val rule : t -> Rule.t
 val supports_maintenance : t -> bool
 (** [true] for built structures, [false] for {!read} ones. *)
 
+val check_splits : t -> (unit, string) result
+(** Recompute the splits from the base relations and compare: for every
+    atom, the leaves hold exactly what splitting the atom's base
+    relation now would give — each tuple in one leaf, on the side of
+    its key's current distinct-y degree at every split above it — and
+    each split's y counts, x degrees and member lists agree with the
+    rows of its input.  [Error] names the atom, the split depth and
+    what disagrees.  Uncounted, and linear in the base relations per
+    split level: a test-time check of what {!apply_delta} maintains.
+    [Ok ()] on a static replica, which keeps no splits. *)
+
 val apply_delta :
   t -> atom:Cq.atom -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
 (** Route one effective base-tuple delta of [atom] (physically one of
@@ -119,7 +153,10 @@ val apply_delta :
     tree.
     Returns the resulting stored-target (S-view) row changes as
     [(target, row, added?)], rows in ascending-variable order — the
-    engine feeds these to the Yannakakis views.
+    engine feeds these to the Yannakakis views.  A newly non-empty
+    subproblem that is delegated adds its plan to {!plans} unless an
+    equal one is there; nothing else changes {!plans} after the build,
+    since a decision never reverts.
 
     Precondition: the delta is effective and the caller has already
     written it to [atom]'s base relation.  When several atoms share a
@@ -145,9 +182,9 @@ val stored_mem : t -> Varset.t -> Tuple.t -> bool
 val write : Stt_store.Codec.encoder -> t -> unit
 (** The stored subproblem count, the stored S-target relations sorted
     by target, each distinct leaf the delegated plans read (its
-    relation), once, in first-use order, then per delegated subproblem
-    (in build order) its T-target, cap, and probe and safe plans as
-    ordered leaf numbers.  A step's key and kept variables follow from
+    relation), once, in first-use order, then per plan ({!plans}, in
+    order) its T-target, cap, and probe and safe plans as ordered leaf
+    numbers.  A step's key and kept variables follow from
     the leaf order and are not written, nor is the maintenance
     state. *)
 
@@ -155,9 +192,11 @@ val read : Rule.t -> Stt_store.Codec.decoder -> t
 (** Inverse of {!write}: a static replica ({!supports_maintenance} is
     [false]) whose leaves are live relations and whose plan steps are
     rebuilt by the build's own step planner; [space] is recomputed from
-    the stored relations.  Raises [Stt_store.Codec.Corrupt] on a target
-    outside the query's variables, a stored relation whose schema
-    differs from its target, a delegated T-target that is not one of
-    the rule's, a leaf whose variables match no atom, a leaf number out
-    of range, or a plan whose leaves plus the access variables do not
-    cover its T-target. *)
+    the stored relations, and a plan equal to an earlier one (the same
+    target and the same leaf numbers in both plans) is dropped.  Raises
+    [Stt_store.Codec.Corrupt] on a target outside the query's
+    variables, a stored relation whose schema differs from its target,
+    a delegated T-target that is not one of the rule's, a leaf whose
+    variables match no atom, a leaf number out of range, or a plan
+    whose leaves plus the access variables do not cover its
+    T-target. *)

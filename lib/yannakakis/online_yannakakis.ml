@@ -102,6 +102,16 @@ let space =
 let logical_rows =
   sum_views (function Flat { view; _ } -> flat_rows view | Fact f -> Frep.rows f)
 
+let has_empty_view t =
+  Hashtbl.fold
+    (fun _ st empty ->
+      empty
+      ||
+      match st with
+      | Flat { view; _ } -> Relation.is_empty (Live.relation view)
+      | Fact f -> Frep.rows f = 0)
+    t.s_store false
+
 let factorized_views t =
   Hashtbl.fold
     (fun node st acc ->

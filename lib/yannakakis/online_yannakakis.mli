@@ -37,6 +37,12 @@ val logical_rows : preprocessed -> int
     holder — [space] ≤ [logical_rows], with equality when nothing is
     factorized. *)
 
+val has_empty_view : preprocessed -> bool
+(** Does some stored view hold no row?  Then {!answer} adds nothing for
+    any request: the answer joins every view, and a view it drops from
+    the join was first semijoined into its parent, so one empty view
+    empties ψ — the same holds for a T-view that is empty. *)
+
 val factorized_views : preprocessed -> (int * Stt_factorized.Frep.t) list
 (** The views currently held compressed, sorted by node id. *)
 

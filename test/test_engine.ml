@@ -182,7 +182,7 @@ let test_pinned_answer_ops () =
     Scenario.zipf_requests ~seed:6 ~n:400 ~requests:300 ~skew:1.1 ~arity:2
   in
   let answers, ops = answers_and_ops churn churn_keys in
-  Alcotest.(check int) "churn fixture" 2_039_654 ops;
+  Alcotest.(check int) "churn fixture" 191_609 ops;
   (* the first edge (0, v) the graph lacks: inserting and deleting it
      leaves the graph as it was, with the S-views thawed *)
   let v =
@@ -194,7 +194,41 @@ let test_pinned_answer_ops () =
   Alcotest.(check bool) "delete" true (fst (Engine.delete churn "R" edge));
   let answers', ops' = answers_and_ops churn churn_keys in
   Alcotest.(check bool) "same answers once thawed" true (answers = answers');
-  Alcotest.(check int) "churn fixture, thawed" 2_039_654 ops'
+  Alcotest.(check int) "churn fixture, thawed" 191_609 ops'
+
+(* The serving plan of both fixtures.  On churn no rule delegates
+   T{x1,x3,x4}, so the two PMTDs that read it never answer, and the
+   S{x2,x4} view is empty; the 12 delegated subproblems share 7
+   distinct plans, and only the 4 into T{x1,x2,x4} and T{x2,x3,x4} run
+   per answer.  Both point PMTDs answer, with every plan. *)
+let pmtd p = Format.asprintf "%a" Pmtd.pp p
+
+let test_serving_plan () =
+  let plans e =
+    List.length (List.concat_map Twopp.plans (Engine.structures e))
+  in
+  let point, _ = fixture (Cq.Library.k_path 2) ~graph:113 ~budget:2_000 in
+  Alcotest.(check int) "point: two PMTDs" 2 (List.length (Engine.pmtds point));
+  Alcotest.(check int) "point: both answer" 2
+    (List.length (Engine.answering_pmtds point));
+  Alcotest.(check int) "point: every plan runs" (plans point)
+    (Engine.plans_per_answer point);
+  let churn, _ = fixture (Cq.Library.k_path 3) ~graph:131 ~budget:1_000 in
+  Alcotest.(check (list string)) "churn: the PMTDs"
+    [
+      "PMTD(root=0: S{x1,x4})";
+      "PMTD(root=0: T{x1,x3,x4} T{x1,x2,x3})";
+      "PMTD(root=0: T{x1,x3,x4} S{x1,x3})";
+      "PMTD(root=1: T{x1,x2,x4} T{x2,x3,x4})";
+      "PMTD(root=1: T{x1,x2,x4} S{x2,x4})";
+    ]
+    (List.map pmtd (Engine.pmtds churn));
+  Alcotest.(check (list string)) "churn: the answering PMTDs"
+    [ "PMTD(root=0: S{x1,x4})"; "PMTD(root=1: T{x1,x2,x4} T{x2,x3,x4})" ]
+    (List.map pmtd (Engine.answering_pmtds churn));
+  Alcotest.(check int) "churn: distinct plans" 7 (plans churn);
+  Alcotest.(check int) "churn: plans per answer" 4
+    (Engine.plans_per_answer churn)
 
 (* Update op counts, pinned.  Each sum adds up the counted ops of
    [Engine.insert]/[Engine.delete] over the deltas among the first 200
@@ -269,6 +303,7 @@ let () =
           Alcotest.test_case "total_space sums every store" `Quick
             test_total_space;
           Alcotest.test_case "answer op counts" `Quick test_pinned_answer_ops;
+          Alcotest.test_case "serving plan" `Quick test_serving_plan;
           Alcotest.test_case "update op counts" `Quick test_pinned_update_ops;
         ] );
       ("random", qcheck_cases);

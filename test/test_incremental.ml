@@ -11,8 +11,10 @@
    that has absorbed deltas must save/load into an observationally
    identical replica (same answers, same op counts, same epoch), and
    the replica must reject further deltas.  A batch is checked whole
-   before any write, aggregate answers follow the live base, and a delta's
-   work follows the tuple's neighbourhood, not the relation's size. *)
+   before any write, aggregate answers follow the live base, a delta's
+   work follows the tuple's neighbourhood, not the relation's size, and
+   the PMTDs an answer runs follow the deltas that fill or empty an
+   S-view or delegate a new T-target. *)
 
 open Stt_relation
 open Stt_hypergraph
@@ -71,6 +73,16 @@ let mirror_apply (m : mirror) rel tuple add =
     if present then Tuple.Tbl.remove set tuple;
     present
   end
+
+(* every rule's split leaves against its base relations, recomputed
+   ({!Twopp.check_splits}) *)
+let check_splits what eng =
+  List.iteri
+    (fun i s ->
+      match Twopp.check_splits s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s, rule %d: %s" what i e)
+    (Engine.structures eng)
 
 (* ------------------------------------------------------------------ *)
 (* the churn differential                                               *)
@@ -132,6 +144,9 @@ let run_one i =
         in
         ignore (check_answers 0);
         let check step =
+          check_splits
+            (Printf.sprintf "instance %d (seed %d) after delta %d" i seed step)
+            !engine;
           let db' = check_answers step in
           let got = sorted (Engine.answer !engine ~q_a:inst.q_a) in
           (* every aggregate over the live base against a brute-force
@@ -229,7 +244,7 @@ let test_churn_differential () =
 (* deterministic edge cases: 2-path R(x,y), S(y,z), access x, head x z  *)
 (* ------------------------------------------------------------------ *)
 
-let build_path ~r_rows ~s_rows =
+let build_path ?(budget = 1000) ~r_rows ~s_rows () =
   let atoms =
     [ { Cq.rel = "R"; vars = [ 0; 1 ] }; { Cq.rel = "S"; vars = [ 1; 2 ] } ]
   in
@@ -243,7 +258,7 @@ let build_path ~r_rows ~s_rows =
   let db = Db.create () in
   Db.add db "R" r_rows;
   Db.add db "S" s_rows;
-  (cqap, db, Engine.build_auto ~max_pmtds:64 cqap ~db ~budget:1000)
+  (cqap, db, Engine.build_auto ~max_pmtds:64 cqap ~db ~budget)
 
 let q_x v = Relation.of_list (Schema.of_list [ 0 ]) [ [| v |] ]
 
@@ -257,7 +272,7 @@ let point_fixture () =
     Engine.build_auto ~max_pmtds:128 (Cq.Library.k_path 2) ~db ~budget:2000 )
 
 let test_redundant_insert () =
-  let _, _, eng = build_path ~r_rows:[ [| 1; 2 |] ] ~s_rows:[ [| 2; 3 |] ] in
+  let _, _, eng = build_path ~r_rows:[ [| 1; 2 |] ] ~s_rows:[ [| 2; 3 |] ] () in
   let before = sorted (Engine.answer eng ~q_a:(q_x 1)) in
   Alcotest.(check (list (list int))) "initial answer" [ [ 1; 3 ] ] before;
   (* inserting a tuple that is already present must be a no-op *)
@@ -332,6 +347,7 @@ let test_last_witness_delete () =
     build_path
       ~r_rows:[ [| 1; 2 |]; [| 1; 4 |] ]
       ~s_rows:[ [| 2; 3 |]; [| 4; 3 |]; [| 4; 5 |] ]
+      ()
   in
   Alcotest.(check (list (list int)))
     "both answers present"
@@ -359,6 +375,63 @@ let test_last_witness_delete () =
     [ [ 1; 3 ]; [ 1; 5 ] ]
     (sorted (Engine.answer eng ~q_a:(q_x 1)));
   Alcotest.(check int) "three effective deltas" 3 (Engine.epoch eng)
+
+(* The serving plan follows deltas.  The 2-path has one rule, S{x,z} or
+   T{x,y,z}, and one PMTD for each target.  With S empty at build no
+   subproblem is decided, so no PMTD answers.  At budget 1, inserting
+   S(2,3) stores the one row (1,3), which (a) fills the empty S-view,
+   and deleting it (b) empties that view again.  At budget 0 the same
+   insert (c) delegates T{x,y,z}, which no plan had.  Every answer is
+   checked against the reference, and the answering PMTDs are those
+   whose views can hold rows. *)
+let test_serving_follows_deltas () =
+  let check what (cqap, eng) ~s_rows ~answering =
+    let db = Db.create () in
+    Db.add db "R" [ [| 1; 2 |] ];
+    Db.add db "S" s_rows;
+    List.iter
+      (fun x ->
+        let q_a = q_x x in
+        Alcotest.(check (list (list int)))
+          (Printf.sprintf "%s: request x = %d" what x)
+          (sorted (Db.eval_access db cqap ~q_a))
+          (sorted (Engine.answer eng ~q_a)))
+      [ 1; 2; 5 ];
+    Alcotest.(check (list string))
+      (what ^ ": answering PMTDs")
+      answering
+      (List.map
+         (fun p ->
+           if Stt_decomp.Pmtd.s_views p = [] then "T{x,y,z}" else "S{x,z}")
+         (Engine.answering_pmtds eng))
+  in
+  let delta eng rel tuple add =
+    Alcotest.(check bool) "effective" true
+      (fst ((if add then Engine.insert else Engine.delete) eng rel tuple))
+  in
+  let plans eng =
+    List.length (List.concat_map Twopp.plans (Engine.structures eng))
+  in
+  let cqap, _, eng =
+    build_path ~budget:1 ~r_rows:[ [| 1; 2 |] ] ~s_rows:[] ()
+  in
+  check "budget 1, built" (cqap, eng) ~s_rows:[] ~answering:[];
+  delta eng "S" [| 2; 3 |] true;
+  check "(a) S(2,3) fills S{x,z}" (cqap, eng) ~s_rows:[ [| 2; 3 |] ]
+    ~answering:[ "S{x,z}" ];
+  delta eng "S" [| 2; 3 |] false;
+  check "(b) deleting it empties S{x,z}" (cqap, eng) ~s_rows:[] ~answering:[];
+  let cqap, _, eng =
+    build_path ~budget:0 ~r_rows:[ [| 1; 2 |] ] ~s_rows:[] ()
+  in
+  check "budget 0, built" (cqap, eng) ~s_rows:[] ~answering:[];
+  Alcotest.(check int) "budget 0: no plan" 0 (plans eng);
+  delta eng "S" [| 2; 3 |] true;
+  check "(c) S(2,3) delegates T{x,y,z}" (cqap, eng) ~s_rows:[ [| 2; 3 |] ]
+    ~answering:[ "T{x,y,z}" ];
+  Alcotest.(check int) "budget 0: one plan" 1 (plans eng);
+  Alcotest.(check int) "budget 0: run per answer" 1
+    (Engine.plans_per_answer eng)
 
 (* R appears at both atoms of the 2-path, so one delta reaches two atoms,
    and a self-loop serves both atoms of one derivation: deleting (v,v)
@@ -500,7 +573,10 @@ let split_atoms_per_build trace =
    so a delta can move tuples between the parts of a part.  A Zipf churn
    stream of about 50 deltas runs against it, and every query of the
    stream is checked against the reference.  The trace check keeps the
-   case from silently losing its nested split. *)
+   case from silently losing its nested split.  After every delta each
+   rule's leaves are checked against a fresh split of the base: the
+   answers alone miss a tuple a split filed in the wrong leaf or
+   dropped, since the other rules derive the same answers. *)
 let test_nested_splits () =
   let q = Cq.Library.k_path 4 in
   let seed = 5 and vertices = 60 and edges = 500 in
@@ -534,9 +610,14 @@ let test_nested_splits () =
   let delta (u, v) add =
     if add then Hashtbl.replace live (u, v) () else Hashtbl.remove live (u, v);
     let apply = if add then Engine.insert else Engine.delete in
-    match apply !eng "R" [| u; v |] with
+    (match apply !eng "R" [| u; v |] with
     | effective, _ -> if effective then incr deltas
-    | exception Failure _ -> eng := build ()
+    | exception Failure _ -> eng := build ());
+    check_splits
+      (Printf.sprintf "after %s (%d,%d)"
+         (if add then "inserting" else "deleting")
+         u v)
+      !eng
   in
   List.iter
     (function
@@ -616,6 +697,7 @@ let test_snapshot_after_deltas () =
     build_path
       ~r_rows:[ [| 1; 2 |]; [| 6; 7 |] ]
       ~s_rows:[ [| 2; 3 |]; [| 7; 8 |] ]
+      ()
   in
   ignore (Engine.insert eng "R" [| 1; 7 |]);
   ignore (Engine.delete eng "S" [| 7; 8 |]);
@@ -627,7 +709,7 @@ let test_snapshot_after_deltas () =
   let edges, eng = point_fixture () in
   Alcotest.(check bool) "point fixture delegates" true
     (List.exists
-       (fun s -> Twopp.delegated_subproblems s > 0)
+       (fun s -> Twopp.plans s <> [])
        (Engine.structures eng));
   let present = Hashtbl.create 4096 in
   List.iter (fun e -> Hashtbl.replace present e ()) edges;
@@ -664,6 +746,8 @@ let () =
             test_redundant_insert;
           Alcotest.test_case "last-witness delete" `Quick
             test_last_witness_delete;
+          Alcotest.test_case "the serving plan follows deltas" `Quick
+            test_serving_follows_deltas;
           Alcotest.test_case "snapshot after deltas round-trips" `Quick
             test_snapshot_after_deltas;
           Alcotest.test_case "a malformed batch writes nothing" `Quick

@@ -375,8 +375,8 @@ let twopp_plans_checked () =
       (twopp_payload ~leaves:chain_leaves
          ~plans:[ ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ])
   in
-  Alcotest.(check int) "one delegated subproblem" 1
-    (Twopp.delegated_subproblems t);
+  Alcotest.(check int) "one plan" 1
+    (List.length (Twopp.plans t));
   let q_a = Relation.singleton (Schema.of_list [ 0; 3 ]) [| 1; 4 |] in
   (match Twopp.online t ~q_a with
   | [ (b, rel) ] ->
@@ -384,6 +384,20 @@ let twopp_plans_checked () =
         (Varset.equal b (Varset.of_list [ 1; 2 ]));
       Alcotest.(check (list (list int))) "its rows" [ [ 2; 3 ] ] (sorted rel)
   | _ -> Alcotest.fail "one T-target relation expected");
+  (* a plan repeated step for step is read once; one with another leaf
+     order is another plan *)
+  let plan = ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) in
+  Alcotest.(check int) "a repeated plan is dropped" 1
+    (List.length
+       (Twopp.plans
+          (read_twopp
+             (twopp_payload ~leaves:chain_leaves ~plans:[ plan; plan ]))));
+  Alcotest.(check int) "another safe order is kept" 2
+    (List.length
+       (Twopp.plans
+          (read_twopp
+             (twopp_payload ~leaves:chain_leaves
+                ~plans:[ plan; ([ 1; 2 ], [ 0; 1; 2 ], [ 0; 1; 2 ]) ]))));
   List.iter
     (fun (what, leaves, plans) ->
       match read_twopp (twopp_payload ~leaves ~plans) with

@@ -43,8 +43,8 @@ let test_budget_respected_per_target () =
 
 let test_more_budget_fewer_delegations () =
   let delegated budget =
-    Twopp.delegated_subproblems
-      (Twopp.build rule2 ~base:(base_of (db_of skewed)) ~budget)
+    List.length
+      (Twopp.plans (Twopp.build rule2 ~base:(base_of (db_of skewed)) ~budget))
   in
   Alcotest.check Alcotest.bool "monotone-ish" true
     (delegated 1_000_000 <= delegated 50)
@@ -201,6 +201,26 @@ let test_cap_fallback () =
         (List.sort compare (List.map Array.to_list (Relation.to_list rel)))
   | _ -> Alcotest.fail "one T-target relation expected"
 
+(* A plan's cap is [sat_mul 2 (1 + c)] for the safe plan's worst-case
+   estimate [c], which saturates at [max_int / 2], and a request scales
+   it by [|Q_A|].  Plain products wrap there: [2 * (1 + max_int / 2)]
+   is [min_int], a cap that aborts every greedy plan at its first step
+   and that the snapshot writer rejects. *)
+let test_sat_mul () =
+  let saturated = max_int / 2 in
+  Alcotest.(check bool) "the plain product wraps" true
+    (2 * (1 + saturated) < 0);
+  Alcotest.(check int) "a saturated estimate" max_int
+    (Twopp.sat_mul 2 (1 + saturated));
+  Alcotest.(check int) "times a request" max_int
+    (Twopp.sat_mul max_int 300);
+  Alcotest.(check int) "just below the bound" (max_int - 1)
+    (Twopp.sat_mul 2 saturated);
+  Alcotest.(check int) "small products are exact" 12 (Twopp.sat_mul 3 4);
+  Alcotest.(check int) "zero on the left" 0 (Twopp.sat_mul 0 max_int);
+  Alcotest.(check int) "zero on the right" 0 (Twopp.sat_mul max_int 0);
+  Alcotest.(check int) "one is the identity" max_int (Twopp.sat_mul 1 max_int)
+
 let () =
   Alcotest.run "twopp"
     [
@@ -216,5 +236,6 @@ let () =
           Alcotest.test_case "impossible rule" `Quick test_impossible_rule;
           Alcotest.test_case "cap fallback keeps the rows written" `Quick
             test_cap_fallback;
+          Alcotest.test_case "the cap saturates" `Quick test_sat_mul;
         ] );
     ]

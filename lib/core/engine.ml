@@ -37,10 +37,11 @@ type serving = {
       (* each PMTD's [has_empty_view] when the plan was made *)
 }
 
+(* A loaded engine is its snapshot's serving plan: the answering PMTDs
+   with their S-views and the plans into their T-targets, with no 2PP
+   structure ([structures] is empty). *)
 type t = {
   cqap : Cq.cqap;
-  pmtds : Pmtd.t list;
-  rules : Rule.t list;
   mutable base : (Cq.atom * Live.t) list;
       (* the one live, annotated relation per atom, in atom order: split
          by every rule's 2PP structure, written once per delta through
@@ -77,8 +78,7 @@ let () =
       fun () -> Simplex.add_pivots n)
 
 let cqap t = t.cqap
-let pmtds t = t.pmtds
-let rules t = t.rules
+let pmtds t = List.map fst t.preprocessed
 let space t = t.space
 let structures t = t.structures
 let cache t = t.cache
@@ -108,19 +108,17 @@ let access_schema t = Schema.of_list (Varset.to_list t.cqap.Cq.access)
 
 let schema_of_set b = Schema.of_list (Varset.to_list b)
 
-let serving_of cqap structures preprocessed =
-  let plans = List.concat_map Twopp.plans structures in
-  let delegated b =
-    List.exists (fun p -> Varset.equal (Twopp.plan_target p) b) plans
-  in
-  let t_vars p =
-    List.map (fun (v : Pmtd.view) -> v.Pmtd.vars) (Pmtd.t_views p)
-  in
+let t_vars p = List.map (fun (v : Pmtd.view) -> v.Pmtd.vars) (Pmtd.t_views p)
+
+let writes plans b =
+  List.exists (fun p -> Varset.equal (Twopp.plan_target p) b) plans
+
+let serving_of cqap plans preprocessed =
   let answering =
     List.filter
       (fun (p, oy) ->
         (not (Online_yannakakis.has_empty_view oy))
-        && List.for_all delegated (t_vars p))
+        && List.for_all (writes plans) (t_vars p))
       preprocessed
   in
   let wanted =
@@ -157,8 +155,10 @@ let serving_of cqap structures preprocessed =
         preprocessed;
   }
 
+let all_plans structures = List.concat_map Twopp.plans structures
+
 let refresh_serving t =
-  t.serving <- serving_of t.cqap t.structures t.preprocessed
+  t.serving <- serving_of t.cqap (all_plans t.structures) t.preprocessed
 
 (* A delta changes which PMTDs answer only by delegating a new plan or
    by filling or emptying a PMTD's last empty S-view (or its first) *)
@@ -249,8 +249,6 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
   let t =
     {
       cqap;
-      pmtds = pmtd_list;
-      rules;
       base;
       structures;
       preprocessed;
@@ -259,7 +257,7 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
       epoch = 0;
       thawed = false;
       agg = None;
-      serving = serving_of cqap structures preprocessed;
+      serving = serving_of cqap (all_plans structures) preprocessed;
     }
   in
   serving_attrs t;
@@ -666,8 +664,7 @@ let answer_agg t k ~q_a =
 
 let epoch t = t.epoch
 
-let supports_maintenance t =
-  t.structures <> [] && List.for_all Twopp.supports_maintenance t.structures
+let supports_maintenance t = t.structures <> []
 
 (* First delta against a built engine: re-materialize the S-views
    without the SS semijoin reduction (a pure space optimization that
@@ -867,19 +864,21 @@ let delete t rel tuple =
 module Store = Stt_store.Store
 module C = Stt_store.Codec
 
-let format_version = 3
+let format_version = 4
 
-(* A snapshot holds rows and build decisions only: each structure writes
-   its own bytes ([Relation], [Twopp], [Online_yannakakis]) and
-   the sections below are the engine's own.  A decoder that meets an
+(* A snapshot is the serving plan: the answering PMTDs with their
+   S-views and the plans into their T-targets.  Each structure writes
+   its own bytes ([Relation], [Twopp], [Online_yannakakis]) and the
+   sections below are the engine's own.  A decoder that meets an
    impossible structure raises [Codec.Corrupt], which the store layer
    surfaces as [Malformed] — a CRC-valid file is rejected at load time
    rather than failing later in [answer]. *)
 
-(* annotated relations: the plain relation, then one presence flag (and
-   value) per row in the sorted order [Relation.write] used *)
+(* annotated rows: the rows in [Tuple.compare] order, then one presence
+   flag (and value) per row *)
 let write_annotated e rel =
-  Relation.write e rel;
+  let rows = List.sort Tuple.compare (Relation.to_list rel) in
+  C.write_rows e ~arity:(Schema.arity (Relation.schema rel)) rows;
   List.iter
     (fun tup ->
       match Relation.annotation_opt rel tup with
@@ -887,14 +886,12 @@ let write_annotated e rel =
           C.write_bool e true;
           C.write_value e v
       | None -> C.write_bool e false)
-    (List.sort Tuple.compare (Relation.to_list rel))
+    rows
 
-let read_annotated d =
-  let rel = Relation.read d in
-  List.iter
-    (fun tup -> if C.read_bool d then Relation.annotate rel tup (C.read_value d))
-    (List.sort Tuple.compare (Relation.to_list rel));
-  rel
+let read_annotated d ~arity =
+  List.map
+    (fun tup -> (tup, if C.read_bool d then Some (C.read_value d) else None))
+    (C.read_rows d ~arity)
 
 let write_cqap e (q : Cq.cqap) =
   let cq = q.Cq.cq in
@@ -959,35 +956,25 @@ let read_pmtd cqap d =
   | Ok p -> p
   | Error msg -> C.corrupt "pmtd: %s" msg
 
-let write_rule e (r : Rule.t) =
-  C.write_list e (Varset.write e) r.Rule.s_targets;
-  C.write_list e (Varset.write e) r.Rule.t_targets
-
-let read_rule cqap d =
-  let full = Varset.full cqap.Cq.cq.Cq.n in
-  let s_targets = C.read_list d (fun () -> Varset.read ~within:full d) in
-  let t_targets = C.read_list d (fun () -> Varset.read ~within:full d) in
-  C.guard "rule" (fun () -> Rule.make cqap ~s_targets ~t_targets)
-
 let save t path =
   Obs.span "engine.save" ~attrs:[ ("path", Json.String path) ] @@ fun () ->
   Cost.with_counting false @@ fun () ->
+  let answering = List.map (fun (p, oy, _) -> (p, oy)) t.serving.answering in
   let sections =
     [
       ("cqap", fun e -> write_cqap e t.cqap);
-      ("pmtds", fun e -> C.write_list e (write_pmtd e) t.pmtds);
-      ("rules", fun e -> C.write_list e (write_rule e) t.rules);
-      ("twopp", fun e -> C.write_list e (Twopp.write e) t.structures);
-      ( "yannakakis",
+      ( "pmtds",
         fun e ->
           C.write_list e
-            (fun (_, oy) -> Online_yannakakis.write e oy)
-            t.preprocessed );
+            (fun (p, oy) ->
+              write_pmtd e p;
+              Online_yannakakis.write e oy)
+            answering );
+      ("plans", fun e -> Twopp.write_plans e (List.map fst t.serving.runs));
       ( "summary",
         fun e ->
-          C.write_uint e t.space;
-          C.write_uint e (List.length t.pmtds);
-          C.write_uint e (List.length t.rules) );
+          C.write_uint e (views_space answering);
+          C.write_uint e (List.length answering) );
     ]
   in
   (* optional section: the delta epoch.  Written only after the engine
@@ -1023,9 +1010,10 @@ let save t path =
                   (Cache.export cache) );
           ]
   in
-  (* optional section: semiring aggregate state — the annotated base
-     relations (the factors) and the precomputed per-kind tables, so a
-     snapshot-shipped replica serves aggregates without the database *)
+  (* optional section: semiring aggregate state — each base relation's
+     annotated rows (the factors), once per relation name, and the
+     precomputed per-kind tables, so a snapshot-shipped replica serves
+     aggregates without the database *)
   let sections =
     match t.agg with
     | None -> sections
@@ -1037,10 +1025,15 @@ let save t path =
               fun e ->
                 C.write_uint e st.agg_budget;
                 C.write_list e
-                  (fun ((a : Cq.atom), l) ->
-                    C.write_string e a.Cq.rel;
+                  (fun (name, l) ->
+                    C.write_string e name;
                     write_annotated e (Live.relation l))
-                  t.base;
+                  (List.fold_left
+                     (fun acc ((a : Cq.atom), l) ->
+                       if List.mem_assoc a.Cq.rel acc then acc
+                       else (a.Cq.rel, l) :: acc)
+                     [] t.base
+                  |> List.rev);
                 C.write_list e
                   (fun (k, { complete; entries }) ->
                     C.write_u8 e (Semiring.to_tag k);
@@ -1066,15 +1059,6 @@ let save t path =
 
 let ( let* ) = Result.bind
 
-(* decode in file-section order, pairing aligned sections (structures
-   with rules, preprocessed state with PMTDs) by position; [fold_left]
-   fixes the evaluation order the shared decoder requires *)
-let map_in_order f xs d =
-  let n = C.read_uint d in
-  if n <> List.length xs then
-    C.corrupt "aligned section: %d entries for %d owners" n (List.length xs);
-  List.rev (List.fold_left (fun acc x -> f x d :: acc) [] xs)
-
 let load path =
   Obs.span "engine.load" ~attrs:[ ("path", Json.String path) ] @@ fun () ->
   Cost.with_counting false @@ fun () ->
@@ -1083,29 +1067,35 @@ let load path =
   Obs.incr ~by:bytes "snapshot.read.bytes";
   Obs.set_attr "bytes" (Json.Int bytes);
   let* cqap = Store.Reader.section r "cqap" read_cqap in
-  let* pmtds =
-    Store.Reader.section r "pmtds" (fun d ->
-        C.read_list d (fun () -> read_pmtd cqap d))
-  in
-  let* rules =
-    Store.Reader.section r "rules" (fun d ->
-        C.read_list d (fun () -> read_rule cqap d))
-  in
-  let* structures =
-    Store.Reader.section r "twopp" (map_in_order Twopp.read rules)
-  in
+  (* a file holds what answers: no PMTD with an empty S-view, and no
+     T-view or plan target without the other *)
   let* preprocessed =
-    Store.Reader.section r "yannakakis"
-      (map_in_order (fun p d -> (p, Online_yannakakis.read p d)) pmtds)
+    Store.Reader.section r "pmtds" (fun d ->
+        C.read_list d (fun () ->
+            let p = read_pmtd cqap d in
+            let oy = Online_yannakakis.read p d in
+            if Online_yannakakis.has_empty_view oy then
+              C.corrupt "pmtd: an empty S-view, so it answers nothing";
+            (p, oy)))
+  in
+  let* plans =
+    Store.Reader.section r "plans" (fun d ->
+        let targets = List.concat_map (fun (p, _) -> t_vars p) preprocessed in
+        let plans = Twopp.read_plans cqap ~targets d in
+        List.iter
+          (fun b ->
+            if not (writes plans b) then
+              C.corrupt "pmtd: no plan writes T-view %d" (Varset.to_int b))
+          targets;
+        plans)
   in
   let space = views_space preprocessed in
   let* () =
     Store.Reader.section r "summary" (fun d ->
         let stored_space = C.read_uint d in
         let np = C.read_uint d in
-        let nr = C.read_uint d in
-        if np <> List.length pmtds then C.corrupt "summary: pmtd count mismatch";
-        if nr <> List.length rules then C.corrupt "summary: rule count mismatch";
+        if np <> List.length preprocessed then
+          C.corrupt "summary: pmtd count mismatch";
         if stored_space <> space then
           C.corrupt "summary: space %d but loaded S-views hold %d" stored_space
             space)
@@ -1185,25 +1175,31 @@ let load path =
           let factors =
             C.read_list d (fun () ->
                 let name = C.read_string d in
-                (name, read_annotated d))
+                match
+                  List.find_opt (fun (a : Cq.atom) -> a.Cq.rel = name) atoms
+                with
+                | None -> C.corrupt "agg factor: no atom reads %s" name
+                | Some a ->
+                    (name, read_annotated d ~arity:(List.length a.Cq.vars)))
           in
-          if List.length factors <> List.length atoms then
-            C.corrupt "agg: %d factors for %d atoms" (List.length factors)
-              (List.length atoms);
+          (* each atom its own live relation over its variables *)
           let base =
-            List.map2
-              (fun (a : Cq.atom) (name, rel) ->
-                if not (String.equal name a.Cq.rel) then
-                  C.corrupt "agg factor: %s where atom %s expected" name
-                    a.Cq.rel;
-                if
-                  not
-                    (Schema.equal (Relation.schema rel)
-                       (Schema.of_list a.Cq.vars))
-                then
-                  C.corrupt "agg factor %s: schema differs from the atom" name;
-                (a, Live.of_relation rel))
-              atoms factors
+            List.map
+              (fun (a : Cq.atom) ->
+                match List.filter (fun (n, _) -> n = a.Cq.rel) factors with
+                | [ (_, rows) ] ->
+                    let rel = Relation.create (Schema.of_list a.Cq.vars) in
+                    C.guard "agg factor" (fun () ->
+                        List.iter
+                          (fun (tup, w) ->
+                            Relation.add rel tup;
+                            Option.iter (Relation.annotate rel tup) w)
+                          rows);
+                    (a, Live.of_relation rel)
+                | fs ->
+                    C.corrupt "agg: %d factors for relation %s" (List.length fs)
+                      a.Cq.rel)
+              atoms
           in
           let access_arity = Varset.cardinal cqap.Cq.access in
           let seen = Hashtbl.create 8 in
@@ -1237,20 +1233,18 @@ let load path =
   let t =
     {
       cqap;
-      pmtds;
-      rules;
       base;
-      structures;
+      structures = [];
       preprocessed;
       space;
       cache;
       epoch;
       (* a snapshot of a thawed engine stores the unreduced views; the
-         flag only matters for further maintenance, which imported
-         structures reject anyway *)
+         flag only matters for further maintenance, which a loaded
+         engine rejects anyway *)
       thawed = epoch > 0;
       agg;
-      serving = serving_of cqap structures preprocessed;
+      serving = serving_of cqap plans preprocessed;
     }
   in
   serving_attrs t;

@@ -34,7 +34,10 @@ val space : t -> int
 (** Intrinsic space in stored singletons: flat S-views count one per
     tuple, factorized S-views count their d-representation size
     ({!Stt_factorized.Frep.size}).  Does not include the answer cache —
-    see {!cache_space}. *)
+    see {!cache_space}.  Like {!pmtds}, {!per_pmtd_space},
+    {!factorized_views} and {!materialized_rows}, it covers what the
+    engine holds: every PMTD's views for a built engine, only the
+    {!answering_pmtds}' for one {!load}ed from a snapshot. *)
 
 val materialized_rows : t -> int
 (** Total {e flat} rows the stored S-views represent, regardless of
@@ -79,14 +82,19 @@ val answer_batch : t -> Relation.t list -> (Relation.t * Cost.snapshot) list
     the [engine.answer.ops] histogram. *)
 
 val cqap : t -> Cq.cqap
+
 val pmtds : t -> Pmtd.t list
-val rules : t -> Rule.t list
+(** The PMTDs the engine holds: those it was built over, or, for an
+    engine {!load}ed from a snapshot, the {!answering_pmtds} of the
+    engine that saved it. *)
+
 val structures : t -> Twopp.t list
-(** The 2PP structure of each generated rule, in rule order. *)
+(** The 2PP structure of each generated rule, in rule order; empty for
+    an engine {!load}ed from a snapshot, which holds only plans. *)
 
 val per_pmtd_space : t -> (Pmtd.t * int) list
-(** Stored S-view tuples per PMTD (the summands of {!space}), as
-    reported in the benchmark artifacts. *)
+(** Stored S-view tuples per PMTD of {!pmtds} (the summands of
+    {!space}), as reported in the benchmark artifacts. *)
 
 val answering_pmtds : t -> Pmtd.t list
 (** The PMTDs an answer runs Online Yannakakis over, in {!pmtds} order:
@@ -226,7 +234,8 @@ val epoch : t -> int
     fresh. *)
 
 val supports_maintenance : t -> bool
-(** [true] for built engines, [false] for snapshot-loaded replicas. *)
+(** [true] for built engines, [false] for snapshot-loaded replicas,
+    which hold no 2PP structure ({!structures} is empty). *)
 
 (** {1 Adaptive answer cache}
 
@@ -262,41 +271,49 @@ val total_space : t -> int
 
     A built index is pure data, so the expensive preprocessing (LP
     solves, heavy/light splits, plan search, S-view materialization)
-    can be paid for once: {!save} writes the build's rows and decisions
-    to a versioned, checksummed snapshot file and {!load} rebuilds an
-    engine that is observationally identical to the one that was saved
-    — same {!space}, same {!answer}/{!answer_batch} results and the
-    same online operation counts — without touching the source
-    database. *)
+    can be paid for once.  {!save} writes the engine's serving plan — the
+    {!answering_pmtds} with their S-views and the {!plans_per_answer}
+    plans into their T-targets — to a versioned, checksummed snapshot
+    file, and {!load} rebuilds an engine that answers like the one that
+    was saved — same {!answer}/{!answer_batch} results and the same
+    online operation counts — without touching the source database.
+    The file is a replica image: it holds no split tree, stored
+    S-target union or PMTD that cannot answer, so a loaded engine takes
+    no delta and cannot resume a primary.  Its {!space}, {!pmtds} and
+    {!per_pmtd_space} cover the answering PMTDs only: they equal the
+    saving engine's wherever every PMTD holding view rows answers. *)
 
 val format_version : int
-(** Wire-format version written by {!save}, currently 3.  {!load}
+(** Wire-format version written by {!save}, currently 4.  {!load}
     rejects any other version with [Version_skew]. *)
 
 val save : t -> string -> (int, Stt_store.Store.error) result
 (** [save t path] writes the snapshot and returns its size in bytes.
     The sections, in order: "cqap" (query and access pattern), "pmtds"
-    (trees, bags, materialization flags), "rules" (S-/T-targets),
-    "twopp" (per rule: stored S-target relations, each distinct leaf
-    the delegated plans read, once, and each plan as its ordered leaf
-    numbers),
-    "yannakakis" (per PMTD: each materialized node's S-view relation
-    and which nodes are held as d-representations) and "summary"
-    (space and counts).  Optional sections follow: "epoch" once the
-    engine has absorbed deltas, "cache" when a cache is attached
-    (budget, striping and every warm entry in LRU order) and "agg" when
-    aggregates are enabled.  Serialization is canonical: saving a
-    loaded engine reproduces the file byte for byte.  Records an
-    [engine.save] span and bumps the [snapshot.write.bytes] counter
-    when observability is enabled. *)
+    (per answering PMTD: tree, bags and materialization flags, then
+    each materialized node's S-view relation and which nodes are held
+    as d-representations), "plans" (each distinct leaf the plans an
+    answer runs read, once, then each plan, in run order, as its
+    T-target, cap and ordered leaf numbers; {!Twopp.write_plans}) and
+    "summary" (space and PMTD count).  Optional sections follow:
+    "epoch" once the engine has absorbed deltas, "cache" when a cache
+    is attached (budget, striping and every warm entry in LRU order)
+    and "agg" when aggregates are enabled (each base relation's
+    annotated rows once per relation name, then the tables).
+    Serialization is canonical: saving a loaded engine reproduces the
+    file byte for byte.  Records an [engine.save] span and bumps the
+    [snapshot.write.bytes] counter when observability is enabled. *)
 
 val load : string -> (t, Stt_store.Store.error) result
 (** [load path] validates the file strictly — magic, format version,
     section checksums, and the structural invariants of every decoded
-    component — and rebuilds the engine as the build does: the 2PP
-    leaves and flat S-views as {!Stt_relation.Live} relations with the
-    indexes their plan steps and links probe, the plan steps with the
-    build's own step planner, and d-representations with
-    [Frep.of_relation].  Any defect surfaces as a typed error, never a
-    crash or a silently wrong structure; a plan whose leaves cannot
-    produce its T-target is such a defect. *)
+    component — and rebuilds the serving plan as the build does: the
+    plans' leaves and flat S-views as {!Stt_relation.Live} relations
+    with the indexes their plan steps and links probe, the plan steps
+    with the build's own step planner, and d-representations with
+    [Frep.of_relation].  Every loaded PMTD answers and every loaded
+    plan runs, in the saved order.  Any defect surfaces as a typed
+    error, never a crash or a silently wrong structure: a plan whose
+    leaves cannot produce its T-target, a plan target that is no
+    loaded PMTD's T-view, a PMTD with an empty S-view or a T-view that
+    no plan writes. *)

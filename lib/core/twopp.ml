@@ -54,20 +54,16 @@ type tree =
   | Leaf of Live.t
   | Split of { split : split; heavy : tree; light : tree }
 
-type maint = {
-  mbudget : int;
-  trees : (Cq.atom * (Live.t * tree)) list;
-      (* one per atom, in atom order, with the base relation it splits *)
-  combos : combo list; (* one per choice of a leaf for every atom *)
-}
-
 type t = {
   rule : Rule.t;
   mutable stored : (Varset.t * Relation.t) list;
   mutable space : int;
   mutable delegated : plan list; (* distinct plans, in build order *)
   mutable stored_subs : int; (* subproblems materialized within the budget *)
-  maint : maint option; (* None for snapshot-loaded (static) structures *)
+  budget : int;
+  trees : (Cq.atom * (Live.t * tree)) list;
+      (* one per atom, in atom order, with the base relation it splits *)
+  combos : combo list; (* one per choice of a leaf for every atom *)
 }
 
 let rule t = t.rule
@@ -76,7 +72,6 @@ let space t = t.space
 let plans t = t.delegated
 let plan_target p = p.t_target
 let stored_subproblems t = t.stored_subs
-let supports_maintenance t = t.maint <> None
 
 let stored_mem t b row =
   match List.find_opt (fun (b', _) -> Varset.equal b b') t.stored with
@@ -552,17 +547,14 @@ let check_tree (atom : Cq.atom) base tree =
   go 0 tree (Relation.to_list (Live.relation base))
 
 let check_splits t =
-  match t.maint with
-  | None -> Ok ()
-  | Some m -> (
-      match
-        Cost.with_counting false (fun () ->
-            List.iter
-              (fun (atom, (base, tree)) -> check_tree atom base tree)
-              m.trees)
-      with
-      | () -> Ok ()
-      | exception Split_mismatch what -> Error what)
+  match
+    Cost.with_counting false (fun () ->
+        List.iter
+          (fun (atom, (base, tree)) -> check_tree atom base tree)
+          t.trees)
+  with
+  | () -> Ok ()
+  | exception Split_mismatch what -> Error what
 
 (* ------------------------------------------------------------------ *)
 (* build                                                                *)
@@ -778,7 +770,9 @@ let build_pass ~counted (r : Rule.t) ~base ~budget ~budget_lp =
           space = 0;
           delegated = [];
           stored_subs = 0;
-          maint = Some { mbudget = budget; trees; combos };
+          budget;
+          trees;
+          combos;
         }
       in
       (* admission charges a candidate at the stored-singleton size it
@@ -889,9 +883,10 @@ let run_plan ~cap q_a plan ~into =
   go q_a plan
 
 (* Every plan covers its T-target: the build extends a plan's atoms
-   until they do, and [read] rejects a plan that does not.  The rows a
-   greedy plan wrote before it tripped its cap are rows of the target,
-   and the accumulator is a set, so the safe plan reruns into it. *)
+   until they do, and [read_plans] rejects a plan that does not.  The
+   rows a greedy plan wrote before it tripped its cap are rows of the
+   target, and the accumulator is a set, so the safe plan reruns into
+   it. *)
 let run_into p ~q_a ~into =
   try
     run_plan ~cap:(sat_mul p.cap (max 1 (Relation.cardinal q_a))) q_a
@@ -922,55 +917,35 @@ let online t ~q_a =
 
 module C = Stt_store.Codec
 
-(* Snapshot layout: the stored S-target relations, then each distinct
-   leaf the delegated plans read, once, in first-use order, then each
-   plan with its probe and safe orders as leaf numbers.  The
-   steps' keys and kept variables are a function of the leaf order, so
-   [read] recomputes them with the build's own [steps_of_order]. *)
-let write e t =
-  C.write_uint e t.stored_subs;
-  C.write_list e
-    (fun (b, rel) ->
-      Varset.write e b;
-      Relation.write e rel)
-    (List.sort (fun (a, _) (b, _) -> Varset.compare a b) t.stored);
-  (* each distinct leaf, numbered in first-use order *)
+(* Snapshot layout of a plan list: each distinct leaf the plans read,
+   once, in first-use order, then each plan's T-target, cap, and probe
+   and safe orders as leaf numbers.  The steps' keys and kept variables
+   are a function of the leaf order, so [read_plans] recomputes them
+   with the build's own [steps_of_order]. *)
+let write_plans e plans =
   let numbered =
     List.fold_left
       (fun acc { leaf; _ } ->
         if List.mem_assq leaf acc then acc else (leaf, List.length acc) :: acc)
       []
-      (List.concat_map (fun sub -> sub.probe_plan @ sub.safe_plan) t.delegated)
+      (List.concat_map (fun p -> p.probe_plan @ p.safe_plan) plans)
     |> List.rev
   in
   C.write_list e (fun (l, _) -> Relation.write e (Live.relation l)) numbered;
-  let write_plan =
+  let write_order =
     C.write_list e (fun st -> C.write_uint e (List.assq st.leaf numbered))
   in
   C.write_list e
-    (fun sub ->
-      Varset.write e sub.t_target;
-      C.write_uint e sub.cap;
-      write_plan sub.probe_plan;
-      write_plan sub.safe_plan)
-    t.delegated
+    (fun p ->
+      Varset.write e p.t_target;
+      C.write_uint e p.cap;
+      write_order p.probe_plan;
+      write_order p.safe_plan)
+    plans
 
-let read (rule : Rule.t) d =
-  let cqap = rule.Rule.cqap in
+let read_plans (cqap : Cq.cqap) ~targets d =
   let access = cqap.Cq.access in
   let within = Varset.full cqap.Cq.cq.Cq.n in
-  let stored_subs = C.read_uint d in
-  let stored =
-    C.read_list d (fun () ->
-        let b = Varset.read ~within d in
-        let rel = Relation.read d in
-        if
-          not
-            (Schema.equal (Relation.schema rel)
-               (Schema.of_list (Varset.to_list b)))
-        then C.corrupt "stored s-target: relation schema differs from target";
-        (b, rel))
-  in
   (* a leaf stands for an atom over the same variables; which of several
      such atoms does not matter, since a step reads only the variables *)
   let leaves =
@@ -984,46 +959,34 @@ let read (rule : Rule.t) d =
                cqap.Cq.cq.Cq.atoms
            with
            | Some a -> (a, Live.of_relation rel)
-           | None -> C.corrupt "twopp leaf: its variables match no atom"))
+           | None -> C.corrupt "plan leaf: its variables match no atom"))
   in
-  let delegated =
-    C.read_list d (fun () ->
-        let target = Varset.read ~within d in
-        if not (List.exists (Varset.equal target) rule.Rule.t_targets) then
-          C.corrupt "twopp plan: T-target %d is not one of the rule's"
-            (Varset.to_int target);
-        let cap = C.read_uint d in
-        let read_plan () =
-          let order =
-            C.read_list d (fun () ->
-                let i = C.read_uint d in
-                if i >= Array.length leaves then
-                  C.corrupt "twopp plan: leaf %d of %d" i (Array.length leaves);
-                leaves.(i))
-          in
-          let covered =
-            List.fold_left
-              (fun acc (a, _) -> Varset.union acc (Cq.atom_vars a))
-              access order
-          in
-          if not (Varset.subset target covered) then
-            C.corrupt "twopp plan: its leaves do not cover the T-target";
-          steps_of_order ~access ~target order
+  C.read_list d (fun () ->
+      let target = Varset.read ~within d in
+      if not (List.exists (Varset.equal target) targets) then
+        C.corrupt "plan: T-target %d is no loaded PMTD's T-view"
+          (Varset.to_int target);
+      let cap = C.read_uint d in
+      let read_order () =
+        let order =
+          C.read_list d (fun () ->
+              let i = C.read_uint d in
+              if i >= Array.length leaves then
+                C.corrupt "plan: leaf %d of %d" i (Array.length leaves);
+              leaves.(i))
         in
-        let probe_plan = read_plan () in
-        let safe_plan = read_plan () in
-        { t_target = target; probe_plan; safe_plan; cap })
-    (* a plan that repeats an earlier one writes no other row *)
-    |> List.fold_left
-         (fun kept p ->
-           if List.exists (same_plan p) kept then kept else p :: kept)
-         []
-    |> List.rev
-  in
-  let space =
-    List.fold_left (fun acc (_, rel) -> acc + Relation.cardinal rel) 0 stored
-  in
-  { rule; stored; space; delegated; stored_subs; maint = None }
+        let covered =
+          List.fold_left
+            (fun acc (a, _) -> Varset.union acc (Cq.atom_vars a))
+            access order
+        in
+        if not (Varset.subset target covered) then
+          C.corrupt "plan: its leaves do not cover the T-target";
+        steps_of_order ~access ~target order
+      in
+      let probe_plan = read_order () in
+      let safe_plan = read_order () in
+      { t_target = target; probe_plan; safe_plan; cap })
 
 (* ------------------------------------------------------------------ *)
 (* incremental maintenance                                              *)
@@ -1034,21 +997,21 @@ let read (rule : Rule.t) d =
    true budget and flat sizes.  May raise [Failure] exactly like
    [build] when the rule has no T-targets and the stored candidates no
    longer fit the budget. *)
-let activate t m c out_events =
+let activate t c out_events =
   settle t c
     (snd
-       (decide t.rule c.crel ~eval_budget:m.mbudget
-          ~budget:m.mbudget ~size:Relation.cardinal))
+       (decide t.rule c.crel ~eval_budget:t.budget ~budget:t.budget
+          ~size:Relation.cardinal))
     out_events
 
 (* one leaf change of [atom] in combo [c], already written to the leaf
    and so to every index of it, a delegated plan's steps included;
    decide a newly non-empty combo and record the stored-row (S-view)
    changes *)
-let propagate t m c atom tup sign out_events =
+let propagate t c atom tup sign out_events =
   match c.cdecision with
   | M_absent ->
-      if sign && combo_nonempty c then activate t m c out_events
+      if sign && combo_nonempty c then activate t c out_events
   | M_delegated -> ()
   | M_stored b ->
       (* the delta joins run as index probes from the pinned tuple over
@@ -1098,7 +1061,7 @@ let propagate t m c atom tup sign out_events =
           (fun row ->
             if
               Relation.mem union_rel row
-              && not (List.exists (derived row) m.combos)
+              && not (List.exists (derived row) t.combos)
             then begin
               ignore (Relation.remove union_rel row);
               t.space <- t.space - 1;
@@ -1108,33 +1071,26 @@ let propagate t m c atom tup sign out_events =
       end
 
 let apply_delta t ~atom ~tuple ~add =
-  match t.maint with
-  | None ->
-      failwith
-        "Twopp.apply_delta: structure has no maintenance state (loaded from \
-         a static snapshot)"
-  | Some m ->
-      let levs = ref [] in
-      (if add then part_insert else part_delete)
-        (snd (List.assq atom m.trees))
-        tuple levs;
-      let out_events = ref [] in
-      (* each leaf change goes to every combo with that leaf for [atom];
-         a combo activated by one of them is decided on its leaves as
-         they stand after all of them, so its later changes are already
-         in *)
-      let activated = ref [] in
+  let levs = ref [] in
+  (if add then part_insert else part_delete)
+    (snd (List.assq atom t.trees))
+    tuple levs;
+  let out_events = ref [] in
+  (* each leaf change goes to every combo with that leaf for [atom]; a
+     combo activated by one of them is decided on its leaves as they
+     stand after all of them, so its later changes are already in *)
+  let activated = ref [] in
+  List.iter
+    (fun (leaf, tup, sign) ->
       List.iter
-        (fun (leaf, tup, sign) ->
-          List.iter
-            (fun c ->
-              if List.assq atom c.crel == leaf && not (List.memq c !activated)
-              then begin
-                let absent = c.cdecision = M_absent in
-                propagate t m c atom tup sign out_events;
-                if absent && c.cdecision <> M_absent then
-                  activated := c :: !activated
-              end)
-            m.combos)
-        (List.rev !levs);
-      List.rev !out_events
+        (fun c ->
+          if List.assq atom c.crel == leaf && not (List.memq c !activated)
+          then begin
+            let absent = c.cdecision = M_absent in
+            propagate t c atom tup sign out_events;
+            if absent && c.cdecision <> M_absent then
+              activated := c :: !activated
+          end)
+        t.combos)
+    (List.rev !levs);
+  List.rev !out_events

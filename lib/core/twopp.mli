@@ -80,7 +80,8 @@ val plans : t -> plan list
     same leaves ([==]) in the same order on the same keys, keeping the
     same variables — adds no plan: a plan joins only the leaves of its
     local atoms, so the two would write the same rows.  A snapshot
-    holds these plans only. *)
+    holds only the plans an answer runs, over all rules
+    ({!write_plans}). *)
 
 val plan_target : plan -> Varset.t
 
@@ -129,11 +130,7 @@ val rule : t -> Rule.t
     ({!Live.join_from}, inserts) or a last-witness check
     ({!Live.exists}, deletes) against its other leaves, both run as
     index probes, and an empty-at-build one that the change fills is
-    decided on its leaves as they stand after the whole delta.  Structures loaded from a snapshot
-    are static replicas: they answer but do not maintain. *)
-
-val supports_maintenance : t -> bool
-(** [true] for built structures, [false] for {!read} ones. *)
+    decided on its leaves as they stand after the whole delta. *)
 
 val check_splits : t -> (unit, string) result
 (** Recompute the splits from the base relations and compare: for every
@@ -143,8 +140,7 @@ val check_splits : t -> (unit, string) result
     each split's y counts, x degrees and member lists agree with the
     rows of its input.  [Error] names the atom, the split depth and
     what disagrees.  Uncounted, and linear in the base relations per
-    split level: a test-time check of what {!apply_delta} maintains.
-    [Ok ()] on a static replica, which keeps no splits. *)
+    split level: a test-time check of what {!apply_delta} maintains. *)
 
 val apply_delta :
   t -> atom:Cq.atom -> tuple:Tuple.t -> add:bool -> (Varset.t * Tuple.t * bool) list
@@ -163,10 +159,10 @@ val apply_delta :
     relation name, the caller writes and routes them one at a time in
     query order, so each atom's delta joins see the earlier atoms
     updated and the later ones not.  No arity or membership check is
-    made here.  Raises [Failure] on a static replica, or — like
-    {!build} — when a newly non-empty subproblem is impossible at the
-    build budget; a [Failure] mid-delta leaves the structure
-    inconsistent, so callers should treat it as fatal and rebuild. *)
+    made here.  Raises [Failure] — like {!build} — when a newly
+    non-empty subproblem is impossible at the build budget; a [Failure]
+    mid-delta leaves the structure inconsistent, so callers should
+    treat it as fatal and rebuild. *)
 
 val stored_mem : t -> Varset.t -> Tuple.t -> bool
 (** Is [row] (ascending-variable order) currently in this structure's
@@ -174,29 +170,24 @@ val stored_mem : t -> Varset.t -> Tuple.t -> bool
 
 (** {1 Snapshot codec}
 
-    A built structure is pure data — stored S-target relations plus the
-    delegated subproblems' plans over their leaves — so it round-trips
-    without re-running the LP, the heavy/light splits or the plan
-    search. *)
+    A plan is pure data — its T-target, its cap and the leaves its
+    probe and safe orders read — so a list of plans round-trips without
+    the rule, the LP, the heavy/light splits or the plan search.  Only
+    plans travel: a loaded engine answers from them and keeps no
+    structure, so it takes no delta. *)
 
-val write : Stt_store.Codec.encoder -> t -> unit
-(** The stored subproblem count, the stored S-target relations sorted
-    by target, each distinct leaf the delegated plans read (its
-    relation), once, in first-use order, then per plan ({!plans}, in
-    order) its T-target, cap, and probe and safe plans as ordered leaf
-    numbers.  A step's key and kept variables follow from
-    the leaf order and are not written, nor is the maintenance
-    state. *)
+val write_plans : Stt_store.Codec.encoder -> plan list -> unit
+(** Each distinct leaf ([==]) the plans read (its relation), once, in
+    first-use order, then per plan, in order, its T-target, cap, and
+    probe and safe orders as leaf numbers.  A step's key and kept
+    variables follow from the leaf order and are not written. *)
 
-val read : Rule.t -> Stt_store.Codec.decoder -> t
-(** Inverse of {!write}: a static replica ({!supports_maintenance} is
-    [false]) whose leaves are live relations and whose plan steps are
-    rebuilt by the build's own step planner; [space] is recomputed from
-    the stored relations, and a plan equal to an earlier one (the same
-    target and the same leaf numbers in both plans) is dropped.  Raises
-    [Stt_store.Codec.Corrupt] on a target outside the query's
-    variables, a stored relation whose schema differs from its target,
-    a delegated T-target that is not one of the rule's, a leaf whose
-    variables match no atom, a leaf number out of range, or a plan
-    whose leaves plus the access variables do not cover its
+val read_plans :
+  Cq.cqap -> targets:Varset.t list -> Stt_store.Codec.decoder -> plan list
+(** Inverse of {!write_plans}, in the same order and with no plan
+    dropped: the leaves become live relations and the steps are rebuilt
+    by the build's own step planner.  Raises [Stt_store.Codec.Corrupt]
+    on a T-target outside [targets] or the query's variables, a leaf
+    whose variables match no atom, a leaf number out of range, or a
+    plan whose leaves plus the access variables do not cover its
     T-target. *)

@@ -13,7 +13,10 @@ let set_mode m = Atomic.set current m
 (* [rows / size >= 5/4] in integers *)
 let ratio_ok ~rows ~size = 4 * rows >= 5 * size
 
+(* an empty view has nothing to compress, in any mode *)
 let eligible ~rows ~size =
+  rows > 0
+  &&
   match mode () with
   | Off -> false
   | Auto -> ratio_ok ~rows ~size

@@ -23,10 +23,11 @@ val mode : unit -> mode
 val set_mode : mode -> unit
 
 val eligible : rows:int -> size:int -> bool
-(** Mode-aware gate: [false] under [Off]; under [Auto],
-    [4 * rows >= 5 * size], i.e. every stored singleton of the
-    d-representation stands in for at least 1.25 flat rows; always
-    [true] under [Forced]. *)
+(** Mode-aware gate, [false] for an empty view ([rows = 0]) in every
+    mode, which has nothing to compress; otherwise [false] under [Off];
+    under [Auto], [4 * rows >= 5 * size], i.e. every stored singleton of
+    the d-representation stands in for at least 1.25 flat rows; [true]
+    under [Forced]. *)
 
 val effective_size : rows:int -> size:int -> int
 (** The stored-singleton charge a view of [rows] flat tuples whose

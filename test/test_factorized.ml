@@ -193,8 +193,12 @@ let test_config_modes () =
         (Fconfig.eligible ~rows:100 ~size:1));
   with_mode Fconfig.Forced (fun () ->
       Alcotest.(check bool) "forced always eligible" true
-        (Fconfig.eligible ~rows:1 ~size:100));
+        (Fconfig.eligible ~rows:1 ~size:100);
+      Alcotest.(check bool) "forced leaves an empty view flat" false
+        (Fconfig.eligible ~rows:0 ~size:0));
   with_mode Fconfig.Auto (fun () ->
+      Alcotest.(check bool) "auto leaves an empty view flat" false
+        (Fconfig.eligible ~rows:0 ~size:0);
       Alcotest.(check bool) "auto takes 1.25x" true
         (Fconfig.eligible ~rows:5 ~size:4);
       Alcotest.(check bool) "auto rejects below 1.25x" false

@@ -642,8 +642,9 @@ let test_nested_splits () =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* save [eng], load it back and save the replica again: the replica has
-   the same epoch and space, answers [reqs] with the same rows and op
-   counts, rejects further deltas, and re-saves to the same bytes *)
+   the same epoch, the answering PMTDs with their space, and the same
+   plans per answer, answers [reqs] with the same rows and op counts,
+   rejects further deltas, and re-saves to the same bytes *)
 let check_snapshot what eng ~epoch reqs =
   let path = Filename.temp_file "stt_incr" ".snap" in
   let again = Filename.temp_file "stt_incr" ".snap" in
@@ -661,8 +662,22 @@ let check_snapshot what eng ~epoch reqs =
   in
   Alcotest.(check int) (what ^ ": epoch round-trips") epoch
     (Engine.epoch loaded);
-  Alcotest.(check int) (what ^ ": space round-trips") (Engine.space eng)
+  let answering = Engine.answering_pmtds eng in
+  let pmtd p = Format.asprintf "%a" Stt_decomp.Pmtd.pp p in
+  Alcotest.(check int)
+    (what ^ ": the answering PMTDs' space round-trips")
+    (List.fold_left
+       (fun acc (p, n) -> if List.memq p answering then acc + n else acc)
+       0 (Engine.per_pmtd_space eng))
     (Engine.space loaded);
+  Alcotest.(check (list string))
+    (what ^ ": answering PMTDs round-trip")
+    (List.map pmtd answering)
+    (List.map pmtd (Engine.answering_pmtds loaded));
+  Alcotest.(check int)
+    (what ^ ": plans per answer round-trip")
+    (Engine.plans_per_answer eng)
+    (Engine.plans_per_answer loaded);
   Alcotest.(check bool)
     (what ^ ": loaded engine is a static replica")
     false

@@ -229,9 +229,23 @@ let fixture_requests idx =
       Relation.singleton schema
         (Array.init arity (fun _ -> Stt_workload.Rng.int rng 300)))
 
+let pmtd p = Format.asprintf "%a" Stt_decomp.Pmtd.pp p
+
+(* a replica holds the answering PMTDs' views and the plans they read,
+   and answers like its source: the same rows at the same op counts *)
 let check_identical what fresh loaded reqs =
-  Alcotest.(check int) (what ^ ": space") (Engine.space fresh)
+  let answering = Engine.answering_pmtds fresh in
+  Alcotest.(check int) (what ^ ": space of the answering PMTDs")
+    (List.fold_left
+       (fun acc (p, n) -> if List.memq p answering then acc + n else acc)
+       0 (Engine.per_pmtd_space fresh))
     (Engine.space loaded);
+  Alcotest.(check (list string)) (what ^ ": answering PMTDs")
+    (List.map pmtd answering)
+    (List.map pmtd (Engine.answering_pmtds loaded));
+  Alcotest.(check int) (what ^ ": plans per answer")
+    (Engine.plans_per_answer fresh)
+    (Engine.plans_per_answer loaded);
   List.iter
     (fun q_a ->
       let expect, expect_cost = Cost.measure (fun () -> Engine.answer fresh ~q_a) in
@@ -291,12 +305,12 @@ let engine_rejects_damage () =
       | _ -> false)
     (Engine.load path);
   (* a file of the previous format (bytes 8-11 hold the version) *)
-  let v2 = Bytes.of_string whole in
-  Bytes.set_int32_le v2 8 2l;
-  write_file path (Bytes.to_string v2);
-  expect_error "format version 2"
+  let v3 = Bytes.of_string whole in
+  Bytes.set_int32_le v3 8 3l;
+  write_file path (Bytes.to_string v3);
+  expect_error "format version 3"
     (function
-      | Store.Version_skew { found = 2; expected = 3 } -> true | _ -> false)
+      | Store.Version_skew { found = 3; expected = 4 } -> true | _ -> false)
     (Engine.load path);
   write_file path whole;
   flip_byte path 3;
@@ -325,42 +339,73 @@ let engine_flip_sweep () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* hand-encoded 2PP sections                                            *)
+(* hand-encoded serving plans                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* 3-reach, access {x0, x3}, one delegated subproblem for T-target
-   {x1, x2} *)
-let path3_rule =
-  lazy
-    (Rule.make (Cq.Library.k_path 3) ~s_targets:[]
-       ~t_targets:[ Varset.of_list [ 1; 2 ] ])
+(* A snapshot of 3-reach (access {x1, x4}) with one PMTD, the root
+   T{x1,x2,x4} (node 1) over the leaf S{x2,x4} (node 0), written section
+   by section: [s_rows] are the S-view's rows, [leaves] the plans'
+   leaves as (variables, rows), and [plans] each plan's T-target and
+   probe and safe orders as leaf numbers. *)
+let write_serving path ~s_rows ~leaves ~plans =
+  let set e vars = Varset.write e (Varset.of_list vars) in
+  let rel e (vars, rows) =
+    Relation.write e (Relation.of_list (Schema.of_list vars) rows)
+  in
+  let cqap e =
+    Codec.write_uint e 4;
+    Codec.write_list e (Codec.write_string e) [ "x1"; "x2"; "x3"; "x4" ];
+    set e [ 0; 3 ];
+    set e [ 0; 3 ];
+    Codec.write_list e
+      (fun i ->
+        Codec.write_string e "R";
+        Codec.write_list e (Codec.write_uint e) [ i; i + 1 ])
+      [ 0; 1; 2 ]
+  in
+  let pmtds e =
+    Codec.write_list e
+      (fun () ->
+        Codec.write_uint e 2;
+        List.iter (Codec.write_int e) [ 1; -1 ];
+        set e [ 1; 2; 3 ];
+        set e [ 0; 1; 3 ];
+        List.iter (Codec.write_bool e) [ true; false ];
+        Codec.write_list e
+          (fun () ->
+            Codec.write_uint e 0;
+            rel e ([ 1; 3 ], s_rows))
+          [ () ];
+        Codec.write_list e (fun () -> ()) [])
+      [ () ]
+  in
+  let plans e =
+    Codec.write_list e (rel e) leaves;
+    Codec.write_list e
+      (fun (target, probe, safe) ->
+        set e target;
+        Codec.write_uint e 10;
+        Codec.write_list e (Codec.write_uint e) probe;
+        Codec.write_list e (Codec.write_uint e) safe)
+      plans
+  in
+  let summary e =
+    Codec.write_uint e (List.length s_rows);
+    Codec.write_uint e 1
+  in
+  match
+    Store.write ~version:Engine.format_version path
+      [
+        ("cqap", cqap);
+        ("pmtds", pmtds);
+        ("plans", plans);
+        ("summary", summary);
+      ]
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "write: %s" (Store.error_to_string e)
 
-(* a [Twopp.write] payload with no stored subproblem: the leaves as
-   (variables, rows), then per delegated subproblem its T-target and its
-   probe and safe plans as leaf numbers *)
-let twopp_payload ~leaves ~plans =
-  let e = Codec.encoder () in
-  Codec.write_uint e 0;
-  Codec.write_list e (fun _ -> ()) [];
-  Codec.write_list e
-    (fun (vars, rows) ->
-      Relation.write e (Relation.of_list (Schema.of_list vars) rows))
-    leaves;
-  Codec.write_list e
-    (fun (target, probe, safe) ->
-      Varset.write e (Varset.of_list target);
-      Codec.write_uint e 10;
-      Codec.write_list e (Codec.write_uint e) probe;
-      Codec.write_list e (Codec.write_uint e) safe)
-    plans;
-  Codec.contents e
-
-let read_twopp payload =
-  let d = Codec.decoder payload in
-  let t = Twopp.read (Lazy.force path3_rule) d in
-  Codec.expect_end d "twopp";
-  t
-
+(* the path 1 -> 2 -> 3 -> 4, one edge per atom *)
 let chain_leaves =
   [
     ([ 0; 1 ], [ [| 1; 2 |] ]);
@@ -368,57 +413,73 @@ let chain_leaves =
     ([ 2; 3 ], [ [| 3; 4 |] ]);
   ]
 
-let twopp_plans_checked () =
-  (* the well-formed payload loads and answers through its plans *)
-  let t =
-    read_twopp
-      (twopp_payload ~leaves:chain_leaves
-         ~plans:[ ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ])
+let chain_plan = ([ 0; 1; 3 ], [ 0; 1; 2 ], [ 2; 1; 0 ])
+
+let serving_plans_checked () =
+  let path = temp_snap () and again = temp_snap () in
+  Fun.protect ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove again)
+  @@ fun () ->
+  let load ?(s_rows = [ [| 2; 4 |] ]) ?(leaves = chain_leaves) plans =
+    write_serving path ~s_rows ~leaves ~plans;
+    Engine.load path
   in
-  Alcotest.(check int) "one plan" 1
-    (List.length (Twopp.plans t));
-  let q_a = Relation.singleton (Schema.of_list [ 0; 3 ]) [| 1; 4 |] in
-  (match Twopp.online t ~q_a with
-  | [ (b, rel) ] ->
-      Alcotest.(check bool) "the T-target" true
-        (Varset.equal b (Varset.of_list [ 1; 2 ]));
-      Alcotest.(check (list (list int))) "its rows" [ [ 2; 3 ] ] (sorted rel)
-  | _ -> Alcotest.fail "one T-target relation expected");
-  (* a plan repeated step for step is read once; one with another leaf
-     order is another plan *)
-  let plan = ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) in
-  Alcotest.(check int) "a repeated plan is dropped" 1
-    (List.length
-       (Twopp.plans
-          (read_twopp
-             (twopp_payload ~leaves:chain_leaves ~plans:[ plan; plan ]))));
-  Alcotest.(check int) "another safe order is kept" 2
-    (List.length
-       (Twopp.plans
-          (read_twopp
-             (twopp_payload ~leaves:chain_leaves
-                ~plans:[ plan; ([ 1; 2 ], [ 0; 1; 2 ], [ 0; 1; 2 ]) ]))));
+  (* the well-formed file loads, answers through its PMTD and plan, and
+     re-saves to itself *)
+  (match load [ chain_plan ] with
+  | Error e -> Alcotest.failf "load: %s" (Store.error_to_string e)
+  | Ok t ->
+      Alcotest.(check (list string)) "the answering PMTD"
+        [ "PMTD(root=1: T{x1,x2,x4} S{x2,x4})" ]
+        (List.map pmtd (Engine.answering_pmtds t));
+      Alcotest.(check int) "one plan" 1 (Engine.plans_per_answer t);
+      let q_a = Relation.singleton (Engine.access_schema t) [| 1; 4 |] in
+      Alcotest.(check (list (list int))) "its answer" [ [ 1; 4 ] ]
+        (sorted (Engine.answer t ~q_a));
+      ignore (save_exn t again);
+      Alcotest.(check bool) "re-saves to the same bytes" true
+        (String.equal (read_file path) (read_file again)));
+  (* every plan is kept, in order: one with another safe order too *)
+  (match load [ chain_plan; ([ 0; 1; 3 ], [ 0; 1; 2 ], [ 0; 1; 2 ]) ] with
+  | Error e -> Alcotest.failf "load: %s" (Store.error_to_string e)
+  | Ok t ->
+      Alcotest.(check int) "another safe order is kept" 2
+        (Engine.plans_per_answer t));
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
   List.iter
-    (fun (what, leaves, plans) ->
-      match read_twopp (twopp_payload ~leaves ~plans) with
-      | _ -> Alcotest.failf "%s: loaded" what
-      | exception Codec.Corrupt _ -> ())
+    (fun (what, why, loaded) ->
+      expect_error what
+        (function Store.Malformed msg -> contains msg why | _ -> false)
+        loaded)
     [
       ( "a leaf number out of range",
-        chain_leaves,
-        [ ([ 1; 2 ], [ 0; 1; 3 ], [ 2; 1; 0 ]) ] );
+        "leaf 3 of 3",
+        load [ ([ 0; 1; 3 ], [ 0; 1; 3 ], [ 2; 1; 0 ]) ] );
       ( "a leaf whose variables match no atom",
-        chain_leaves @ [ ([ 0; 2 ], [ [| 1; 3 |] ]) ],
-        [ ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ] );
+        "match no atom",
+        load
+          ~leaves:(chain_leaves @ [ ([ 0; 2 ], [ [| 1; 3 |] ]) ])
+          [ chain_plan ] );
       ( "a probe plan that misses x2 of its T-target",
-        chain_leaves,
-        [ ([ 1; 2 ], [ 0 ], [ 2; 1; 0 ]) ] );
+        "do not cover",
+        load [ ([ 0; 1; 3 ], [ 2 ], [ 2; 1; 0 ]) ] );
       ( "an empty safe plan",
-        chain_leaves,
-        [ ([ 1; 2 ], [ 0; 1; 2 ], []) ] );
-      ( "a T-target that is not the rule's",
-        chain_leaves,
-        [ ([ 0; 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ] );
+        "do not cover",
+        load [ ([ 0; 1; 3 ], [ 0; 1; 2 ], []) ] );
+      ( "a T-target that no loaded PMTD reads",
+        "no loaded PMTD",
+        load [ chain_plan; ([ 1; 2 ], [ 0; 1; 2 ], [ 2; 1; 0 ]) ] );
+      ( "a PMTD with an empty S-view",
+        "empty S-view",
+        load ~s_rows:[] [ chain_plan ] );
+      ("a T-view that no plan writes", "no plan writes", load []);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -481,6 +542,34 @@ let canonical_3reach_forced () =
   with_mode Fconfig.Forced @@ fun () ->
   let _, e = reach_engine ~k:3 ~seed:131 ~budget:800 in
   check_canonical "3-reach, factorization forced" e
+
+(* Snapshot bytes, pinned: the churn fixture (3-reach over graph 131
+   at budget 1,000), whose image leaves out the three PMTDs that cannot
+   answer and the plans that only they read, and the first 2-reach
+   snapshot that CI round-trips ([stt snapshot -q 2reach --budget 2000
+   --edges 4000]), where every PMTD answers.  A change that moves them
+   records the new values here. *)
+let pinned_bytes () =
+  with_mode Fconfig.Auto @@ fun () ->
+  let bytes e =
+    let path = temp_snap () in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> save_exn e path)
+  in
+  let _, churn = reach_engine ~k:3 ~seed:131 ~budget:1000 in
+  let churn_bytes = bytes churn in
+  Alcotest.(check int) "churn fixture" 26_508 churn_bytes;
+  Alcotest.(check bool) "churn fixture: at most 30,000 bytes" true
+    (churn_bytes <= 30_000);
+  let edges = 4000 in
+  let db =
+    Stt_workload.Scenario.synthetic_db ~seed:42
+      ~vertices:(Stt_workload.Scenario.vertices_for_edges edges)
+      ~edges
+  in
+  Alcotest.(check int) "2-reach CI fixture" 21_457
+    (bytes
+       (Engine.build_auto ~max_pmtds:128 (Cq.Library.k_path 2) ~db
+          ~budget:2000))
 
 (* ------------------------------------------------------------------ *)
 (* randomized round-trip differential                                   *)
@@ -550,8 +639,9 @@ let () =
             canonical_2reach;
           Alcotest.test_case "forced 3-reach re-saves to the same bytes"
             `Quick canonical_3reach_forced;
-          Alcotest.test_case "2PP plans that cannot produce their target"
-            `Quick twopp_plans_checked;
+          Alcotest.test_case "snapshot bytes, pinned" `Quick pinned_bytes;
+          Alcotest.test_case "serving plans that cannot answer" `Quick
+            serving_plans_checked;
         ] );
       ( "differential",
         [
